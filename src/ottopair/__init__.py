@@ -9,12 +9,14 @@ states, work-extraction optimization, and a brute-force oracle suite.
 """
 
 from .cycle import (
+    CycleColumns,
     CycleResult,
     ModeCycleResult,
     Regime,
     classify_regime,
     critical_coupling,
     evaluate_cycle,
+    evaluate_cycles,
     figure_of_merit_bounds,
     mode_heats,
     occupation_relaxation,

@@ -9,23 +9,26 @@ All output is deterministic for a fixed configuration and seed.  CSV is
 UTF-8, comma-separated with '\\n' line endings and a mandatory header
 row; numbers carry 17 significant digits; figures of merit outside their
 regime serialize as empty fields, never 0.  Exit codes: 0 ok, 2 config
-error, 3 domain error, 4 verification failure.  The environment variable
-``OTTO_THREADS`` caps row-evaluation parallelism.
+error, 3 domain error, 4 verification failure.  Sweep and figure rows
+are evaluated in one batched pass (`evaluate_cycles`); the environment
+variable ``OTTO_THREADS`` is still validated (a non-integer is a config
+error) but changes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
-from .cycle import CycleResult, Regime, evaluate_cycle
+from .cycle import REGIMES, CycleColumns, CycleResult, Regime, evaluate_cycle, evaluate_cycles
 from .errors import ConfigError, DomainError, OttoPairError
 from .medium import BathPair, MediumKind, standard_cycle
 from .optimize import SearchDomain, max_coupled_work, max_uncoupled_work, sample_engine_points
@@ -64,7 +67,13 @@ class RunConfig:
     resolution: int = 60
 
 
+# a batched grid is allocated at once, so its size is capped
+MAX_SWEEP_ROWS = 1_000_000
+
+
 def _fmt(value) -> str:
+    if type(value) is float:
+        return format(value, ".17g")
     if value is None:
         return ""
     if isinstance(value, (Regime, MediumKind)):
@@ -74,50 +83,40 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _write_rows(cfg: RunConfig, header: list[str], rows: list[list]) -> None:
+def _write_text(cfg: RunConfig, chunks: Iterable[str]) -> None:
+    if cfg.out:
+        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(chunks)
+    else:
+        sys.stdout.writelines(chunks)
+
+
+def _write_rows(cfg: RunConfig, header: list[str], rows: Iterable[Iterable]) -> None:
     if cfg.format == "json":
         doc = [
             {k: (v.value if isinstance(v, (Regime, MediumKind)) else v) for k, v in zip(header, row)}
             for row in rows
         ]
-        text = json.dumps(doc, indent=2) + "\n"
+        _write_doc(cfg, doc)
     else:
-        lines = [",".join(header)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        text = "\n".join(lines) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        lines = (",".join(map(_fmt, row)) + "\n" for row in rows)
+        _write_text(cfg, itertools.chain([",".join(header) + "\n"], lines))
 
 
-def _write_doc(cfg: RunConfig, doc: dict) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _write_doc(cfg: RunConfig, doc) -> None:
+    # streamed, with the bytes of json.dumps(doc, indent=2) + "\n"
+    _write_text(cfg, itertools.chain(json.JSONEncoder(indent=2).iterencode(doc), ["\n"]))
 
 
-def _worker_count() -> int:
+def _check_otto_threads() -> None:
+    """OTTO_THREADS must be an integer if set; rows are evaluated in one
+    batched pass, so its value changes nothing."""
     raw = os.environ.get("OTTO_THREADS", "")
     if raw:
         try:
-            cap = int(raw)
+            int(raw)
         except ValueError as exc:
             raise ConfigError(f"OTTO_THREADS must be an integer, got {raw!r}") from exc
-        return max(1, cap)
-    return os.cpu_count() or 1
-
-
-def _ordered_map(fn, items):
-    workers = _worker_count()
-    if workers <= 1 or len(items) < 32:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +168,12 @@ def _parse_sweep(text: str) -> np.ndarray:
         lo, hi, step = (float(p) for p in text.split(":"))
     except ValueError:
         raise ConfigError(f"--sweep must be LO:HI:STEP, got {text!r}") from None
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ConfigError(f"--sweep values must be finite, got {text!r}")
     if step <= 0 or hi < lo:
         raise ConfigError(f"--sweep needs step > 0 and hi >= lo, got {text!r}")
+    if not (hi - lo) / step < MAX_SWEEP_ROWS - 0.5:
+        raise ConfigError(f"--sweep {text!r} exceeds {MAX_SWEEP_ROWS} rows")
     count = int(round((hi - lo) / step))
     return lo + step * np.arange(count + 1)
 
@@ -241,28 +244,37 @@ _SWEEP_HEADER = [
 ]
 
 
-def _sweep_row(kind, model, omega, omega_prime, coupling, baths, lam):
-    try:
-        if model == "general":
-            cx, cy = coupling
-            spec = standard_cycle(
-                kind, model, omega, omega_prime, (cx * lam, cy * lam), baths
-            )
-        else:
-            spec = standard_cycle(kind, model, omega, omega_prime, lam, baths)
-        r = evaluate_cycle(spec)
-    except DomainError:
-        return [lam] + [None] * (len(_SWEEP_HEADER) - 1)
-    a, b = r.mode_a, r.mode_b
-    bounds = r.bounds if r.bounds else (None, None)
-    return [
-        lam,
-        a.omega_hot, a.omega_cold, b.omega_hot, b.omega_cold,
-        a.q_h, a.q_c, a.w, a.regime, a.figure_of_merit,
-        b.q_h, b.q_c, b.w, b.regime, b.figure_of_merit,
-        r.q_h_total, r.q_c_total, r.w_total, r.regime, r.global_figure,
-        bounds[0], bounds[1],
+def _column(values: np.ndarray, present: np.ndarray) -> list:
+    """`values` as Python floats, None where `present` is False."""
+    out = values.tolist()
+    for i in np.flatnonzero(~present).tolist():
+        out[i] = None
+    return out
+
+
+def _regime_column(codes: np.ndarray, present: np.ndarray) -> list:
+    return _column(np.array(REGIMES, dtype=object)[codes], present)
+
+
+def _sweep_rows(lam: np.ndarray, c: CycleColumns):
+    ok, operating, shared = c.valid, c.operating, c.shared
+    mode_cols = []
+    for m in (0, 1):
+        mode_cols += [
+            _column(c.q_h[m], ok), _column(c.q_c[m], ok), _column(c.w[m], ok),
+            _regime_column(c.regime[m], ok), _column(c.figure_of_merit[m], operating[m]),
+        ]
+    columns = [
+        lam.tolist(),
+        _column(c.omega_hot[0], ok), _column(c.omega_cold[0], ok),
+        _column(c.omega_hot[1], ok), _column(c.omega_cold[1], ok),
+        *mode_cols,
+        _column(c.q_h_total, ok), _column(c.q_c_total, ok), _column(c.w_total, ok),
+        _regime_column(c.global_regime, ok),
+        _column(c.global_figure, c.global_operating),
+        _column(c.bounds[0], shared), _column(c.bounds[1], shared),
     ]
+    return zip(*columns)
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
@@ -274,14 +286,19 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raise ConfigError("missing required option --sweep LO:HI:STEP")
     grid = _parse_sweep(cfg.sweep)
     if cfg.model == "general":
-        coupling = _coupling_value(cfg, kind)  # direction scaled by the sweep value
+        cx, cy = _coupling_value(cfg, kind)  # direction scaled by the sweep value
+        coupling = (cx * grid, cy * grid)
+    elif cfg.model in ("xx", "xy"):
+        coupling = (grid, grid if cfg.model == "xx" else -grid)
     else:
-        coupling = None
-    rows = _ordered_map(
-        lambda lam: _sweep_row(kind, cfg.model, omega, omega_prime, coupling, baths, float(lam)),
-        list(grid),
-    )
-    _write_rows(cfg, _SWEEP_HEADER, rows)
+        raise ConfigError(f"--model must be 'xx', 'xy' or 'general', got {cfg.model!r}")
+    if not (omega > 0.0 and omega_prime > 0.0):
+        raise DomainError(
+            f"bare frequencies must be positive, got omega={omega}, omega_prime={omega_prime}"
+        )
+    _check_otto_threads()
+    columns = evaluate_cycles(kind, omega, omega_prime, coupling, coupling, baths)
+    _write_rows(cfg, _SWEEP_HEADER, _sweep_rows(grid, columns))
     return EXIT_OK
 
 
@@ -325,64 +342,48 @@ def figure_rows(name: str, cfg: RunConfig) -> tuple[list[str], list[list]]:
     )
     grid = _parse_sweep(cfg.sweep if cfg.sweep is not None else preset["sweep"])
 
-    def both_media(model, lam):
-        out = {}
-        for kind in (MediumKind.OSCILLATOR, MediumKind.SPIN):
-            try:
-                out[kind] = evaluate_cycle(
-                    standard_cycle(kind, model, omega, omega_prime, lam, baths)
-                )
-            except DomainError:
-                out[kind] = None
-        return out
-
     want = Regime.ENGINE if name in ("fig3", "fig7a") else Regime.REFRIGERATOR
-
-    def gated(result, mode=None):
-        # figure-of-merit columns are empty outside the figure's regime
-        if result is None:
-            return None
-        if mode is None:
-            return result.global_figure if result.regime is want else None
-        item = getattr(result, f"mode_{mode}")
-        return item.figure_of_merit if item.regime is want else None
-
     if name in ("fig3", "fig6"):
-        carnot = baths.carnot_efficiency if want is Regime.ENGINE else baths.carnot_cop
+        coupling = (grid, grid)  # xx
         header = (
             ["lambda_J", "eta_A", "eta_B", "eta_os", "eta_sp", "eta_carnot"]
             if want is Regime.ENGINE
             else ["lambda_J", "zeta_A", "zeta_B", "zeta_os", "zeta_sp", "zeta_carnot"]
         )
-
-        def row(lam):
-            res = both_media("xx", float(lam))
-            osc, spn = res[MediumKind.OSCILLATOR], res[MediumKind.SPIN]
-            ref = spn or osc
-            return [float(lam), gated(ref, "a"), gated(ref, "b"), gated(osc), gated(spn), carnot]
-
+        constant = baths.carnot_efficiency if want is Regime.ENGINE else baths.carnot_cop
     else:  # fig7a / fig7b
+        coupling = (grid, -grid)  # xy
         header = (
             ["lambda_J", "eta_os", "eta_sp", "eta_uncoupled"]
             if want is Regime.ENGINE
             else ["lambda_J", "zeta_os", "zeta_sp", "zeta_uncoupled"]
         )
-        uncoupled = (
+        constant = (
             1.0 - omega_prime / omega
             if want is Regime.ENGINE
             else omega_prime / (omega - omega_prime)
         )
 
-        def row(lam):
-            res = both_media("xy", float(lam))
-            return [
-                float(lam),
-                gated(res[MediumKind.OSCILLATOR]),
-                gated(res[MediumKind.SPIN]),
-                uncoupled,
-            ]
-
-    return header, _ordered_map(row, list(grid))
+    _check_otto_threads()
+    osc, spn = (
+        evaluate_cycles(kind, omega, omega_prime, coupling, coupling, baths)
+        for kind in (MediumKind.OSCILLATOR, MediumKind.SPIN)
+    )
+    # figure-of-merit columns are empty outside the figure's regime
+    code = REGIMES.index(want)
+    columns = [grid.tolist()]
+    if name in ("fig3", "fig6"):
+        # per-mode columns of the spin pair, or of the oscillator pair
+        # where the spin pair is unstable
+        ref = spn.valid
+        for m in (0, 1):
+            fom = np.where(ref, spn.figure_of_merit[m], osc.figure_of_merit[m])
+            regime = np.where(ref, spn.regime[m], osc.regime[m])
+            columns.append(_column(fom, (ref | osc.valid) & (regime == code)))
+    for c in (osc, spn):
+        columns.append(_column(c.global_figure, c.valid & (c.global_regime == code)))
+    columns.append([constant] * grid.size)
+    return header, [list(row) for row in zip(*columns)]
 
 
 def cmd_figure(cfg: RunConfig) -> int:

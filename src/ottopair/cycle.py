@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Optional
 
 import numpy as np
@@ -26,17 +26,27 @@ from .errors import (
     RegimeMismatch,
     UnknownModel,
 )
-from .medium import BathPair, CycleSpec, MediumKind, ModePairs, mode_pairs_for_cycle
+from .medium import (
+    BathPair,
+    CycleSpec,
+    MediumKind,
+    mode_pairs_for_cycle,
+    oscillator_mode_frequencies,
+)
 
 __all__ = [
     "Regime",
+    "REGIMES",
     "RegimeLabel",
     "ModeCycleResult",
     "CycleResult",
+    "CycleColumns",
     "coth",
     "mode_heats",
     "classify_regime",
+    "regime_codes",
     "evaluate_cycle",
+    "evaluate_cycles",
     "figure_of_merit_bounds",
     "critical_coupling",
     "perturbative_prediction",
@@ -52,6 +62,11 @@ class Regime(enum.Enum):
     ENGINE = "engine"
     REFRIGERATOR = "refrigerator"
     DISSIPATOR = "dissipator"
+
+
+# regime codes of the array classifier index this tuple
+REGIMES = (Regime.ENGINE, Regime.REFRIGERATOR, Regime.DISSIPATOR)
+_ENGINE, _FRIDGE, _DISSIPATOR = range(3)
 
 
 @dataclass(frozen=True)
@@ -100,6 +115,54 @@ class CycleResult:
     @property
     def modes(self) -> tuple[ModeCycleResult, ModeCycleResult]:
         return (self.mode_a, self.mode_b)
+
+
+@dataclass(frozen=True)
+class CycleColumns:
+    """`evaluate_cycles` output for n cycles, one array per quantity.
+
+    Per-mode columns (``omega_hot`` to ``figure_of_merit``) have shape
+    (2, n), row 0 for mode A and row 1 for mode B; ``bounds`` is (2, n)
+    with the lower bound in row 0; every other column has shape (n,).
+    Regimes are int8 codes into `REGIMES`.  A figure of merit is present
+    only where its regime is engine or refrigerator, and ``weight`` and
+    ``bounds`` only where both modes share that regime; absent entries
+    are nan.  Rows with ``valid`` False are the cycles `evaluate_cycle`
+    refuses with DomainError; only ``valid`` is meaningful there.
+    """
+
+    valid: np.ndarray
+    omega_hot: np.ndarray
+    omega_cold: np.ndarray
+    q_h: np.ndarray
+    q_c: np.ndarray
+    w: np.ndarray
+    regime: np.ndarray
+    at_boundary: np.ndarray
+    figure_of_merit: np.ndarray
+    q_h_total: np.ndarray
+    q_c_total: np.ndarray
+    w_total: np.ndarray
+    global_regime: np.ndarray
+    global_at_boundary: np.ndarray
+    global_figure: np.ndarray
+    weight: np.ndarray
+    bounds: np.ndarray
+
+    @property
+    def operating(self) -> np.ndarray:
+        """(2, n) mask of valid modes that carry a figure of merit."""
+        return self.valid & (self.regime != _DISSIPATOR)
+
+    @property
+    def global_operating(self) -> np.ndarray:
+        """Mask of valid rows that carry a global figure of merit."""
+        return self.valid & (self.global_regime != _DISSIPATOR)
+
+    @property
+    def shared(self) -> np.ndarray:
+        """Mask of valid rows whose modes share a regime (weight, bounds)."""
+        return self.operating[0] & (self.regime[0] == self.regime[1])
 
 
 # ---------------------------------------------------------------------------
@@ -208,32 +271,141 @@ def classify_regime(
     return RegimeLabel(Regime.DISSIPATOR, near_engine or near_fridge)
 
 
-def _mode_result(
-    mode_id: str,
+def _tolerances(q_h, q_c):
+    """Elementwise `default_tolerance`, folding nan exactly as Python's
+    ``max(|Q_h|, |Q_c|, 1.0)`` does."""
+    scale = np.abs(q_h)
+    scale = np.where(np.abs(q_c) > scale, np.abs(q_c), scale)
+    return 1e-12 * np.where(1.0 > scale, 1.0, scale)
+
+
+def regime_codes(q_h, q_c, w, eps=None) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of `classify_regime`, without its energy-balance check.
+
+    Returns (codes into `REGIMES`, at_boundary) with the same rules and,
+    when `eps` is None, the same default tolerance per element.
+    """
+    q_h, q_c, w = (np.asarray(x, dtype=float) for x in (q_h, q_c, w))
+    if eps is None:
+        eps = _tolerances(q_h, q_c)
+    engine = (w > eps) & (q_h > eps)
+    fridge = (q_c > eps) & (w < -eps)
+    codes = np.full(engine.shape, _DISSIPATOR, dtype=np.int8)
+    codes[fridge] = _FRIDGE
+    codes[engine] = _ENGINE
+    near = ((w > -eps) & (q_h > -eps)) | ((q_c > -eps) & (w < eps))
+    return codes, near & (codes == _DISSIPATOR)
+
+
+def _mode_frequencies(kind: MediumKind, omega, c1, c2):
+    """(w_a, w_b) with the bits of the scalar decompositions; nan where
+    `oscillator_normal_modes` / `spin_normal_modes` would raise."""
+    if kind is MediumKind.OSCILLATOR:
+        return oscillator_mode_frequencies(omega, c1, c2)
+    l_plus = 0.5 * (c1 + c2)
+    l_minus = 0.5 * (c1 - c2)
+    # math.hypot, not np.hypot: the two differ in the last bit for some inputs
+    s = np.array(list(map(math.hypot, omega.tolist(), l_minus.tolist())), dtype=float)
+    ok = (omega > 0.0) & (s > np.abs(l_plus))
+    return np.where(ok, s + l_plus, np.nan), np.where(ok, s - l_plus, np.nan)
+
+
+def _classify(q_h, q_c, w, eps, valid):
+    """`classify_regime` plus the figure of merit, over arrays: (codes,
+    at_boundary, eta = W/Q_h for engines or zeta = Q_c/|W| for
+    refrigerators, else nan).  Applies the energy-balance check to the
+    valid entries."""
+    tol = _tolerances(q_h, q_c) if eps is None else eps
+    with np.errstate(invalid="ignore"):
+        bad = valid & (np.abs(w - q_h - q_c) > tol)
+    if bad.any():
+        raise InconsistentEnergy(
+            f"W - Q_h - Q_c exceeds the regime tolerance for {int(bad.sum())} entries"
+        )
+    codes, boundary = regime_codes(q_h, q_c, w, tol)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fom = np.where(
+            codes == _ENGINE, w / q_h, np.where(codes == _FRIDGE, q_c / np.abs(w), np.nan)
+        )
+    return codes, boundary, fom
+
+
+def evaluate_cycles(
     kind: MediumKind,
-    omega_hot: float,
-    omega_cold: float,
+    omega_hot,
+    omega_cold,
+    coupling_hot,
+    coupling_cold,
     baths: BathPair,
-    eps: Optional[float],
-) -> ModeCycleResult:
-    q_h, q_c, w = mode_heats(kind, omega_hot, omega_cold, baths)
-    label = classify_regime(q_h, q_c, w, eps)
-    fom: Optional[float] = None
-    if label.regime is Regime.ENGINE:
-        fom = w / q_h
-    elif label.regime is Regime.REFRIGERATOR:
-        fom = q_c / abs(w)
-    return ModeCycleResult(
-        mode_id=mode_id,
-        omega_hot=omega_hot,
-        omega_cold=omega_cold,
+    eps: Optional[float] = None,
+) -> CycleColumns:
+    """Evaluate n cycles at once; the batched form of `evaluate_cycle`.
+
+    Parameters
+    ----------
+    kind : MediumKind
+        Oscillator or spin pair.
+    omega_hot, omega_cold : array_like
+        Bare frequency at the hot and cold points.
+    coupling_hot, coupling_cold : (array_like, array_like)
+        (lambda_x, lambda_p) for oscillators, (j_x, j_y) for spins.
+    baths : BathPair
+    eps : float, optional
+        Regime tolerance; default ``1e-12 * max(|Q_h|, |Q_c|, 1)`` per
+        triple.
+
+    All six arrays broadcast to one dimension.  Every column equals, bit
+    for bit, what `evaluate_cycle` returns for the same cycle, and
+    ``valid`` is False exactly where it raises DomainError.  Raises
+    InconsistentEnergy like `classify_regime` if a valid triple breaks
+    ``W = Q_h + Q_c`` beyond the tolerance.
+    """
+    omega_hot, omega_cold, cx_h, cy_h, cx_c, cy_c = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(x, dtype=float))
+          for x in (omega_hot, omega_cold, *coupling_hot, *coupling_cold))
+    )
+    hot = _mode_frequencies(kind, omega_hot, cx_h, cy_h)
+    cold = _mode_frequencies(kind, omega_cold, cx_c, cy_c)
+    w_hot, w_cold = np.stack(hot), np.stack(cold)
+    valid = (omega_hot > 0.0) & (omega_cold > 0.0)
+    valid &= ((w_hot > 0.0) & (w_cold > 0.0)).all(axis=0)
+
+    q_h, q_c, w = heats_arrays(kind, w_hot, w_cold, baths.beta_h, baths.beta_c)
+    codes, boundary, fom = _classify(q_h, q_c, w, eps, valid)
+    q_h_t, q_c_t, w_t = q_h[0] + q_h[1], q_c[0] + q_c[1], w[0] + w[1]
+    g_codes, g_boundary, g_fom = _classify(q_h_t, q_c_t, w_t, eps, valid)
+
+    # convex weight of mode A: heat fraction for two engines, work
+    # fraction for two refrigerators; min/max as Python's, nan included
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weight = np.where(codes[0] == _ENGINE, q_h[0] / q_h_t, np.abs(w[0]) / np.abs(w_t))
+    lower = np.where(fom[1] < fom[0], fom[1], fom[0])
+    upper = np.where(fom[1] > fom[0], fom[1], fom[0])
+    shared = (codes[0] == codes[1]) & (codes[0] != _DISSIPATOR)
+
+    return CycleColumns(
+        valid=valid,
+        omega_hot=w_hot,
+        omega_cold=w_cold,
         q_h=q_h,
         q_c=q_c,
         w=w,
-        regime=label.regime,
-        at_boundary=label.at_boundary,
+        regime=codes,
+        at_boundary=boundary,
         figure_of_merit=fom,
+        q_h_total=q_h_t,
+        q_c_total=q_c_t,
+        w_total=w_t,
+        global_regime=g_codes,
+        global_at_boundary=g_boundary,
+        global_figure=g_fom,
+        weight=np.where(shared, weight, np.nan),
+        bounds=np.where(shared, np.stack([lower, upper]), np.nan),
     )
+
+
+def _optional(value, present) -> Optional[float]:
+    return float(value) if present else None
 
 
 def evaluate_cycle(spec: CycleSpec, eps: Optional[float] = None) -> CycleResult:
@@ -243,49 +415,47 @@ def evaluate_cycle(spec: CycleSpec, eps: Optional[float] = None) -> CycleResult:
     The global figure of merit is W_total/Q_h_total when the totals
     satisfy the engine condition and Q_c_total/|W_total| when they
     satisfy the refrigerator condition; otherwise it is absent (mixed or
-    dissipative cycles have no figure of merit).
+    dissipative cycles have no figure of merit).  A length-1 call of
+    `evaluate_cycles`.
     """
-    pairs: ModePairs = mode_pairs_for_cycle(spec)
-    a = _mode_result("A", spec.kind, pairs.a[0], pairs.a[1], spec.baths, eps)
-    b = _mode_result("B", spec.kind, pairs.b[0], pairs.b[1], spec.baths, eps)
-
-    q_h = a.q_h + b.q_h
-    q_c = a.q_c + b.q_c
-    w = a.w + b.w
-    label = classify_regime(q_h, q_c, w, eps)
-
-    figure: Optional[float] = None
-    if label.regime is Regime.ENGINE:
-        figure = w / q_h
-    elif label.regime is Regime.REFRIGERATOR:
-        figure = q_c / abs(w)
-
-    weight: Optional[float] = None
-    bounds: Optional[tuple[float, float]] = None
-    if a.regime is b.regime and a.regime is Regime.ENGINE:
-        weight = a.q_h / (a.q_h + b.q_h)
-        bounds = (
-            min(a.figure_of_merit, b.figure_of_merit),
-            max(a.figure_of_merit, b.figure_of_merit),
+    c = evaluate_cycles(
+        spec.kind,
+        spec.hot.omega,
+        spec.cold.omega,
+        astuple(spec.hot.coupling),
+        astuple(spec.cold.coupling),
+        spec.baths,
+        eps,
+    )
+    if not c.valid[0]:
+        mode_pairs_for_cycle(spec)  # raises the decomposition's own DomainError
+        raise DomainError(f"no valid mode decomposition for {spec}")
+    modes = [
+        ModeCycleResult(
+            mode_id=mode_id,
+            omega_hot=float(c.omega_hot[m, 0]),
+            omega_cold=float(c.omega_cold[m, 0]),
+            q_h=float(c.q_h[m, 0]),
+            q_c=float(c.q_c[m, 0]),
+            w=float(c.w[m, 0]),
+            regime=REGIMES[c.regime[m, 0]],
+            at_boundary=bool(c.at_boundary[m, 0]),
+            figure_of_merit=_optional(c.figure_of_merit[m, 0], c.operating[m, 0]),
         )
-    elif a.regime is b.regime and a.regime is Regime.REFRIGERATOR:
-        weight = abs(a.w) / abs(a.w + b.w)
-        bounds = (
-            min(a.figure_of_merit, b.figure_of_merit),
-            max(a.figure_of_merit, b.figure_of_merit),
-        )
-
+        for m, mode_id in enumerate("AB")
+    ]
+    shared = bool(c.shared[0])
     return CycleResult(
-        mode_a=a,
-        mode_b=b,
-        q_h_total=q_h,
-        q_c_total=q_c,
-        w_total=w,
-        regime=label.regime,
-        at_boundary=label.at_boundary,
-        global_figure=figure,
-        weight=weight,
-        bounds=bounds,
+        mode_a=modes[0],
+        mode_b=modes[1],
+        q_h_total=float(c.q_h_total[0]),
+        q_c_total=float(c.q_c_total[0]),
+        w_total=float(c.w_total[0]),
+        regime=REGIMES[c.global_regime[0]],
+        at_boundary=bool(c.global_at_boundary[0]),
+        global_figure=_optional(c.global_figure[0], c.global_operating[0]),
+        weight=_optional(c.weight[0], shared),
+        bounds=(float(c.bounds[0, 0]), float(c.bounds[1, 0])) if shared else None,
     )
 
 

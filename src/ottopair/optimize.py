@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cycle import Regime, heats_arrays
+from .cycle import REGIMES, Regime, heats_arrays, regime_codes
 from .entanglement import concurrence_batch, spin_pair_hamiltonian_batch, thermal_state_batch
 from .errors import EmptyDomain, UnknownModel
 from .medium import (
@@ -308,23 +308,15 @@ def sample_engine_points(
     valid = (omega > lam) & (omega_prime > lam) & (omega > 0) & (omega_prime > 0)
     qa = heats_arrays(MediumKind.SPIN, omega + lam, omega_prime + lam, baths.beta_h, baths.beta_c)
     qb = heats_arrays(MediumKind.SPIN, omega - lam, omega_prime - lam, baths.beta_h, baths.beta_c)
-    q_h = qa[0] + qb[0]
-    q_c = qa[1] + qb[1]
     w = qa[2] + qb[2]
-    eps = 1e-12 * np.maximum(1.0, np.maximum(np.abs(q_h), np.abs(q_c)))
-    keep = valid & (w > eps) & (q_h > eps)
+    engine = REGIMES.index(Regime.ENGINE)
+    keep = valid & (regime_codes(qa[0] + qb[0], qa[1] + qb[1], w)[0] == engine)
 
     idx = np.nonzero(keep)[0]
     if idx.size == 0:
         return []
-    regimes = []
-    for qs in (qa, qb):
-        e = 1e-12 * np.maximum(1.0, np.maximum(np.abs(qs[0][idx]), np.abs(qs[1][idx])))
-        engine = (qs[2][idx] > e) & (qs[0][idx] > e)
-        fridge = (qs[1][idx] > e) & (qs[2][idx] < -e)
-        regimes.append(
-            np.where(engine, Regime.ENGINE, np.where(fridge, Regime.REFRIGERATOR, Regime.DISSIPATOR))
-        )
+    labels = np.array(REGIMES, dtype=object)
+    regimes = [labels[regime_codes(qs[0][idx], qs[1][idx], qs[2][idx])[0]] for qs in (qa, qb)]
 
     c_h = concurrence_batch(
         thermal_state_batch(

@@ -278,3 +278,32 @@ def test_sample_command_schema(tmp_path, capsys):
         "regime_A", "regime_B",
     ]
     assert rows and rows[0][6] in ("engine", "refrigerator", "dissipator")
+
+
+_SWEEP_ARGS = (
+    "sweep", "--medium", "osc", "--model", "xx", "--th", "2", "--tc", "1",
+)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    ["nan:1:0.1", "0:nan:0.1", "0:1:nan", "0:inf:0.1", "-inf:1:0.1", "0:1:inf", "0:1e12:1e-9"],
+)
+def test_sweep_rejects_non_finite_or_oversized_grid(capsys, grid):
+    code, out, err = run_cli(
+        capsys, *_SWEEP_ARGS, "--omega", "4", "--omega-prime", "3", f"--sweep={grid}",
+    )
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "--sweep" in err
+
+
+@pytest.mark.parametrize("omega,omega_prime", [("0", "3"), ("4", "-1"), ("nan", "3")])
+def test_sweep_non_positive_frequency_exits_3(capsys, omega, omega_prime):
+    code, out, err = run_cli(
+        capsys, *_SWEEP_ARGS, f"--omega={omega}", f"--omega-prime={omega_prime}",
+        "--sweep", "0:1:0.5",
+    )
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert "positive" in err

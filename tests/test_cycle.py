@@ -5,15 +5,18 @@ import numpy as np
 import pytest
 
 from ottopair.cycle import (
+    REGIMES,
     Regime,
     classify_regime,
     coth,
     critical_coupling,
     evaluate_cycle,
+    evaluate_cycles,
     figure_of_merit_bounds,
     mode_heats,
     occupation_relaxation,
     perturbative_prediction,
+    regime_codes,
     xx_cop_difference,
     xx_efficiency_difference,
 )
@@ -31,6 +34,7 @@ from ottopair.medium import (
     MediumKind,
     OscillatorCoupling,
     SpinCoupling,
+    mode_pairs_for_cycle,
     standard_cycle,
 )
 
@@ -412,3 +416,111 @@ def test_coth_stability():
         assert coth(x) == pytest.approx(1.0 / x + x / 3.0, rel=1e-12)
     arr = coth(np.array([1e-12, 1.0, 100.0]))
     assert arr.shape == (3,)
+
+
+def _figure(label, q_h, q_c, w):
+    if label.regime is Regime.ENGINE:
+        return w / q_h
+    if label.regime is Regime.REFRIGERATOR:
+        return q_c / abs(w)
+    return None
+
+
+def _scalar_row(kind, omega_h, omega_c, hot, cold, baths, eps):
+    """One cycle from the scalar closed forms, None where they refuse it."""
+    coupling = OscillatorCoupling if kind is OSC else SpinCoupling
+    try:
+        spec = CycleSpec(
+            kind, CyclePoint(omega_h, coupling(*hot)), CyclePoint(omega_c, coupling(*cold)), baths
+        )
+        pairs = mode_pairs_for_cycle(spec)
+    except DomainError:
+        return None
+    modes = []
+    for w_hot, w_cold in pairs:
+        q = mode_heats(kind, w_hot, w_cold, baths)
+        label = classify_regime(*q, eps)
+        modes.append((w_hot, w_cold, *q, label.regime, label.at_boundary, _figure(label, *q)))
+    (_, _, qa_h, _, wa, ra, _, fa), (_, _, qb_h, _, wb, rb, _, fb) = modes
+    totals = tuple(x + y for x, y in zip(modes[0][2:5], modes[1][2:5]))
+    label = classify_regime(*totals, eps)
+    weight = bounds = None
+    if ra is rb is Regime.ENGINE:
+        weight = qa_h / (qa_h + qb_h)
+    elif ra is rb is Regime.REFRIGERATOR:
+        weight = abs(wa) / abs(wa + wb)
+    if weight is not None:
+        bounds = (min(fa, fb), max(fa, fb))
+    return (*modes, totals, label.regime, label.at_boundary, _figure(label, *totals), weight, bounds)
+
+
+def _column_row(c, i):
+    def opt(x, present):
+        return float(x) if present else None
+
+    modes = [
+        (float(c.omega_hot[m, i]), float(c.omega_cold[m, i]),
+         float(c.q_h[m, i]), float(c.q_c[m, i]), float(c.w[m, i]),
+         REGIMES[c.regime[m, i]], bool(c.at_boundary[m, i]),
+         opt(c.figure_of_merit[m, i], c.operating[m, i]))
+        for m in (0, 1)
+    ]
+    shared = bool(c.shared[i])
+    return (
+        *modes,
+        (float(c.q_h_total[i]), float(c.q_c_total[i]), float(c.w_total[i])),
+        REGIMES[c.global_regime[i]], bool(c.global_at_boundary[i]),
+        opt(c.global_figure[i], c.global_operating[i]),
+        opt(c.weight[i], shared),
+        (float(c.bounds[0, i]), float(c.bounds[1, i])) if shared else None,
+    )
+
+
+@pytest.mark.parametrize("kind", [OSC, SPIN], ids=["osc", "spin"])
+@pytest.mark.parametrize("model", ["xx", "xy", "general"])
+def test_evaluate_cycles_matches_scalar_closed_forms_bit_for_bit(kind, model):
+    rng = np.random.default_rng([7, kind is SPIN, len(model)])
+    n = 1500
+    omega_h = rng.uniform(2.0, 6.0, n)
+    omega_c = omega_h * rng.uniform(0.2, 1.2, n)
+    omega_c[:10] = [0.0, -1.0, 0.0, 1e-300, 3.0, 3.0, 3.0, 3.0, 3.0, 3.0]
+    omega_h[:10] = [4.0, 4.0, -2.0, 4.0, 4.0, 4.0, 4.0, 4.0, 5.0, 5.0]
+    # couplings run past the instability; half the rows drive them too
+    lam = rng.uniform(-1.3, 1.3, n) * omega_c
+    lam[4:10] = [critical_coupling("engine", 4.0, 3.0, BATHS), 0.0, 1.0, 2.0,
+                 critical_coupling("refrigerator", 5.0, 3.0, BATHS), 0.0]
+    other = lam * rng.uniform(-1.0, 1.0, n) if model == "general" else lam
+    if model == "xy":
+        other = -lam
+    hot = np.stack([lam, other])
+    cold = np.where(np.arange(n) % 2 == 0, hot, hot * rng.uniform(0.0, 1.5, n))
+    for baths, eps in ((BATHS, None), (BathPair(1.3, 0.4), None), (BATHS, 1e-3)):
+        c = evaluate_cycles(kind, omega_h, omega_c, hot, cold, baths, eps)
+        expected = [
+            _scalar_row(kind, omega_h[i], omega_c[i], hot[:, i], cold[:, i], baths, eps)
+            for i in range(n)
+        ]
+        assert c.valid.tolist() == [row is not None for row in expected]
+        assert c.valid.sum() > n // 2 and not c.valid[:3].any()
+        for i in np.flatnonzero(c.valid):
+            assert _column_row(c, i) == expected[i], i
+        assert np.isnan(c.figure_of_merit[c.valid & ~c.operating]).all()
+        assert np.isnan(c.bounds[:, c.valid & ~c.shared]).all()
+        if model == "xx" and baths is BATHS and eps is None:
+            # the critical couplings put one mode on the Carnot line
+            assert c.at_boundary[:, 4:10].any()
+
+
+def test_regime_codes_match_classify_regime():
+    values = [-1.0, -1e-12, -1e-13, 0.0, 1e-13, 1e-12, 0.5, 2.0, float("nan")]
+    triples = [(q_h, q_c, q_h + q_c) for q_h in values for q_c in values]
+    triples += [(q_h, q_c, w) for q_h in values for q_c in values for w in values[3:5]]
+    q_h, q_c, w = np.array(triples).T
+    for eps in (None, 1e-12, 0.1):
+        codes, boundary = regime_codes(q_h, q_c, w, eps)
+        for i, triple in enumerate(triples):
+            try:
+                label = classify_regime(*triple, eps)
+            except InconsistentEnergy:
+                continue
+            assert (REGIMES[codes[i]], bool(boundary[i])) == (label.regime, label.at_boundary)
