@@ -49,7 +49,6 @@ from .medium import (
     MediumKind,
     ModePair,
     OscillatorCoupling,
-    OscillatorNormalModes,
     SpinCoupling,
     mean_occupation,
     mode_pairs_for_cycle,

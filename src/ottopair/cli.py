@@ -10,9 +10,7 @@ UTF-8, comma-separated with '\\n' line endings and a mandatory header
 row; numbers carry 17 significant digits; figures of merit outside their
 regime serialize as empty fields, never 0.  Exit codes: 0 ok, 2 config
 error, 3 domain error, 4 verification failure.  Sweep and figure rows
-are evaluated in one batched pass (`evaluate_cycles`); the environment
-variable ``OTTO_THREADS`` is still validated (a non-integer is a config
-error) but changes nothing.
+are evaluated in one batched pass (`evaluate_cycles`).
 """
 
 from __future__ import annotations
@@ -21,10 +19,9 @@ import argparse
 import itertools
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -85,7 +82,11 @@ def _fmt(value) -> str:
 
 def _write_text(cfg: RunConfig, chunks: Iterable[str]) -> None:
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+        try:
+            fh = open(cfg.out, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out file: {exc}") from exc
+        with fh:
             fh.writelines(chunks)
     else:
         sys.stdout.writelines(chunks)
@@ -106,17 +107,6 @@ def _write_rows(cfg: RunConfig, header: list[str], rows: Iterable[Iterable]) -> 
 def _write_doc(cfg: RunConfig, doc) -> None:
     # streamed, with the bytes of json.dumps(doc, indent=2) + "\n"
     _write_text(cfg, itertools.chain(json.JSONEncoder(indent=2).iterencode(doc), ["\n"]))
-
-
-def _check_otto_threads() -> None:
-    """OTTO_THREADS must be an integer if set; rows are evaluated in one
-    batched pass, so its value changes nothing."""
-    raw = os.environ.get("OTTO_THREADS", "")
-    if raw:
-        try:
-            int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"OTTO_THREADS must be an integer, got {raw!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +131,15 @@ def _medium_kind(cfg: RunConfig) -> MediumKind:
 def _baths(cfg: RunConfig) -> BathPair:
     th = float(_require(cfg, "th"))
     tc = float(_require(cfg, "tc"))
-    if not th > tc > 0:
-        raise ConfigError(f"--th/--tc must satisfy th > tc > 0, got th={th}, tc={tc}")
+    if not (math.isfinite(th) and th > tc > 0):
+        raise ConfigError(f"--th/--tc must be finite with th > tc > 0, got th={th}, tc={tc}")
     return BathPair(t_h=th, t_c=tc)
+
+
+def _seed(cfg: RunConfig) -> int:
+    if cfg.seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {cfg.seed}")
+    return cfg.seed
 
 
 def _coupling_value(cfg: RunConfig, kind: MediumKind):
@@ -287,16 +283,18 @@ def cmd_sweep(cfg: RunConfig) -> int:
     grid = _parse_sweep(cfg.sweep)
     if cfg.model == "general":
         cx, cy = _coupling_value(cfg, kind)  # direction scaled by the sweep value
+        if not (math.isfinite(cx) and math.isfinite(cy)):
+            raise DomainError(f"coupling direction must be finite, got ({cx}, {cy})")
         coupling = (cx * grid, cy * grid)
     elif cfg.model in ("xx", "xy"):
         coupling = (grid, grid if cfg.model == "xx" else -grid)
     else:
         raise ConfigError(f"--model must be 'xx', 'xy' or 'general', got {cfg.model!r}")
-    if not (omega > 0.0 and omega_prime > 0.0):
+    if not (0.0 < omega < math.inf and 0.0 < omega_prime < math.inf):
         raise DomainError(
-            f"bare frequencies must be positive, got omega={omega}, omega_prime={omega_prime}"
+            "bare frequencies must be positive and finite, got "
+            f"omega={omega}, omega_prime={omega_prime}"
         )
-    _check_otto_threads()
     columns = evaluate_cycles(kind, omega, omega_prime, coupling, coupling, baths)
     _write_rows(cfg, _SWEEP_HEADER, _sweep_rows(grid, columns))
     return EXIT_OK
@@ -329,7 +327,7 @@ def figure_rows(name: str, cfg: RunConfig) -> tuple[list[str], list[list]]:
             omega_prime=(0.0, cfg.domain_max),
             coupling=(0.0, cfg.domain_max),
         )
-        records = sample_engine_points(int(cfg.seed), int(cfg.n), domain, baths)
+        records = sample_engine_points(_seed(cfg), int(cfg.n), domain, baths)
         header = ["W", "C_h", "C_c", "omega", "omega_prime", "lambda_J"]
         rows = [
             [r.w_total, r.c_h, r.c_c, r.omega, r.omega_prime, r.lam] for r in records
@@ -364,7 +362,6 @@ def figure_rows(name: str, cfg: RunConfig) -> tuple[list[str], list[list]]:
             else omega_prime / (omega - omega_prime)
         )
 
-    _check_otto_threads()
     osc, spn = (
         evaluate_cycles(kind, omega, omega_prime, coupling, coupling, baths)
         for kind in (MediumKind.OSCILLATOR, MediumKind.SPIN)
@@ -438,7 +435,7 @@ def cmd_sample(cfg: RunConfig) -> int:
         omega_prime=(0.0, cfg.domain_max),
         coupling=(0.0, cfg.domain_max),
     )
-    records = sample_engine_points(int(cfg.seed), int(cfg.n), domain, baths)
+    records = sample_engine_points(_seed(cfg), int(cfg.n), domain, baths)
     header = [
         "omega", "omega_prime", "lambda_J", "W_total", "C_h", "C_c",
         "regime_A", "regime_B",
@@ -454,7 +451,7 @@ def cmd_sample(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     if cfg.level not in ("quick", "full"):
         raise ConfigError(f"--level must be 'quick' or 'full', got {cfg.level!r}")
-    report = run_verification(cfg.level, seed=int(cfg.seed))
+    report = run_verification(cfg.level, seed=_seed(cfg))
     sys.stdout.write(report.format_table() + "\n")
     return EXIT_OK if report.ok else EXIT_VERIFY
 
@@ -518,6 +515,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _DEFAULTS = RunConfig(command="")
+# field -> int/float/str, the type its flag parses to
+_FIELD_TYPES = {
+    name: (get_args(hint) or (hint,))[0] for name, hint in get_type_hints(RunConfig).items()
+}
+
+
+def _file_value(field: str, value):
+    """A --config value converted as its flag would be; ConfigError if it
+    has the wrong type."""
+    want = _FIELD_TYPES[field]
+    if value is None or (want is str and isinstance(value, str)):
+        return value
+    if want is not str:
+        try:
+            return want(value)
+        except (TypeError, ValueError, OverflowError):  # e.g. int(Infinity)
+            pass
+    raise ConfigError(f"--config value of {field!r} must be {want.__name__}, got {value!r}")
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
@@ -540,7 +555,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         if flag is not None:
             setattr(cfg, field, flag)
         elif field in file_values:
-            setattr(cfg, field, file_values[field])
+            setattr(cfg, field, _file_value(field, file_values[field]))
         else:
             setattr(cfg, field, getattr(_DEFAULTS, field))
     return cfg

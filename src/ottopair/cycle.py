@@ -32,6 +32,7 @@ from .medium import (
     MediumKind,
     mode_pairs_for_cycle,
     oscillator_mode_frequencies,
+    spin_mode_frequencies,
 )
 
 __all__ = [
@@ -191,7 +192,7 @@ def coth(x):
 
 def default_tolerance(q_h: float, q_c: float) -> float:
     """Regime tolerance: 1e-12 x max(|Q_h|, |Q_c|, 1)."""
-    return 1e-12 * max(abs(q_h), abs(q_c), 1.0)
+    return float(_tolerances(q_h, q_c))
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +255,7 @@ def classify_regime(
     Raises InconsistentEnergy if the triple violates W = Q_h + Q_c beyond
     the tolerance.  Points within eps of a regime boundary are classified
     as dissipator with ``at_boundary=True`` rather than silently landing
-    in an operating regime.
+    in an operating regime.  A length-1 call of `regime_codes`.
     """
     if eps is None:
         eps = default_tolerance(q_h, q_c)
@@ -262,28 +263,24 @@ def classify_regime(
         raise InconsistentEnergy(
             f"W - Q_h - Q_c = {w - q_h - q_c!r} exceeds tolerance {eps!r}"
         )
-    if w > eps and q_h > eps:
-        return RegimeLabel(Regime.ENGINE, False)
-    if q_c > eps and w < -eps:
-        return RegimeLabel(Regime.REFRIGERATOR, False)
-    near_engine = w > -eps and q_h > -eps
-    near_fridge = q_c > -eps and w < eps
-    return RegimeLabel(Regime.DISSIPATOR, near_engine or near_fridge)
+    codes, boundary = regime_codes([q_h], [q_c], [w], eps)
+    return RegimeLabel(REGIMES[codes[0]], bool(boundary[0]))
 
 
 def _tolerances(q_h, q_c):
-    """Elementwise `default_tolerance`, folding nan exactly as Python's
-    ``max(|Q_h|, |Q_c|, 1.0)`` does."""
+    """Elementwise ``1e-12 * max(|Q_h|, |Q_c|, 1)``, folding nan exactly as
+    Python's `max` does."""
     scale = np.abs(q_h)
     scale = np.where(np.abs(q_c) > scale, np.abs(q_c), scale)
     return 1e-12 * np.where(1.0 > scale, 1.0, scale)
 
 
 def regime_codes(q_h, q_c, w, eps=None) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of `classify_regime`, without its energy-balance check.
+    """The regime rules of `classify_regime` over arrays, without its
+    energy-balance check.
 
-    Returns (codes into `REGIMES`, at_boundary) with the same rules and,
-    when `eps` is None, the same default tolerance per element.
+    Returns (codes into `REGIMES`, at_boundary); when `eps` is None the
+    tolerance is `default_tolerance` per element.
     """
     q_h, q_c, w = (np.asarray(x, dtype=float) for x in (q_h, q_c, w))
     if eps is None:
@@ -295,19 +292,6 @@ def regime_codes(q_h, q_c, w, eps=None) -> tuple[np.ndarray, np.ndarray]:
     codes[engine] = _ENGINE
     near = ((w > -eps) & (q_h > -eps)) | ((q_c > -eps) & (w < eps))
     return codes, near & (codes == _DISSIPATOR)
-
-
-def _mode_frequencies(kind: MediumKind, omega, c1, c2):
-    """(w_a, w_b) with the bits of the scalar decompositions; nan where
-    `oscillator_normal_modes` / `spin_normal_modes` would raise."""
-    if kind is MediumKind.OSCILLATOR:
-        return oscillator_mode_frequencies(omega, c1, c2)
-    l_plus = 0.5 * (c1 + c2)
-    l_minus = 0.5 * (c1 - c2)
-    # math.hypot, not np.hypot: the two differ in the last bit for some inputs
-    s = np.array(list(map(math.hypot, omega.tolist(), l_minus.tolist())), dtype=float)
-    ok = (omega > 0.0) & (s > np.abs(l_plus))
-    return np.where(ok, s + l_plus, np.nan), np.where(ok, s - l_plus, np.nan)
 
 
 def _classify(q_h, q_c, w, eps, valid):
@@ -364,10 +348,12 @@ def evaluate_cycles(
         *(np.atleast_1d(np.asarray(x, dtype=float))
           for x in (omega_hot, omega_cold, *coupling_hot, *coupling_cold))
     )
-    hot = _mode_frequencies(kind, omega_hot, cx_h, cy_h)
-    cold = _mode_frequencies(kind, omega_cold, cx_c, cy_c)
+    freqs = oscillator_mode_frequencies if kind is MediumKind.OSCILLATOR else spin_mode_frequencies
+    hot = freqs(omega_hot, cx_h, cy_h)
+    cold = freqs(omega_cold, cx_c, cy_c)
     w_hot, w_cold = np.stack(hot), np.stack(cold)
     valid = (omega_hot > 0.0) & (omega_cold > 0.0)
+    valid &= np.isfinite([omega_hot, omega_cold, cx_h, cy_h, cx_c, cy_c]).all(axis=0)
     valid &= ((w_hot > 0.0) & (w_cold > 0.0)).all(axis=0)
 
     q_h, q_c, w = heats_arrays(kind, w_hot, w_cold, baths.beta_h, baths.beta_c)

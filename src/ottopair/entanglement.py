@@ -53,24 +53,16 @@ def spin_pair_hamiltonian(omega: float, j_x: float, j_y: float) -> np.ndarray:
 
     Diagonal (3w, 2w, 2w, w); flip-flop entries (j_x + j_y)/2 between
     |ud> and |du>; double-flip entries (j_x - j_y)/2 between |uu> and
-    |dd>.  Real symmetric.
+    |dd>.  Real symmetric.  A length-1 call of
+    `spin_pair_hamiltonian_batch`.
     """
     if not omega > 0.0:
         raise DomainError(f"bare frequency must be positive, got {omega}")
-    l_plus = 0.5 * (j_x + j_y)
-    l_minus = 0.5 * (j_x - j_y)
-    return np.array(
-        [
-            [3.0 * omega, 0.0, 0.0, l_minus],
-            [0.0, 2.0 * omega, l_plus, 0.0],
-            [0.0, l_plus, 2.0 * omega, 0.0],
-            [l_minus, 0.0, 0.0, omega],
-        ]
-    )
+    return spin_pair_hamiltonian_batch([omega], j_x, j_y)[0]
 
 
 def spin_pair_hamiltonian_batch(omega, j_x, j_y) -> np.ndarray:
-    """Stacked (n, 4, 4) Hamiltonians for arrays of parameters."""
+    """Stacked (n, 4, 4) Hamiltonians for 1-D arrays of parameters."""
     omega, j_x, j_y = np.broadcast_arrays(
         np.asarray(omega, dtype=float), np.asarray(j_x, dtype=float), np.asarray(j_y, dtype=float)
     )
@@ -91,14 +83,12 @@ def thermal_state(h: np.ndarray, beta: float) -> np.ndarray:
     """Gibbs state exp(-beta H)/Z via spectral decomposition.
 
     The spectrum is shifted by its minimum before exponentiation, so cold
-    (large beta) states never overflow.
+    (large beta) states never overflow.  A length-1 call of
+    `thermal_state_batch`.
     """
     if not beta > 0.0:
         raise DomainError(f"inverse temperature must be positive, got {beta}")
-    evals, vecs = np.linalg.eigh(h)
-    weights = np.exp(-beta * (evals - evals.min()))
-    weights /= weights.sum()
-    return (vecs * weights) @ vecs.conj().T
+    return thermal_state_batch(np.asarray(h)[None], beta)[0]
 
 
 def thermal_state_batch(h: np.ndarray, beta) -> np.ndarray:
@@ -132,7 +122,13 @@ def _sqrt_psd(evals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 
 
 def concurrence(rho: np.ndarray) -> float:
-    """Wootters concurrence of a two-qubit state.
+    """Wootters concurrence of a two-qubit state; a length-1 call of
+    `concurrence_batch`."""
+    return float(concurrence_batch(np.asarray(rho)[None])[0])
+
+
+def concurrence_batch(rho: np.ndarray) -> np.ndarray:
+    """Wootters concurrences of stacked two-qubit states (n, 4, 4).
 
     Computes the eigenvalues of R = rho (sy x sy) rho* (sy x sy) through
     the Hermitian equivalent sqrt(rho) (sy x sy) rho* (sy x sy) sqrt(rho)
@@ -144,22 +140,6 @@ def concurrence(rho: np.ndarray) -> float:
     signals a broken (non-positive) input state.
     """
     rho = np.asarray(rho)
-    evals, vecs = np.linalg.eigh((rho + rho.conj().T) / 2.0)
-    sqrt_rho = _sqrt_psd(evals, vecs)
-    rho_tilde = SPIN_FLIP @ rho.conj() @ SPIN_FLIP
-    m = sqrt_rho @ rho_tilde @ sqrt_rho
-    lam = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-    if lam.min() < -_BROKEN:
-        raise NumericalError(
-            f"spin-flipped spectrum has eigenvalue {lam.min():.3e} < -{_BROKEN:g}"
-        )
-    lam = np.sqrt(np.clip(lam, 0.0, None))
-    return float(max(0.0, 2.0 * lam[-1] - lam.sum()))
-
-
-def concurrence_batch(rho: np.ndarray) -> np.ndarray:
-    """Concurrences for stacked states (n, 4, 4)."""
-    rho = np.asarray(rho)
     herm = (rho + np.swapaxes(rho.conj(), -1, -2)) / 2.0
     evals, vecs = np.linalg.eigh(herm)
     sqrt_rho = _sqrt_psd(evals, vecs)
@@ -167,7 +147,9 @@ def concurrence_batch(rho: np.ndarray) -> np.ndarray:
     m = sqrt_rho @ rho_tilde @ sqrt_rho
     lam = np.linalg.eigvalsh((m + np.swapaxes(m.conj(), -1, -2)) / 2.0)
     if lam.min() < -_BROKEN:
-        raise NumericalError("a batched state has a spin-flipped eigenvalue below -1e-10")
+        raise NumericalError(
+            f"spin-flipped spectrum has eigenvalue {lam.min():.3e} < -{_BROKEN:g}"
+        )
     lam = np.sqrt(np.clip(lam, 0.0, None))
     return np.maximum(0.0, 2.0 * lam[..., -1] - lam.sum(axis=-1))
 
@@ -180,10 +162,11 @@ def cycle_concurrences(spec: CycleSpec) -> ConcurrencePair:
     """
     if spec.kind is not MediumKind.SPIN:
         raise DomainError("cycle concurrences are defined for the spin medium only")
-    h_hot = spin_pair_hamiltonian(spec.hot.omega, spec.hot.coupling.j_x, spec.hot.coupling.j_y)
-    h_cold = spin_pair_hamiltonian(
-        spec.cold.omega, spec.cold.coupling.j_x, spec.cold.coupling.j_y
+    hot, cold = spec.hot, spec.cold
+    h = spin_pair_hamiltonian_batch(
+        [hot.omega, cold.omega],
+        [hot.coupling.j_x, cold.coupling.j_x],
+        [hot.coupling.j_y, cold.coupling.j_y],
     )
-    c_h = concurrence(thermal_state(h_hot, spec.baths.beta_h))
-    c_c = concurrence(thermal_state(h_cold, spec.baths.beta_c))
-    return ConcurrencePair(c_h=c_h, c_c=c_c)
+    c_h, c_c = concurrence_batch(thermal_state_batch(h, [spec.baths.beta_h, spec.baths.beta_c]))
+    return ConcurrencePair(c_h=float(c_h), c_c=float(c_c))

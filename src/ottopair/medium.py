@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -31,7 +31,6 @@ __all__ = [
     "CyclePoint",
     "CycleSpec",
     "ModePair",
-    "OscillatorNormalModes",
     "ModePairs",
     "oscillator_normal_modes",
     "spin_normal_modes",
@@ -50,15 +49,15 @@ class MediumKind(enum.Enum):
 
 @dataclass(frozen=True)
 class BathPair:
-    """Hot/cold bath temperatures, ``t_h > t_c > 0``."""
+    """Hot/cold bath temperatures, finite with ``t_h > t_c > 0``."""
 
     t_h: float
     t_c: float
 
     def __post_init__(self):
-        if not (self.t_h > self.t_c > 0.0):
+        if not (math.isfinite(self.t_h) and self.t_h > self.t_c > 0.0):
             raise DomainError(
-                f"bath temperatures must satisfy t_h > t_c > 0, got "
+                f"bath temperatures must be finite with t_h > t_c > 0, got "
                 f"t_h={self.t_h}, t_c={self.t_c}"
             )
 
@@ -105,7 +104,8 @@ _COUPLING_FOR_KIND = {
 
 @dataclass(frozen=True)
 class CyclePoint:
-    """Bare frequency and coupling at one end of the adiabatic strokes."""
+    """Bare frequency and coupling at one end of the adiabatic strokes;
+    every value finite, the frequency positive."""
 
     omega: float
     coupling: Coupling
@@ -113,6 +113,8 @@ class CyclePoint:
     def __post_init__(self):
         if not self.omega > 0.0:
             raise DomainError(f"bare frequency must be positive, got {self.omega}")
+        if not all(map(math.isfinite, (self.omega, *astuple(self.coupling)))):
+            raise DomainError(f"cycle point values must be finite, got {self}")
 
 
 @dataclass(frozen=True)
@@ -149,15 +151,6 @@ class ModePair:
             )
 
 
-@dataclass(frozen=True)
-class OscillatorNormalModes:
-    """Mode frequencies plus the effective masses of the decoupled frame."""
-
-    modes: ModePair
-    m_a: float
-    m_b: float
-
-
 class ModePairs(NamedTuple):
     """(hot, cold) frequency pairs for each decoupled mode of a cycle.
 
@@ -173,46 +166,25 @@ class ModePairs(NamedTuple):
 # decompositions
 
 
-def oscillator_normal_modes(
-    omega: float, lambda_x: float, lambda_p: float, m: float = 1.0
-) -> OscillatorNormalModes:
+def oscillator_normal_modes(omega: float, lambda_x: float, lambda_p: float) -> ModePair:
     """Decouple a coupled oscillator pair into its two normal modes.
 
-    Parameters
-    ----------
-    omega : float
-        Common bare frequency of the two oscillators.
-    lambda_x, lambda_p : float
-        Position and momentum coupling strengths.
-    m : float
-        Bare oscillator mass (drops out of all cycle quantities).
-
-    Returns
-    -------
-    OscillatorNormalModes
-        Frequencies ``sqrt((omega +/- lambda_p) (omega +/- lambda_x))`` and
-        effective masses ``m * omega / (omega +/- lambda_p)``.
+    Returns the frequencies ``sqrt((omega +/- lambda_p) (omega +/-
+    lambda_x))``; a length-1 call of `oscillator_mode_frequencies`.
 
     Raises
     ------
     DomainError
         If ``omega <= max(|lambda_x|, |lambda_p|)`` (an unstable or
-        imaginary mode) or ``m <= 0``.
+        imaginary mode).
     """
-    if not omega > max(abs(lambda_x), abs(lambda_p)):
+    w_a, w_b = oscillator_mode_frequencies(omega, lambda_x, lambda_p)
+    if np.isnan(w_a):
         raise DomainError(
             f"unstable mode: need omega > max(|lambda_x|, |lambda_p|), got "
             f"omega={omega}, lambda_x={lambda_x}, lambda_p={lambda_p}"
         )
-    if not m > 0.0:
-        raise DomainError(f"mass must be positive, got {m}")
-    w_a = math.sqrt((omega + lambda_p) * (omega + lambda_x))
-    w_b = math.sqrt((omega - lambda_p) * (omega - lambda_x))
-    return OscillatorNormalModes(
-        modes=ModePair(w_a, w_b),
-        m_a=m * omega / (omega + lambda_p),
-        m_b=m * omega / (omega - lambda_p),
-    )
+    return ModePair(float(w_a), float(w_b))
 
 
 def spin_normal_modes(omega: float, j_x: float, j_y: float) -> ModePair:
@@ -222,23 +194,20 @@ def spin_normal_modes(omega: float, j_x: float, j_y: float) -> ModePair:
     frequencies are ``sqrt(omega^2 + lm^2) +/- lp``.  This reduces to
     ``omega +/- j`` for the XX model and to ``sqrt(omega^2 + j^2)`` for the
     XY model; the general form is certified against the exact 4x4 spectrum
-    by the oracle module.
+    by the oracle module.  A length-1 call of `spin_mode_frequencies`.
 
     Raises
     ------
     DomainError
         If ``omega <= 0`` or the "-" branch frequency would be non-positive.
     """
-    if not omega > 0.0:
-        raise DomainError(f"bare frequency must be positive, got {omega}")
-    l_plus = 0.5 * (j_x + j_y)
-    l_minus = 0.5 * (j_x - j_y)
-    s = math.hypot(omega, l_minus)
-    if not s > abs(l_plus):
+    w_a, w_b = spin_mode_frequencies(omega, j_x, j_y)
+    if np.isnan(w_a):
         raise DomainError(
-            f"non-positive mode spacing: sqrt(omega^2 + lm^2)={s} <= |lp|={abs(l_plus)}"
+            f"non-positive spin mode: need omega > 0 and sqrt(omega^2 + lm^2) > |lp|, "
+            f"got omega={omega}, j_x={j_x}, j_y={j_y}"
         )
-    return ModePair(s + l_plus, s - l_plus)
+    return ModePair(float(w_a), float(w_b))
 
 
 def mean_occupation(kind: MediumKind, beta: float, omega: float) -> float:
@@ -264,16 +233,9 @@ def mode_pairs_for_cycle(spec: CycleSpec) -> ModePairs:
     Applies the appropriate decomposition at the hot and cold points and
     keeps the branch identity (A = "+", B = "-") across the two points.
     """
-    if spec.kind is MediumKind.OSCILLATOR:
-        hot = oscillator_normal_modes(
-            spec.hot.omega, spec.hot.coupling.lambda_x, spec.hot.coupling.lambda_p
-        ).modes
-        cold = oscillator_normal_modes(
-            spec.cold.omega, spec.cold.coupling.lambda_x, spec.cold.coupling.lambda_p
-        ).modes
-    else:
-        hot = spin_normal_modes(spec.hot.omega, spec.hot.coupling.j_x, spec.hot.coupling.j_y)
-        cold = spin_normal_modes(spec.cold.omega, spec.cold.coupling.j_x, spec.cold.coupling.j_y)
+    modes = oscillator_normal_modes if spec.kind is MediumKind.OSCILLATOR else spin_normal_modes
+    hot = modes(spec.hot.omega, *astuple(spec.hot.coupling))
+    cold = modes(spec.cold.omega, *astuple(spec.cold.coupling))
     return ModePairs(a=(hot.omega_a, cold.omega_a), b=(hot.omega_b, cold.omega_b))
 
 
@@ -316,11 +278,11 @@ def standard_cycle(
 
 
 # ---------------------------------------------------------------------------
-# vectorized kernels (no validation; invalid points come back as nan)
+# array kernels (no validation; invalid points come back as nan)
 
 
 def oscillator_mode_frequencies(omega, lambda_x, lambda_p):
-    """Array version of the oscillator decomposition; returns (w_a, w_b).
+    """Oscillator decomposition over broadcast arrays; returns (w_a, w_b).
 
     Entries violating the positivity condition come back as nan rather
     than raising, so sweeps can mask them.
@@ -330,21 +292,21 @@ def oscillator_mode_frequencies(omega, lambda_x, lambda_p):
         w_a = np.sqrt((omega + lambda_p) * (omega + lambda_x))
         w_b = np.sqrt((omega - lambda_p) * (omega - lambda_x))
     bad = ~(omega > np.maximum(np.abs(lambda_x), np.abs(lambda_p)))
-    w_a = np.where(bad, np.nan, w_a)
-    w_b = np.where(bad, np.nan, w_b)
-    return w_a, w_b
+    return np.where(bad, np.nan, w_a), np.where(bad, np.nan, w_b)
+
+
+# math.hypot, not np.hypot: the two differ in the last bit for some inputs,
+# and the printed rows carry math.hypot's bits
+_hypot = np.frompyfunc(math.hypot, 2, 1)
 
 
 def spin_mode_frequencies(omega, j_x, j_y):
-    """Array version of the spin decomposition; returns (w_a, w_b) with nan
-    where a mode frequency would be non-positive."""
+    """Spin decomposition over broadcast arrays; returns (w_a, w_b) with
+    nan where ``omega <= 0`` or a mode frequency would be non-positive."""
     omega = np.asarray(omega, dtype=float)
-    l_plus = 0.5 * (np.asarray(j_x, dtype=float) + j_y)
-    l_minus = 0.5 * (np.asarray(j_x, dtype=float) - j_y)
-    s = np.hypot(omega, l_minus)
-    w_a = s + l_plus
-    w_b = s - l_plus
-    bad = ~((omega > 0) & (w_a > 0) & (w_b > 0))
-    w_a = np.where(bad, np.nan, w_a)
-    w_b = np.where(bad, np.nan, w_b)
-    return w_a, w_b
+    with np.errstate(invalid="ignore"):
+        l_plus = 0.5 * (np.asarray(j_x, dtype=float) + j_y)
+        l_minus = 0.5 * (np.asarray(j_x, dtype=float) - j_y)
+        s = np.asarray(_hypot(omega, l_minus), dtype=float)
+    ok = (omega > 0.0) & (s > np.abs(l_plus))
+    return np.where(ok, s + l_plus, np.nan), np.where(ok, s - l_plus, np.nan)

@@ -115,8 +115,9 @@ def suggest_truncation(
     """Ladder depth for Boltzmann sums on a mode of frequency `omega`.
 
     Doubles the depth until successive partition-sum estimates agree to
-    `tol` (relative); raises NumericalError past the cap, which happens
-    for very shallow beta*omega where the thermal tail never fits.
+    `tol` (relative).  At the cap the depth is accepted if the terms
+    beyond it sum below `tol` (relative); otherwise NumericalError, which
+    happens for very shallow beta*omega where the thermal tail never fits.
     """
     if not (beta > 0.0 and omega > 0.0):
         raise DomainError(f"need beta > 0 and omega > 0, got beta={beta}, omega={omega}")
@@ -126,16 +127,17 @@ def suggest_truncation(
 
     n = 8
     z_prev = z_at(n)
-    while True:
-        n = min(2 * n, cap) if n < cap else 2 * n
-        if n > cap:
-            raise NumericalError(
-                f"truncation cap {cap} exceeded for beta*omega = {beta * omega:.3g}"
-            )
+    while n < cap:
+        n = min(2 * n, cap)
         z = z_at(n)
         if abs(z - z_prev) <= tol * z:
             return n
         z_prev = z
+    # geometric tail: sum over k > cap of exp(-beta omega k)
+    tail = np.exp(-beta * omega * (cap + 1)) / -np.expm1(-beta * omega)
+    if tail <= tol * z_prev:
+        return cap
+    raise NumericalError(f"truncation cap {cap} exceeded for beta*omega = {beta * omega:.3g}")
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +173,7 @@ def oscillator_spectrum_check(
     """Relative mismatch between the lowest `levels` brute-force eigenvalues
     and the closed-form product spectrum n_a w_a + n_b w_b + (w_a + w_b)/2."""
     brute = truncated_oscillator_spectrum(omega, lambda_x, lambda_p, n_max)
-    modes = _medium.oscillator_normal_modes(omega, lambda_x, lambda_p).modes
+    modes = _medium.oscillator_normal_modes(omega, lambda_x, lambda_p)
     return _low_lying_residual(brute, modes, levels)
 
 
@@ -204,9 +206,7 @@ def partition_factorization_check(
         )
         return float(abs(z_exact - z_closed) / z_exact)
     if isinstance(coupling, OscillatorCoupling):
-        modes = _medium.oscillator_normal_modes(
-            omega, coupling.lambda_x, coupling.lambda_p
-        ).modes
+        modes = _medium.oscillator_normal_modes(omega, coupling.lambda_x, coupling.lambda_p)
         if n_max is None:
             n_max = max(
                 suggest_truncation(beta, modes.omega_a),
@@ -549,7 +549,7 @@ def run_verification(level: str = "quick", seed: int = 0) -> VerificationReport:
         model = _MODELS[i % 3]
         omega = rng.uniform(2.0, 6.0)
         lx, lp = _draw_osc_coupling(rng, omega, model)
-        modes = _medium.oscillator_normal_modes(omega, lx, lp).modes
+        modes = _medium.oscillator_normal_modes(omega, lx, lp)
         brute = truncated_oscillator_spectrum(omega, lx, lp, n_max=16)
         res_spec.append(_low_lying_residual(brute, modes, 20))
         w_min = min(modes.omega_a, modes.omega_b)
@@ -579,11 +579,11 @@ def run_verification(level: str = "quick", seed: int = 0) -> VerificationReport:
         omega = rng.uniform(2.0, 6.0)
         omega_prime = omega * rng.uniform(0.55, 0.95)
         lam = rng.uniform(-0.4, 0.4) * omega_prime
-        modes_cold = _medium.oscillator_normal_modes(omega_prime, lam, lam if model == "xx" else -lam).modes
+        modes_cold = _medium.oscillator_normal_modes(omega_prime, lam, lam if model == "xx" else -lam)
         x_c = rng.uniform(2.5, 4.0)
         t_c = min(modes_cold.omega_a, modes_cold.omega_b) / x_c
         baths = BathPair(t_h=t_c * rng.uniform(1.5, 2.0), t_c=t_c)
-        modes_hot = _medium.oscillator_normal_modes(omega, lam, lam if model == "xx" else -lam).modes
+        modes_hot = _medium.oscillator_normal_modes(omega, lam, lam if model == "xx" else -lam)
         x_h = baths.beta_h * min(modes_hot.omega_a, modes_hot.omega_b)
         n_max = int(np.ceil(34.0 / min(x_h, x_c))) + 4
         res_cycle.append(

@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 
 from ottopair.cli import RunConfig, figure_rows, main
-from ottopair.cycle import evaluate_cycle, heats_arrays, perturbative_prediction
-from ottopair.medium import (
-    BathPair,
-    MediumKind,
-    oscillator_mode_frequencies,
-    spin_mode_frequencies,
-    standard_cycle,
+from ottopair.cycle import (
+    REGIMES,
+    Regime,
+    evaluate_cycle,
+    evaluate_cycles,
+    perturbative_prediction,
 )
+from ottopair.medium import BathPair, MediumKind, standard_cycle
 from ottopair.optimize import SearchDomain, max_uncoupled_work, sample_engine_points
 from ottopair.oracle import run_verification
 
@@ -47,26 +47,11 @@ def test_criterion_1_oracle_equivalence():
     )
 
 
-def _mode_batch(kind, freqs, omega, omega_prime, cx, cy, baths):
-    wa_h, wb_h = freqs(omega, cx, cy)
-    wa_c, wb_c = freqs(omega_prime, cx, cy)
-    qa = heats_arrays(kind, wa_h, wa_c, baths.beta_h, baths.beta_c)
-    qb = heats_arrays(kind, wb_h, wb_c, baths.beta_h, baths.beta_c)
-    valid = (wa_h > 0) & (wb_h > 0) & (wa_c > 0) & (wb_c > 0)
-    valid &= np.isfinite(qa[2]) & np.isfinite(qb[2])
-    return qa, qb, valid
-
-
-def _regime_masks(q):
-    eps = 1e-12 * np.maximum(1.0, np.maximum(np.abs(q[0]), np.abs(q[1])))
-    return (q[2] > eps) & (q[0] > eps), (q[1] > eps) & (q[2] < -eps)
-
-
 def test_criterion_2_sandwich_bounds():
     t0 = time.perf_counter()
     rng = np.random.default_rng(99)
     engine_total = fridge_total = 0
-    for kind, freqs in ((OSC, oscillator_mode_frequencies), (SPIN, spin_mode_frequencies)):
+    for kind in (OSC, SPIN):
         for fridge_side in (False, True):
             n = 30000
             omega = rng.uniform(2.0, 8.0, n)
@@ -74,20 +59,15 @@ def test_criterion_2_sandwich_bounds():
             omega_prime = omega * ratio
             lam = rng.uniform(0.0, 0.5, n) * omega_prime
             cy = lam * np.where(rng.uniform(size=n) < 0.5, 1.0, -1.0)
-            qa, qb, valid = _mode_batch(kind, freqs, omega, omega_prime, lam, cy, BATHS)
-            eng_a, frg_a = _regime_masks(qa)
-            eng_b, frg_b = _regime_masks(qb)
+            c = evaluate_cycles(kind, omega, omega_prime, (lam, cy), (lam, cy), BATHS)
+            regime = Regime.REFRIGERATOR if fridge_side else Regime.ENGINE
+            sel = c.shared & (c.regime[0] == REGIMES.index(regime))
+            fom_a, fom_b = c.figure_of_merit[:, sel]
             if fridge_side:
-                sel = valid & frg_a & frg_b
-                fom_a = qa[1][sel] / np.abs(qa[2][sel])
-                fom_b = qb[1][sel] / np.abs(qb[2][sel])
-                glob = (qa[1][sel] + qb[1][sel]) / np.abs(qa[2][sel] + qb[2][sel])
+                glob = c.q_c_total[sel] / np.abs(c.w_total[sel])
                 fridge_total += int(sel.sum())
             else:
-                sel = valid & eng_a & eng_b
-                fom_a = qa[2][sel] / qa[0][sel]
-                fom_b = qb[2][sel] / qb[0][sel]
-                glob = (qa[2][sel] + qb[2][sel]) / (qa[0][sel] + qb[0][sel])
+                glob = c.w_total[sel] / c.q_h_total[sel]
                 engine_total += int(sel.sum())
             lo = np.minimum(fom_a, fom_b)
             hi = np.maximum(fom_a, fom_b)

@@ -219,38 +219,17 @@ def test_verify_quick_passes(capsys):
 
 
 def test_verify_detects_corrupted_formula(capsys, monkeypatch):
-    # mutation sanity check: negate lambda_p inside the closed form and the
-    # oracle suite must catch it
-    true_fn = medium.oscillator_normal_modes
+    # mutation sanity check: negate lambda_p inside the kernel the CLI
+    # prints from and the oracle suite must catch it
+    true_fn = medium.oscillator_mode_frequencies
 
-    def corrupted(omega, lambda_x, lambda_p, m=1.0):
-        return true_fn(omega, lambda_x, -lambda_p, m)
+    def corrupted(omega, lambda_x, lambda_p):
+        return true_fn(omega, lambda_x, -lambda_p)
 
-    monkeypatch.setattr(medium, "oscillator_normal_modes", corrupted)
+    monkeypatch.setattr(medium, "oscillator_mode_frequencies", corrupted)
     code, out, _ = run_cli(capsys, "verify", "--level", "quick")
     assert code == EXIT_VERIFY
     assert "FAIL" in out
-
-
-def test_otto_threads_env_validation(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("OTTO_THREADS", "not-a-number")
-    code, _, err = run_cli(
-        capsys, "sweep", "--medium", "spin", "--model", "xx",
-        "--omega", "4", "--omega-prime", "3", "--th", "2", "--tc", "1",
-        "--sweep", "0:2:0.01",
-    )
-    assert code == EXIT_CONFIG
-    assert "OTTO_THREADS" in err
-    monkeypatch.setenv("OTTO_THREADS", "2")
-    out = tmp_path / "sweep.csv"
-    code, _, _ = run_cli(
-        capsys, "sweep", "--medium", "spin", "--model", "xx",
-        "--omega", "4", "--omega-prime", "3", "--th", "2", "--tc", "1",
-        "--sweep", "0:2:0.01", "--out", str(out),
-    )
-    assert code == EXIT_OK
-    _, rows = read_csv(out)
-    assert len(rows) == 201
 
 
 def test_optimize_reports_saturated_bound(capsys):
@@ -307,3 +286,66 @@ def test_sweep_non_positive_frequency_exits_3(capsys, omega, omega_prime):
     assert code == EXIT_DOMAIN
     assert out == ""
     assert "positive" in err
+
+
+_CYCLE_ARGS = ("cycle", "--medium", "spin", "--model", "xx", "--lam", "1")
+
+
+@pytest.mark.parametrize(
+    "args,code",
+    [
+        (("--omega", "inf", "--omega-prime", "3", "--th", "2", "--tc", "1"), EXIT_DOMAIN),
+        (("--omega", "4", "--omega-prime", "inf", "--th", "2", "--tc", "1"), EXIT_DOMAIN),
+        (("--omega", "4", "--omega-prime", "3", "--th", "inf", "--tc", "1"), EXIT_CONFIG),
+        (("--omega", "4", "--omega-prime", "3", "--th", "2", "--tc", "inf"), EXIT_CONFIG),
+    ],
+    ids=["omega", "omega-prime", "th", "tc"],
+)
+def test_cycle_rejects_non_finite_input(capsys, args, code):
+    got, out, err = run_cli(capsys, *_CYCLE_ARGS, *args)
+    assert (got, out) == (code, "")
+    assert "finite" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--model", "xx", "--omega", "inf", "--omega-prime", "3"),
+        ("--model", "xx", "--omega", "4", "--omega-prime", "inf"),
+        ("--model", "general", "--lx", "inf", "--lp", "1", "--omega", "4", "--omega-prime", "3"),
+    ],
+    ids=["omega", "omega-prime", "direction"],
+)
+def test_sweep_rejects_non_finite_input(capsys, args):
+    code, out, err = run_cli(
+        capsys, "sweep", "--medium", "osc", "--th", "2", "--tc", "1", "--sweep", "0:1:0.5", *args
+    )
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert "finite" in err
+
+
+def test_figure_rejects_non_finite_temperature(capsys):
+    code, out, err = run_cli(capsys, "figure", "fig3", "--th", "inf")
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("command", [("sample", "--th", "2", "--tc", "1"), ("verify",)])
+def test_negative_seed_exits_2(capsys, command):
+    code, out, err = run_cli(capsys, *command, "--n", "10", "--seed", "-1")
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert "--seed" in err
+
+
+def test_config_value_of_wrong_type_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"medium": "spin", "omega": "abc", "omega_prime": 3.0}))
+    code, out, err = run_cli(capsys, "cycle", "--config", str(cfg), "--lam", "1")
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert "'omega'" in err
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "figure", "fig3", "--out", str(tmp_path / "no" / "x.csv"))
+    assert code == EXIT_CONFIG
+    assert "--out" in err

@@ -34,7 +34,6 @@ from ottopair.medium import (
     MediumKind,
     OscillatorCoupling,
     SpinCoupling,
-    mode_pairs_for_cycle,
     standard_cycle,
 )
 
@@ -418,32 +417,47 @@ def test_coth_stability():
     assert arr.shape == (3,)
 
 
-def _figure(label, q_h, q_c, w):
-    if label.regime is Regime.ENGINE:
-        return w / q_h
-    if label.regime is Regime.REFRIGERATOR:
-        return q_c / abs(w)
-    return None
+def _scalar_modes(kind, omega, c1, c2):
+    """(w_a, w_b) from the closed forms, None where the decomposition fails."""
+    if kind is OSC:
+        if not omega > max(abs(c1), abs(c2)):
+            return None
+        w_a, w_b = math.sqrt((omega + c2) * (omega + c1)), math.sqrt((omega - c2) * (omega - c1))
+    else:
+        l_plus, l_minus = 0.5 * (c1 + c2), 0.5 * (c1 - c2)
+        s = math.hypot(omega, l_minus)
+        if not (omega > 0.0 and s > abs(l_plus)):
+            return None
+        w_a, w_b = s + l_plus, s - l_plus
+    return (w_a, w_b) if w_a > 0.0 and w_b > 0.0 else None
+
+
+def _scalar_regime(q_h, q_c, w, eps):
+    """(regime, at_boundary, figure of merit) by the module docstring's rules."""
+    if eps is None:
+        eps = 1e-12 * max(abs(q_h), abs(q_c), 1.0)
+    if w > eps and q_h > eps:
+        return Regime.ENGINE, False, w / q_h
+    if q_c > eps and w < -eps:
+        return Regime.REFRIGERATOR, False, q_c / abs(w)
+    near = (w > -eps and q_h > -eps) or (q_c > -eps and w < eps)
+    return Regime.DISSIPATOR, near, None
 
 
 def _scalar_row(kind, omega_h, omega_c, hot, cold, baths, eps):
     """One cycle from the scalar closed forms, None where they refuse it."""
-    coupling = OscillatorCoupling if kind is OSC else SpinCoupling
-    try:
-        spec = CycleSpec(
-            kind, CyclePoint(omega_h, coupling(*hot)), CyclePoint(omega_c, coupling(*cold)), baths
-        )
-        pairs = mode_pairs_for_cycle(spec)
-    except DomainError:
+    if not all(map(math.isfinite, (omega_h, omega_c, *hot, *cold))):
+        return None
+    pair_h = _scalar_modes(kind, omega_h, *hot)
+    pair_c = _scalar_modes(kind, omega_c, *cold)
+    if pair_h is None or pair_c is None:
         return None
     modes = []
-    for w_hot, w_cold in pairs:
+    for w_hot, w_cold in zip(pair_h, pair_c):
         q = mode_heats(kind, w_hot, w_cold, baths)
-        label = classify_regime(*q, eps)
-        modes.append((w_hot, w_cold, *q, label.regime, label.at_boundary, _figure(label, *q)))
+        modes.append((w_hot, w_cold, *q, *_scalar_regime(*q, eps)))
     (_, _, qa_h, _, wa, ra, _, fa), (_, _, qb_h, _, wb, rb, _, fb) = modes
     totals = tuple(x + y for x, y in zip(modes[0][2:5], modes[1][2:5]))
-    label = classify_regime(*totals, eps)
     weight = bounds = None
     if ra is rb is Regime.ENGINE:
         weight = qa_h / (qa_h + qb_h)
@@ -451,7 +465,7 @@ def _scalar_row(kind, omega_h, omega_c, hot, cold, baths, eps):
         weight = abs(wa) / abs(wa + wb)
     if weight is not None:
         bounds = (min(fa, fb), max(fa, fb))
-    return (*modes, totals, label.regime, label.at_boundary, _figure(label, *totals), weight, bounds)
+    return (*modes, totals, *_scalar_regime(*totals, eps), weight, bounds)
 
 
 def _column_row(c, i):
@@ -489,6 +503,7 @@ def test_evaluate_cycles_matches_scalar_closed_forms_bit_for_bit(kind, model):
     lam = rng.uniform(-1.3, 1.3, n) * omega_c
     lam[4:10] = [critical_coupling("engine", 4.0, 3.0, BATHS), 0.0, 1.0, 2.0,
                  critical_coupling("refrigerator", 5.0, 3.0, BATHS), 0.0]
+    omega_h[10], lam[11] = math.inf, math.inf  # non-finite input is refused
     other = lam * rng.uniform(-1.0, 1.0, n) if model == "general" else lam
     if model == "xy":
         other = -lam
@@ -519,8 +534,10 @@ def test_regime_codes_match_classify_regime():
     for eps in (None, 1e-12, 0.1):
         codes, boundary = regime_codes(q_h, q_c, w, eps)
         for i, triple in enumerate(triples):
+            want = _scalar_regime(*triple, eps)[:2]
+            assert (REGIMES[codes[i]], bool(boundary[i])) == want
             try:
                 label = classify_regime(*triple, eps)
             except InconsistentEnergy:
                 continue
-            assert (REGIMES[codes[i]], bool(boundary[i])) == (label.regime, label.at_boundary)
+            assert (label.regime, label.at_boundary) == want

@@ -57,7 +57,10 @@ def test_hamiltonian_batch_matches_scalar():
     j_y = rng.uniform(-2.0, 2.0, 10)
     batch = spin_pair_hamiltonian_batch(omega, j_x, j_y)
     for i in range(10):
-        assert np.allclose(batch[i], spin_pair_hamiltonian(omega[i], j_x[i], j_y[i]))
+        w, lp, lm = omega[i], 0.5 * (j_x[i] + j_y[i]), 0.5 * (j_x[i] - j_y[i])
+        want = [[3 * w, 0, 0, lm], [0, 2 * w, lp, 0], [0, lp, 2 * w, 0], [lm, 0, 0, w]]
+        assert (batch[i] == np.array(want)).all()
+        assert (spin_pair_hamiltonian(w, j_x[i], j_y[i]) == batch[i]).all()
 
 
 def test_thermal_state_limits():
@@ -91,8 +94,12 @@ def test_thermal_state_batch_matches_scalar():
     beta = rng.uniform(0.1, 5.0, 8)
     batch = thermal_state_batch(spin_pair_hamiltonian_batch(omega, lam, lam), beta)
     for i in range(8):
-        ref = thermal_state(spin_pair_hamiltonian(omega[i], lam[i], lam[i]), beta[i])
+        h = spin_pair_hamiltonian(omega[i], lam[i], lam[i])
+        evals, vecs = np.linalg.eigh(h)
+        weights = np.exp(-beta[i] * (evals - evals.min()))
+        ref = (vecs * (weights / weights.sum())) @ vecs.T  # spectral Gibbs state
         assert np.abs(batch[i] - ref).max() < 1e-13
+        assert np.abs(thermal_state(h, beta[i]) - ref).max() < 1e-13
 
 
 def test_concurrence_known_states():
@@ -131,6 +138,27 @@ def test_concurrence_range_and_batch_consistency():
     assert ((0.0 <= vals) & (vals <= 1.0)).all()
     for i in range(0, 200, 17):
         assert vals[i] == pytest.approx(concurrence(rhos[i]), abs=1e-12)
+
+
+def test_concurrence_matches_x_state_closed_form():
+    # XX/XY/general thermal states are X-shaped, where the concurrence is
+    # 2 max(0, |r23| - sqrt(r11 r44), |r14| - sqrt(r22 r33)) (Wang, PRA 64,
+    # 012313); Wootters through sqrt(rho) loses ~1e-8 for nearly pure states
+    rng = np.random.default_rng(7)
+    n = 3000
+    omega = rng.uniform(0.2, 6.0, n)
+    j_x = rng.uniform(-4.0, 4.0, n)
+    model = np.arange(n) % 3  # xx, xy, general
+    j_y = np.where(model == 0, j_x, np.where(model == 1, -j_x, rng.uniform(-4.0, 4.0, n)))
+    rhos = thermal_state_batch(
+        spin_pair_hamiltonian_batch(omega, j_x, j_y), rng.uniform(0.02, 20.0, n)
+    )
+    r = rhos.real
+    d = np.sqrt(r[:, [0, 1], [0, 1]] * r[:, [3, 2], [3, 2]])
+    want = 2.0 * np.maximum(0.0, np.maximum(np.abs(r[:, 1, 2]) - d[:, 0],
+                                            np.abs(r[:, 0, 3]) - d[:, 1]))
+    assert (want > 0.5).any() and (want == 0.0).any()
+    assert np.abs(concurrence_batch(rhos) - want).max() < 1e-7
 
 
 def test_concurrence_rejects_broken_state():

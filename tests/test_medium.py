@@ -10,6 +10,7 @@ from ottopair.medium import (
     CycleSpec,
     MediumKind,
     ModePair,
+    OscillatorCoupling,
     SpinCoupling,
     mean_occupation,
     mode_pairs_for_cycle,
@@ -26,23 +27,19 @@ SPIN = MediumKind.SPIN
 
 
 def test_oscillator_normal_modes_xx_point():
-    nm = oscillator_normal_modes(4.0, 1.0, 1.0, m=1.0)
-    assert nm.modes.omega_a == pytest.approx(5.0, abs=1e-14)
-    assert nm.modes.omega_b == pytest.approx(3.0, abs=1e-14)
-    assert nm.m_a == pytest.approx(4.0 / 5.0, abs=1e-14)
-    assert nm.m_b == pytest.approx(4.0 / 3.0, abs=1e-14)
+    nm = oscillator_normal_modes(4.0, 1.0, 1.0)
+    assert nm == ModePair(5.0, 3.0)
 
 
 def test_oscillator_normal_modes_zero_coupling():
-    nm = oscillator_normal_modes(2.7, 0.0, 0.0, m=1.3)
-    assert nm.modes.omega_a == nm.modes.omega_b == 2.7
-    assert nm.m_a == nm.m_b == 1.3
+    nm = oscillator_normal_modes(2.7, 0.0, 0.0)
+    assert nm.omega_a == nm.omega_b == 2.7
 
 
 def test_oscillator_normal_modes_xy_degenerate():
     nm = oscillator_normal_modes(4.0, 1.0, -1.0)
-    assert nm.modes.omega_a == pytest.approx(math.sqrt(15.0), rel=1e-15)
-    assert nm.modes.omega_b == pytest.approx(math.sqrt(15.0), rel=1e-15)
+    assert nm.omega_a == pytest.approx(math.sqrt(15.0), rel=1e-15)
+    assert nm.omega_b == pytest.approx(math.sqrt(15.0), rel=1e-15)
 
 
 def test_oscillator_normal_modes_rejects_unstable():
@@ -51,7 +48,7 @@ def test_oscillator_normal_modes_rejects_unstable():
     with pytest.raises(DomainError):
         oscillator_normal_modes(3.0, 0.5, 3.0)  # equality is unstable too
     with pytest.raises(DomainError):
-        oscillator_normal_modes(4.0, 1.0, 1.0, m=0.0)
+        oscillator_normal_modes(1e-300, 0.0, 0.0)  # frequencies underflow to 0
 
 
 def test_spin_normal_modes_examples():
@@ -95,7 +92,7 @@ def test_oscillator_modes_match_truncated_fock_spectrum():
     for _ in range(20):
         omega = rng.uniform(2.0, 6.0)
         lx, lp = rng.uniform(-0.4, 0.4, 2) * omega
-        modes = oscillator_normal_modes(omega, lx, lp).modes
+        modes = oscillator_normal_modes(omega, lx, lp)
         brute = truncated_oscillator_spectrum(omega, lx, lp, n_max=16)[:12]
         n = np.arange(13)
         ladder = np.sort(
@@ -145,7 +142,7 @@ def test_branch_order_with_nonnegative_couplings():
         omega = rng.uniform(1.0, 8.0)
         lx, lp = rng.uniform(0.0, 0.9, 2) * omega
         nm = oscillator_normal_modes(omega, lx, lp)
-        assert nm.modes.omega_a >= nm.modes.omega_b
+        assert nm.omega_a >= nm.omega_b
         j_x, j_y = rng.uniform(0.0, 0.9, 2) * omega  # keeps l_plus < s
         sm = spin_normal_modes(omega, j_x, j_y)
         assert sm.omega_a >= sm.omega_b
@@ -154,7 +151,7 @@ def test_branch_order_with_nonnegative_couplings():
 def test_zero_coupling_continuity():
     for omega in (0.5, 3.0, 7.7):
         nm = oscillator_normal_modes(omega, 1e-9, -1e-9)
-        assert abs(nm.modes.omega_a - omega) < 1e-8
+        assert abs(nm.omega_a - omega) < 1e-8
         sm = spin_normal_modes(omega, 1e-9, 1e-9)
         assert abs(sm.omega_a - omega) < 1e-8
 
@@ -164,7 +161,8 @@ def test_bath_pair_validation():
     assert baths.beta_h == 0.5 and baths.beta_c == 1.0
     assert baths.carnot_efficiency == 0.5
     assert baths.carnot_cop == 1.0
-    for t_h, t_c in ((1.0, 1.0), (1.0, 2.0), (2.0, -1.0), (0.0, 0.0)):
+    inf, nan = math.inf, math.nan
+    for t_h, t_c in ((1.0, 1.0), (1.0, 2.0), (2.0, -1.0), (0.0, 0.0), (inf, 1.0), (nan, 1.0)):
         with pytest.raises(DomainError):
             BathPair(t_h, t_c)
 
@@ -176,6 +174,11 @@ def test_cycle_spec_coupling_must_match_kind():
         CycleSpec(OSC, point, point, baths)
     with pytest.raises(DomainError):
         CyclePoint(-4.0, SpinCoupling(1.0, 1.0))
+    for value in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            CyclePoint(value, SpinCoupling(1.0, 1.0))
+        with pytest.raises(DomainError):
+            CyclePoint(4.0, OscillatorCoupling(1.0, value))
     with pytest.raises(DomainError):
         ModePair(1.0, 0.0)
 

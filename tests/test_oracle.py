@@ -81,6 +81,11 @@ def test_suggest_truncation_behavior():
     assert suggest_truncation(1.0, 1.0) <= 64
     with pytest.raises(NumericalError):
         suggest_truncation(0.05, 1.0)  # tail would need > 200 levels
+    with pytest.raises(NumericalError):
+        suggest_truncation(0.1, 1.0)  # terms beyond 200 still sum to ~2e-9 of Z
+    # the doubling check compares depth 200 with 128 and fails here, but the
+    # terms beyond 200 are below 1e-12 of Z, so the cap is accepted
+    assert suggest_truncation(0.199, 1.0) == 200
     with pytest.raises(DomainError):
         suggest_truncation(-1.0, 1.0)
 
@@ -155,6 +160,14 @@ def test_run_verification_quick_passes():
     assert "oscillator partition" in table and "pass" in table
     for check in report.checks:
         assert check.max_residual < check.threshold
+
+
+@pytest.mark.parametrize("seed", [488576684, 438145231])
+def test_run_verification_quick_passes_near_truncation_cap(seed):
+    # these draws reach beta * omega ~ 0.2, where the oscillator sums need
+    # the full 200-level cap
+    report = run_verification("quick", seed=seed)
+    assert report.ok, report.format_table()
 
 
 def test_run_verification_rejects_unknown_level():
