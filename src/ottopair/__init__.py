@@ -52,6 +52,7 @@ from .medium import (
     SpinCoupling,
     mean_occupation,
     mode_pairs_for_cycle,
+    model_coupling,
     oscillator_normal_modes,
     spin_normal_modes,
     standard_cycle,

@@ -20,14 +20,14 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, get_args, get_type_hints
 
 import numpy as np
 
 from .cycle import REGIMES, CycleColumns, CycleResult, Regime, evaluate_cycle, evaluate_cycles
 from .errors import ConfigError, DomainError, OttoPairError
-from .medium import BathPair, MediumKind, standard_cycle
+from .medium import BathPair, MediumKind, model_coupling, standard_cycle
 from .optimize import SearchDomain, max_coupled_work, max_uncoupled_work, sample_engine_points
 from .oracle import run_verification
 
@@ -136,10 +136,21 @@ def _baths(cfg: RunConfig) -> BathPair:
     return BathPair(t_h=th, t_c=tc)
 
 
-def _seed(cfg: RunConfig) -> int:
-    if cfg.seed < 0:
-        raise ConfigError(f"--seed must be a non-negative integer, got {cfg.seed}")
-    return cfg.seed
+def _at_least(cfg: RunConfig, field: str, low: int) -> int:
+    """An integer option (--seed, --n, --resolution) refused below `low`."""
+    value = int(getattr(cfg, field))
+    if value < low:
+        raise ConfigError(f"--{field} must be at least {low}, got {value}")
+    return value
+
+
+def _domain(cfg: RunConfig) -> SearchDomain:
+    """The box [0, --domain-max] on every axis; the bound must be positive
+    and finite."""
+    hi = float(cfg.domain_max)
+    if not 0.0 < hi < math.inf:
+        raise ConfigError(f"--domain-max must be positive and finite, got {hi}")
+    return SearchDomain(omega=(0.0, hi), omega_prime=(0.0, hi), coupling=(0.0, hi))
 
 
 def _coupling_value(cfg: RunConfig, kind: MediumKind):
@@ -281,15 +292,15 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if cfg.sweep is None:
         raise ConfigError("missing required option --sweep LO:HI:STEP")
     grid = _parse_sweep(cfg.sweep)
+    values = (grid,)
     if cfg.model == "general":
         cx, cy = _coupling_value(cfg, kind)  # direction scaled by the sweep value
         if not (math.isfinite(cx) and math.isfinite(cy)):
             raise DomainError(f"coupling direction must be finite, got ({cx}, {cy})")
-        coupling = (cx * grid, cy * grid)
-    elif cfg.model in ("xx", "xy"):
-        coupling = (grid, grid if cfg.model == "xx" else -grid)
-    else:
+        values = (cx * grid, cy * grid)
+    elif cfg.model not in ("xx", "xy"):
         raise ConfigError(f"--model must be 'xx', 'xy' or 'general', got {cfg.model!r}")
+    coupling = model_coupling(cfg.model, *values)
     if not (0.0 < omega < math.inf and 0.0 < omega_prime < math.inf):
         raise DomainError(
             "bare frequencies must be positive and finite, got "
@@ -316,33 +327,28 @@ def figure_rows(name: str, cfg: RunConfig) -> tuple[list[str], list[list]]:
         raise ConfigError(
             f"unknown figure {name!r}; choose from {sorted(_FIGURE_DEFAULTS)}"
         )
-    preset = dict(_FIGURE_DEFAULTS[name])
-    th = cfg.th if cfg.th is not None else preset["th"]
-    tc = cfg.tc if cfg.tc is not None else preset["tc"]
-    baths = BathPair(t_h=float(th), t_c=float(tc))
+    # the preset fills every option left unset
+    preset = _FIGURE_DEFAULTS[name]
+    cfg = replace(cfg, **{k: v for k, v in preset.items() if getattr(cfg, k) is None})
+    baths = _baths(cfg)
 
     if name == "fig5":
-        domain = SearchDomain(
-            omega=(0.0, cfg.domain_max),
-            omega_prime=(0.0, cfg.domain_max),
-            coupling=(0.0, cfg.domain_max),
-        )
-        records = sample_engine_points(_seed(cfg), int(cfg.n), domain, baths)
+        domain = _domain(cfg)
+        seed, n = _at_least(cfg, "seed", 0), _at_least(cfg, "n", 1)
+        records = sample_engine_points(seed, n, domain, baths)
         header = ["W", "C_h", "C_c", "omega", "omega_prime", "lambda_J"]
         rows = [
             [r.w_total, r.c_h, r.c_c, r.omega, r.omega_prime, r.lam] for r in records
         ]
         return header, rows
 
-    omega = float(cfg.omega if cfg.omega is not None else preset["omega"])
-    omega_prime = float(
-        cfg.omega_prime if cfg.omega_prime is not None else preset["omega_prime"]
-    )
-    grid = _parse_sweep(cfg.sweep if cfg.sweep is not None else preset["sweep"])
+    omega = float(cfg.omega)
+    omega_prime = float(cfg.omega_prime)
+    grid = _parse_sweep(cfg.sweep)
 
     want = Regime.ENGINE if name in ("fig3", "fig7a") else Regime.REFRIGERATOR
     if name in ("fig3", "fig6"):
-        coupling = (grid, grid)  # xx
+        coupling = model_coupling("xx", grid)
         header = (
             ["lambda_J", "eta_A", "eta_B", "eta_os", "eta_sp", "eta_carnot"]
             if want is Regime.ENGINE
@@ -350,7 +356,7 @@ def figure_rows(name: str, cfg: RunConfig) -> tuple[list[str], list[list]]:
         )
         constant = baths.carnot_efficiency if want is Regime.ENGINE else baths.carnot_cop
     else:  # fig7a / fig7b
-        coupling = (grid, -grid)  # xy
+        coupling = model_coupling("xy", grid)
         header = (
             ["lambda_J", "eta_os", "eta_sp", "eta_uncoupled"]
             if want is Regime.ENGINE
@@ -392,15 +398,10 @@ def cmd_figure(cfg: RunConfig) -> int:
 def cmd_optimize(cfg: RunConfig) -> int:
     kind = _medium_kind(cfg)
     baths = _baths(cfg)
-    domain = SearchDomain(
-        omega=(0.0, cfg.domain_max),
-        omega_prime=(0.0, cfg.domain_max),
-        coupling=(0.0, cfg.domain_max),
-    )
-    w_star, wp_star, w_single = max_uncoupled_work(
-        kind, baths, domain, max(int(cfg.resolution), 200)
-    )
-    params, w_max = max_coupled_work(kind, cfg.model, baths, domain, int(cfg.resolution))
+    domain = _domain(cfg)
+    resolution = _at_least(cfg, "resolution", 2)
+    w_star, wp_star, w_single = max_uncoupled_work(kind, baths, domain, max(resolution, 200))
+    params, w_max = max_coupled_work(kind, cfg.model, baths, domain, resolution)
     # both searches estimate their optima from below, so the better of the
     # two is the tighter valid estimate of the uncoupled-pair optimum
     w_pair = max(2.0 * w_single, w_max)
@@ -430,12 +431,9 @@ def cmd_optimize(cfg: RunConfig) -> int:
 
 def cmd_sample(cfg: RunConfig) -> int:
     baths = _baths(cfg)
-    domain = SearchDomain(
-        omega=(0.0, cfg.domain_max),
-        omega_prime=(0.0, cfg.domain_max),
-        coupling=(0.0, cfg.domain_max),
-    )
-    records = sample_engine_points(_seed(cfg), int(cfg.n), domain, baths)
+    domain = _domain(cfg)
+    seed, n = _at_least(cfg, "seed", 0), _at_least(cfg, "n", 1)
+    records = sample_engine_points(seed, n, domain, baths)
     header = [
         "omega", "omega_prime", "lambda_J", "W_total", "C_h", "C_c",
         "regime_A", "regime_B",
@@ -451,7 +449,7 @@ def cmd_sample(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     if cfg.level not in ("quick", "full"):
         raise ConfigError(f"--level must be 'quick' or 'full', got {cfg.level!r}")
-    report = run_verification(cfg.level, seed=_seed(cfg))
+    report = run_verification(cfg.level, seed=_at_least(cfg, "seed", 0))
     sys.stdout.write(report.format_table() + "\n")
     return EXIT_OK if report.ok else EXIT_VERIFY
 
@@ -547,6 +545,9 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"--config is not valid JSON: {exc}") from exc
         if not isinstance(file_values, dict):
             raise ConfigError("--config must contain a JSON object")
+        unknown = sorted(set(file_values) - set(_FIELD_TYPES))
+        if unknown:
+            raise ConfigError(f"--config has unknown keys {unknown}")
     cfg = RunConfig(command=args.command)
     for field in vars(cfg):
         if field == "command":

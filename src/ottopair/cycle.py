@@ -259,7 +259,7 @@ def classify_regime(
     """
     if eps is None:
         eps = default_tolerance(q_h, q_c)
-    if abs(w - q_h - q_c) > eps:
+    if not abs(w - q_h - q_c) <= eps:
         raise InconsistentEnergy(
             f"W - Q_h - Q_c = {w - q_h - q_c!r} exceeds tolerance {eps!r}"
         )
@@ -301,7 +301,7 @@ def _classify(q_h, q_c, w, eps, valid):
     valid entries."""
     tol = _tolerances(q_h, q_c) if eps is None else eps
     with np.errstate(invalid="ignore"):
-        bad = valid & (np.abs(w - q_h - q_c) > tol)
+        bad = valid & ~(np.abs(w - q_h - q_c) <= tol)
     if bad.any():
         raise InconsistentEnergy(
             f"W - Q_h - Q_c exceeds the regime tolerance for {int(bad.sum())} entries"

@@ -36,6 +36,7 @@ __all__ = [
     "spin_normal_modes",
     "mean_occupation",
     "mode_pairs_for_cycle",
+    "model_coupling",
     "standard_cycle",
     "oscillator_mode_frequencies",
     "spin_mode_frequencies",
@@ -239,6 +240,26 @@ def mode_pairs_for_cycle(spec: CycleSpec) -> ModePairs:
     return ModePairs(a=(hot.omega_a, cold.omega_a), b=(hot.omega_b, cold.omega_b))
 
 
+def model_coupling(model: str, *values):
+    """Coupling pair (cx, cy) of a named coupling model; array-friendly.
+
+    ``"xx"`` maps ``(v,)`` to ``(v, v)``, ``"xy"`` maps ``(v,)`` to
+    ``(v, -v)`` and ``"general"`` passes ``(cx, cy)`` through.  The pair is
+    (j_x, j_y) for spins and (lambda_x, lambda_p) for oscillators.
+    """
+    model = model.lower()
+    if model == "xx":
+        (v,) = values
+        return v, v
+    if model == "xy":
+        (v,) = values
+        return v, -v
+    if model == "general":
+        cx, cy = values
+        return cx, cy
+    raise UnknownModel(f"unknown coupling model: {model!r}")
+
+
 def standard_cycle(
     kind: MediumKind,
     model: str,
@@ -249,26 +270,16 @@ def standard_cycle(
 ) -> CycleSpec:
     """Build a frequency-driven cycle for one of the named coupling models.
 
-    ``model`` is ``"xx"`` (coupling = scalar, j_x = j_y = lambda_x =
-    lambda_p), ``"xy"`` (coupling = scalar, j_x = -j_y, lambda_x =
-    -lambda_p) or ``"general"`` (coupling = (cx, cy) pair).  The same
-    coupling is used at the hot and cold points; only the bare frequency
-    is driven.
+    ``coupling`` is a scalar for ``"xx"`` and ``"xy"`` and a (cx, cy) pair
+    for ``"general"``, mapped by `model_coupling`.  The same coupling is
+    used at the hot and cold points; only the bare frequency is driven.
     """
-    model = model.lower()
-    if model == "xx":
-        pair = (float(coupling), float(coupling))
-    elif model == "xy":
-        pair = (float(coupling), -float(coupling))
-    elif model == "general":
-        cx, cy = coupling
-        pair = (float(cx), float(cy))
-    else:
-        raise UnknownModel(f"unknown coupling model: {model!r}")
+    values = coupling if model.lower() == "general" else (coupling,)
+    cx, cy = map(float, model_coupling(model, *values))
     if kind is MediumKind.OSCILLATOR:
-        c = OscillatorCoupling(lambda_x=pair[0], lambda_p=pair[1])
+        c = OscillatorCoupling(lambda_x=cx, lambda_p=cy)
     else:
-        c = SpinCoupling(j_x=pair[0], j_y=pair[1])
+        c = SpinCoupling(j_x=cx, j_y=cy)
     return CycleSpec(
         kind=kind,
         hot=CyclePoint(omega, c),

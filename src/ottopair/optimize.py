@@ -1,24 +1,26 @@
 """Work-extraction optimization and the work-vs-concurrence sampler.
 
-The optimizer is derivative-free: a dense rectangular grid followed by
-coordinate-descent refinement with step halving.  The objective is cheap
-and smooth, so robustness beats gradient machinery.  Everything is
-seeded and deterministic; the sampler draws all parameters up front from
-one generator so the output order never depends on evaluation order.
+Every optimizer call is one derivative-free search, `_grid_refine`: the
+best point of a dense rectangular grid, then coordinate-descent
+refinement with step halving.  The objective is cheap and smooth, so
+robustness beats gradient machinery.  Everything is seeded and
+deterministic; the sampler draws all parameters up front from one
+generator so the output order never depends on evaluation order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from .cycle import REGIMES, Regime, heats_arrays, regime_codes
 from .entanglement import concurrence_batch, spin_pair_hamiltonian_batch, thermal_state_batch
-from .errors import EmptyDomain, NumericalError, UnknownModel
-from .medium import BathPair, MediumKind, oscillator_mode_frequencies
+from .errors import EmptyDomain, NumericalError
+from .medium import BathPair, MediumKind, model_coupling, oscillator_mode_frequencies
 
 __all__ = [
     "SearchDomain",
@@ -47,10 +49,8 @@ class SearchDomain:
             ("omega_prime", self.omega_prime),
             ("coupling", self.coupling),
         ):
-            if hi < lo:
-                raise EmptyDomain(f"{name} range is empty: [{lo}, {hi}]")
-            if lo < 0.0:
-                raise EmptyDomain(f"{name} lower bound must be >= 0, got {lo}")
+            if not 0.0 <= lo <= hi < math.inf:
+                raise EmptyDomain(f"{name} range needs 0 <= lo <= hi < inf, got [{lo}, {hi}]")
 
 
 @dataclass(frozen=True)
@@ -73,6 +73,12 @@ def single_system_work(kind: MediumKind, omega, omega_prime, baths: BathPair):
     return heats_arrays(kind, omega, omega_prime, baths.beta_h, baths.beta_c)[2]
 
 
+def _finite_work(kind: MediumKind, baths: BathPair, omega, omega_prime):
+    """`single_system_work` with -inf wherever it is not finite."""
+    w = single_system_work(kind, omega, omega_prime, baths)
+    return np.where(np.isfinite(w), w, -np.inf)
+
+
 # np.hypot, not the math.hypot of medium.spin_mode_frequencies: ~4x faster on these grids
 def _spin_grid_frequencies(omega, j_x, j_y):
     """Spin mode frequencies (w_a, w_b) over grids, nan where invalid."""
@@ -86,36 +92,22 @@ def _spin_grid_frequencies(omega, j_x, j_y):
     return np.where(bad, np.nan, w_a), np.where(bad, np.nan, w_b)
 
 
-def coupled_total_work(
-    kind: MediumKind, model: str, omega, omega_prime, cx, cy, baths: BathPair
-):
+def coupled_total_work(kind: MediumKind, omega, omega_prime, cx, cy, baths: BathPair):
     """Total work of a coupled pair, -inf where the decomposition is invalid.
 
     `cx`, `cy` are (j_x, j_y) for spins and (lambda_x, lambda_p) for
-    oscillators; the xx/xy models constrain them in the usual way.
+    oscillators; `medium.model_coupling` maps a named model onto them.
     """
     freqs = _spin_grid_frequencies if kind is MediumKind.SPIN else oscillator_mode_frequencies
     wa_h, wb_h = freqs(omega, cx, cy)
     wa_c, wb_c = freqs(omega_prime, cx, cy)
-    w = (
+    w = np.asarray(
         heats_arrays(kind, wa_h, wa_c, baths.beta_h, baths.beta_c)[2]
-        + heats_arrays(kind, wb_h, wb_c, baths.beta_h, baths.beta_c)[2]
+        + heats_arrays(kind, wb_h, wb_c, baths.beta_h, baths.beta_c)[2],
+        dtype=float,
     )
-    w = np.asarray(w, dtype=float)
-    bad = ~(
-        np.isfinite(w)
-        & (wa_h > 0) & (wb_h > 0) & (wa_c > 0) & (wb_c > 0)
-    )
-    return np.where(bad, -np.inf, w)
-
-
-def _model_couplings(model: str, lam):
-    model = model.lower()
-    if model == "xx":
-        return lam, lam
-    if model == "xy":
-        return lam, -np.asarray(lam, dtype=float)
-    raise UnknownModel(f"scalar coupling undefined for model {model!r}")
+    ok = np.isfinite(w) & (wa_h > 0) & (wb_h > 0) & (wa_c > 0) & (wb_c > 0)
+    return np.where(ok, w, -np.inf)
 
 
 def _refine(objective, x0, lows, highs, step0, halvings=_REFINE_STEPS):
@@ -143,6 +135,39 @@ def _refine(objective, x0, lows, highs, step0, halvings=_REFINE_STEPS):
     return x, best
 
 
+def _grid_refine(work, box, resolution: int):
+    """Maximize `work` over the closed `box`, one (lo, hi) range per axis;
+    returns (x*, W*).
+
+    `work` takes one broadcastable array per axis and returns -inf where a
+    point is invalid.  The `resolution`-per-axis grid is evaluated one
+    slice of the first axis at a time; its first maximum in C order seeds
+    `_refine`, whose first step is one grid cell.
+    """
+    if resolution < 2:
+        raise EmptyDomain(f"resolution must be >= 2, got {resolution}")
+    axes = [np.linspace(lo, hi, resolution) for lo, hi in box]
+    rest = np.ix_(*axes[1:])
+    grid_best, best_idx = -np.inf, None
+    for i, w in enumerate(axes[0]):
+        vals = work(w, *rest)
+        k = np.argmax(vals)
+        if vals.flat[k] > grid_best:
+            grid_best, best_idx = vals.flat[k], (i, *np.unravel_index(k, vals.shape))
+    if best_idx is None:
+        raise EmptyDomain(f"no valid point on the {resolution}-point grid over {box}")
+    x, best = _refine(
+        lambda x: float(work(*x)),
+        [axis[k] for axis, k in zip(axes, best_idx)],
+        [lo for lo, _ in box],
+        [hi for _, hi in box],
+        [axis[1] - axis[0] for axis in axes],
+    )
+    if not best >= grid_best:
+        raise NumericalError(f"refinement lost ground: {best!r} < grid value {grid_best!r}")
+    return x, best
+
+
 def max_uncoupled_work(
     kind: MediumKind,
     baths: BathPair,
@@ -151,55 +176,24 @@ def max_uncoupled_work(
 ) -> tuple[float, float, float]:
     """Maximize the single-system work over (omega, omega').
 
-    Grid search at `resolution` points per axis, then coordinate-descent
-    refinement.  Returns (omega*, omega'*, W_single_max); the uncoupled
-    pair optimum is twice the work value.
+    Returns (omega*, omega'*, W_single_max); the uncoupled pair optimum is
+    twice the work value.
     """
-    if resolution < 2:
-        raise EmptyDomain(f"resolution must be >= 2, got {resolution}")
-    w1 = np.linspace(domain.omega[0], domain.omega[1], resolution)
-    w2 = np.linspace(domain.omega_prime[0], domain.omega_prime[1], resolution)
-    vals = single_system_work(kind, w1[:, None], w2[None, :], baths)
-    vals = np.where(np.isfinite(vals), vals, -np.inf)
-    i, j = np.unravel_index(np.argmax(vals), vals.shape)
-
-    def objective(x):
-        v = float(single_system_work(kind, x[0], x[1], baths))
-        return v if math.isfinite(v) else -math.inf
-
-    lows = (domain.omega[0], domain.omega_prime[0])
-    highs = (domain.omega[1], domain.omega_prime[1])
-    step0 = ((w1[1] - w1[0]) if resolution > 1 else 1.0, (w2[1] - w2[0]) if resolution > 1 else 1.0)
-    x, best = _refine(objective, (w1[i], w2[j]), lows, highs, step0)
-    if not best >= vals[i, j]:
-        raise NumericalError(f"refinement lost ground: {best!r} < grid value {vals[i, j]!r}")
+    box = (domain.omega, domain.omega_prime)
+    x, best = _grid_refine(partial(_finite_work, kind, baths), box, resolution)
     return float(x[0]), float(x[1]), float(best)
 
 
-def _uncoupled_reference(kind, baths, domain, resolution, mode_pairs):
-    """Best single-system work the coupled optimum could legally draw on.
-
-    Mode frequencies never exceed bare frequency + |coupling|, so the
-    single-system box is extended accordingly.  On top of the grid search,
-    refinement is restarted from the coupled optimizer's own mode pairs:
-    the work of either mode can never beat a refinement seeded at that
-    mode's frequencies, which keeps the bound sound even when the work
-    supremum sits on the domain boundary (oscillators at low frequency).
-    """
-    c_hi = domain.coupling[1]
-    hi1 = domain.omega[1] + c_hi
-    hi2 = domain.omega_prime[1] + c_hi
-    wide = SearchDomain(omega=(0.0, hi1), omega_prime=(0.0, hi2), coupling=(0.0, 0.0))
-    best = max_uncoupled_work(kind, baths, wide, resolution)[2]
-
-    def objective(x):
-        v = float(single_system_work(kind, x[0], x[1], baths))
-        return v if math.isfinite(v) else -math.inf
-
-    for pair in mode_pairs:
-        _, val = _refine(objective, pair, (0.0, 0.0), (hi1, hi2), (1e-3, 1e-3))
-        best = max(best, val)
-    return best
+def _uncoupled_reference(kind, baths, domain, mode_pairs):
+    """Best single-system work the coupled optimum could legally draw on:
+    refinement restarted from each of its mode pairs, in a box extended by
+    the largest coupling (a mode frequency never exceeds bare frequency +
+    |coupling|).  Each restart keeps at least its own mode's work, so twice
+    the result is at least the coupled total, also when the supremum sits
+    on the domain boundary (oscillators at low frequency)."""
+    highs = (domain.omega[1] + domain.coupling[1], domain.omega_prime[1] + domain.coupling[1])
+    objective = lambda x: float(_finite_work(kind, baths, *x))
+    return max(_refine(objective, pair, (0.0, 0.0), highs, (1e-3, 1e-3))[1] for pair in mode_pairs)
 
 
 def max_coupled_work(
@@ -211,75 +205,24 @@ def max_coupled_work(
 ) -> tuple[tuple[float, ...], float]:
     """Maximize the coupled-pair total work over (omega, omega', coupling).
 
-    Same grid + refinement strategy as `max_uncoupled_work`.  Returns
-    ((omega*, omega'*, coupling*...), W_max); raises NumericalError if the
-    optimum beats the uncoupled-pair optimum by more than 1e-9.
+    xx and xy search one coupling axis, general two (cx, cy).  Returns
+    ((omega*, omega'*, coupling*...), W_max); raises UnknownModel for any
+    other model and NumericalError if the optimum beats the uncoupled-pair
+    optimum by more than 1e-9.
     """
-    if resolution < 2:
-        raise EmptyDomain(f"resolution must be >= 2, got {resolution}")
-    model = model.lower()
-    w1 = np.linspace(domain.omega[0], domain.omega[1], resolution)
-    w2 = np.linspace(domain.omega_prime[0], domain.omega_prime[1], resolution)
-    cs = np.linspace(domain.coupling[0], domain.coupling[1], resolution)
+    n_couplings = 2 if model.lower() == "general" else 1
 
-    if model in ("xx", "xy"):
-        cx, cy = _model_couplings(model, cs[None, None, :])
-        vals = coupled_total_work(
-            kind, model, w1[:, None, None], w2[None, :, None], cx, cy, baths
-        )
-        i, j, k = np.unravel_index(np.argmax(vals), vals.shape)
-        x0 = (w1[i], w2[j], cs[k])
-        step0 = (w1[1] - w1[0], w2[1] - w2[0], cs[1] - cs[0] if cs.size > 1 else 1.0)
-        lows = (domain.omega[0], domain.omega_prime[0], domain.coupling[0])
-        highs = (domain.omega[1], domain.omega_prime[1], domain.coupling[1])
+    def work(omega, omega_prime, *coupling):
+        cx, cy = model_coupling(model, *coupling)
+        return coupled_total_work(kind, omega, omega_prime, cx, cy, baths)
 
-        def objective(x):
-            ccx, ccy = _model_couplings(model, x[2])
-            return float(coupled_total_work(kind, model, x[0], x[1], ccx, ccy, baths))
-
-    elif model == "general":
-        # 4D grid; chunk along omega to bound memory
-        best_val = -np.inf
-        best_idx = (0, 0, 0, 0)
-        for i, w in enumerate(w1):
-            vals = coupled_total_work(
-                kind,
-                model,
-                w,
-                w2[:, None, None],
-                cs[None, :, None],
-                cs[None, None, :],
-                baths,
-            )
-            j, k, l = np.unravel_index(np.argmax(vals), vals.shape)
-            if vals[j, k, l] > best_val:
-                best_val = vals[j, k, l]
-                best_idx = (i, j, k, l)
-        i, j, k, l = best_idx
-        x0 = (w1[i], w2[j], cs[k], cs[l])
-        dc = cs[1] - cs[0] if cs.size > 1 else 1.0
-        step0 = (w1[1] - w1[0], w2[1] - w2[0], dc, dc)
-        lows = (domain.omega[0], domain.omega_prime[0], domain.coupling[0], domain.coupling[0])
-        highs = (domain.omega[1], domain.omega_prime[1], domain.coupling[1], domain.coupling[1])
-
-        def objective(x):
-            return float(coupled_total_work(kind, model, x[0], x[1], x[2], x[3], baths))
-
-    else:
-        raise UnknownModel(f"unknown coupling model: {model!r}")
-
-    x, best = _refine(objective, x0, lows, highs, step0)
-    if model == "general":
-        cx, cy = x[2], x[3]
-    else:
-        cx, cy = _model_couplings(model, x[2])
+    box = (domain.omega, domain.omega_prime) + (domain.coupling,) * n_couplings
+    x, best = _grid_refine(work, box, resolution)
+    cx, cy = model_coupling(model, *x[2:])
     freqs = _spin_grid_frequencies if kind is MediumKind.SPIN else oscillator_mode_frequencies
     wa_h, wb_h = freqs(x[0], cx, cy)
     wa_c, wb_c = freqs(x[1], cx, cy)
-    w0_pair = 2.0 * _uncoupled_reference(
-        kind, baths, domain, max(resolution, 200),
-        mode_pairs=((float(wa_h), float(wa_c)), (float(wb_h), float(wb_c))),
-    )
+    w0_pair = 2.0 * _uncoupled_reference(kind, baths, domain, ((wa_h, wa_c), (wb_h, wb_c)))
     if not best <= w0_pair + 1e-9:
         raise NumericalError(f"coupled optimum {best!r} exceeds uncoupled bound {w0_pair!r}")
     return tuple(float(v) for v in x), float(best)

@@ -24,7 +24,7 @@ from . import cycle as _cycle
 from . import medium as _medium
 from .entanglement import spin_pair_hamiltonian
 from .errors import DomainError, NumericalError, UnknownModel
-from .medium import BathPair, Coupling, MediumKind, OscillatorCoupling, SpinCoupling
+from .medium import BathPair, Coupling, MediumKind, OscillatorCoupling, SpinCoupling, model_coupling
 
 __all__ = [
     "TruncatedFockSpec",
@@ -470,26 +470,10 @@ def _draw_baths(rng) -> BathPair:
     return BathPair(t_h=t_c * rng.uniform(1.5, 4.0), t_c=t_c)
 
 
-def _draw_spin_coupling(rng, model: str, scale: float = 1.0) -> tuple[float, float]:
-    cap = 0.35 * scale  # keeps l_plus below the mode spacing at both points
-    if model == "xx":
-        j = rng.uniform(-cap, cap)
-        return j, j
-    if model == "xy":
-        j = rng.uniform(-cap, cap)
-        return j, -j
-    return rng.uniform(-cap, cap), rng.uniform(-cap, cap)
-
-
-def _draw_osc_coupling(rng, omega: float, model: str) -> tuple[float, float]:
-    cap = 0.4 * omega
-    if model == "xx":
-        lam = rng.uniform(-cap, cap)
-        return lam, lam
-    if model == "xy":
-        lam = rng.uniform(-cap, cap)
-        return lam, -lam
-    return rng.uniform(-cap, cap), rng.uniform(-cap, cap)
+def _draw_coupling(rng, model: str, cap: float) -> tuple[float, float]:
+    """Coupling pair of `model` with each drawn value uniform on [-cap, cap]."""
+    values = [rng.uniform(-cap, cap) for _ in range(2 if model == "general" else 1)]
+    return model_coupling(model, *values)
 
 
 def run_verification(level: str = "quick", seed: int = 0) -> VerificationReport:
@@ -518,7 +502,8 @@ def run_verification(level: str = "quick", seed: int = 0) -> VerificationReport:
         model = _MODELS[i % 3]
         omega = rng.uniform(2.0, 6.0)
         omega_prime = omega * rng.uniform(0.4, 1.4)
-        j_x, j_y = _draw_spin_coupling(rng, model, scale=min(omega, omega_prime))
+        # the cap keeps l_plus below the mode spacing at both points
+        j_x, j_y = _draw_coupling(rng, model, 0.35 * min(omega, omega_prime))
         baths = _draw_baths(rng)
         res_spec.append(spin_spectrum_check(omega, j_x, j_y))
         res_part.append(
@@ -548,7 +533,7 @@ def run_verification(level: str = "quick", seed: int = 0) -> VerificationReport:
     for i in range(draws):
         model = _MODELS[i % 3]
         omega = rng.uniform(2.0, 6.0)
-        lx, lp = _draw_osc_coupling(rng, omega, model)
+        lx, lp = _draw_coupling(rng, model, 0.4 * omega)
         modes = _medium.oscillator_normal_modes(omega, lx, lp)
         brute = truncated_oscillator_spectrum(omega, lx, lp, n_max=16)
         res_spec.append(_low_lying_residual(brute, modes, 20))
@@ -579,11 +564,11 @@ def run_verification(level: str = "quick", seed: int = 0) -> VerificationReport:
         omega = rng.uniform(2.0, 6.0)
         omega_prime = omega * rng.uniform(0.55, 0.95)
         lam = rng.uniform(-0.4, 0.4) * omega_prime
-        modes_cold = _medium.oscillator_normal_modes(omega_prime, lam, lam if model == "xx" else -lam)
+        modes_cold = _medium.oscillator_normal_modes(omega_prime, *model_coupling(model, lam))
         x_c = rng.uniform(2.5, 4.0)
         t_c = min(modes_cold.omega_a, modes_cold.omega_b) / x_c
         baths = BathPair(t_h=t_c * rng.uniform(1.5, 2.0), t_c=t_c)
-        modes_hot = _medium.oscillator_normal_modes(omega, lam, lam if model == "xx" else -lam)
+        modes_hot = _medium.oscillator_normal_modes(omega, *model_coupling(model, lam))
         x_h = baths.beta_h * min(modes_hot.omega_a, modes_hot.omega_b)
         n_max = int(np.ceil(34.0 / min(x_h, x_c))) + 4
         res_cycle.append(

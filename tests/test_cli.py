@@ -326,8 +326,55 @@ def test_sweep_rejects_non_finite_input(capsys, args):
 
 def test_figure_rejects_non_finite_temperature(capsys):
     code, out, err = run_cli(capsys, "figure", "fig3", "--th", "inf")
-    assert (code, out) == (EXIT_DOMAIN, "")
+    assert (code, out) == (EXIT_CONFIG, "")
     assert "finite" in err
+
+
+def test_figure_rejects_inverted_bath_pair(capsys):
+    code, out, err = run_cli(capsys, "figure", "fig3", "--th", "1", "--tc", "2")
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert "--th/--tc" in err
+
+
+_DOMAIN_COMMANDS = {
+    "optimize": ("optimize", "--medium", "spin", "--model", "xx", "--th", "2", "--tc", "1"),
+    "sample": ("sample", "--th", "2", "--tc", "1", "--n", "10"),
+    "fig5": ("figure", "fig5", "--n", "10"),
+}
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+@pytest.mark.parametrize("command", sorted(_DOMAIN_COMMANDS))
+def test_domain_max_must_be_positive_and_finite(capsys, command, value):
+    code, out, err = run_cli(capsys, *_DOMAIN_COMMANDS[command], f"--domain-max={value}")
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert "--domain-max" in err
+
+
+@pytest.mark.parametrize(
+    "args,flag",
+    [
+        (_DOMAIN_COMMANDS["sample"] + ("--n", "0"), "--n"),
+        (_DOMAIN_COMMANDS["fig5"][:2] + ("--n", "0"), "--n"),
+        (_DOMAIN_COMMANDS["optimize"] + ("--resolution", "1"), "--resolution"),
+    ],
+    ids=["sample-n", "fig5-n", "optimize-resolution"],
+)
+def test_count_below_minimum_exits_2(capsys, args, flag):
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert flag in err
+
+
+def test_unknown_config_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"medium": "spin", "omega": 4.0, "bogus": 1}))
+    code, out, err = run_cli(
+        capsys, "cycle", "--config", str(cfg), "--omega-prime", "3", "--lam", "1",
+        "--th", "2", "--tc", "1",
+    )
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert "'bogus'" in err
 
 
 @pytest.mark.parametrize("command", [("sample", "--th", "2", "--tc", "1"), ("verify",)])

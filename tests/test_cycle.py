@@ -3,6 +3,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ottopair.cycle import (
     REGIMES,
@@ -34,6 +36,7 @@ from ottopair.medium import (
     MediumKind,
     OscillatorCoupling,
     SpinCoupling,
+    model_coupling,
     standard_cycle,
 )
 
@@ -82,6 +85,15 @@ def test_classify_regime_signs():
     assert label.regime is Regime.DISSIPATOR and not label.at_boundary
     with pytest.raises(InconsistentEnergy):
         classify_regime(0.5, -0.4, 0.3)
+
+
+@pytest.mark.parametrize("eps", [None, 1e-12])
+@pytest.mark.parametrize("slot", [0, 1, 2], ids=["q_h", "q_c", "w"])
+def test_classify_regime_rejects_nan(slot, eps):
+    triple = [0.0, 0.0, 0.0]
+    triple[slot] = math.nan
+    with pytest.raises(InconsistentEnergy):
+        classify_regime(*triple, eps)
 
 
 def test_evaluate_cycle_uncoupled_efficiency():
@@ -541,3 +553,30 @@ def test_regime_codes_match_classify_regime():
             except InconsistentEnergy:
                 continue
             assert (label.regime, label.at_boundary) == want
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from([OSC, SPIN]),
+    model=st.sampled_from(["xx", "xy", "general"]),
+    omega=st.floats(0.1, 10.0),
+    ratio=st.floats(0.05, 2.0),
+    t_c=st.floats(0.1, 5.0),
+    t_ratio=st.floats(1.1, 5.0),
+    c=st.tuples(st.floats(-0.95, 0.95), st.floats(-0.95, 0.95)),
+)
+def test_energy_balance_and_sandwich_bounds_property(kind, model, omega, ratio, t_c, t_ratio, c):
+    # couplings below 0.95 x the smaller bare frequency keep every mode valid
+    omega_prime = omega * ratio
+    scale = min(omega, omega_prime)
+    values = (scale * c[0], scale * c[1]) if model == "general" else (scale * c[0],)
+    coupling = model_coupling(model, *values)
+    col = evaluate_cycles(kind, omega, omega_prime, coupling, coupling, BathPair(t_c * t_ratio, t_c))
+    assert col.valid.all()
+    for q_h, q_c, w in ((col.q_h, col.q_c, col.w), (col.q_h_total, col.q_c_total, col.w_total)):
+        tol = 1e-12 * np.maximum(np.maximum(np.abs(q_h), np.abs(q_c)), 1.0)
+        assert (np.abs(w - q_h - q_c) <= tol).all()
+    if col.shared[0]:
+        lo, hi = col.bounds[:, 0]
+        slack = 1e-12 * max(1.0, abs(hi))
+        assert lo - slack <= col.global_figure[0] <= hi + slack

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ottopair.errors import DomainError
+from ottopair.errors import DomainError, UnknownModel
 from ottopair.medium import (
     BathPair,
     CyclePoint,
@@ -14,6 +14,7 @@ from ottopair.medium import (
     SpinCoupling,
     mean_occupation,
     mode_pairs_for_cycle,
+    model_coupling,
     oscillator_normal_modes,
     oscillator_mode_frequencies,
     spin_mode_frequencies,
@@ -191,3 +192,18 @@ def test_array_kernels_flag_invalid_points_as_nan():
     assert w_b[1] < 0 or np.isnan(w_b[1])
     assert np.isnan(w_b[1])
     assert w_a[0] == 7.0 and w_b[0] == 1.0
+
+
+def test_model_coupling_maps_named_models():
+    assert model_coupling("xx", 0.3) == (0.3, 0.3)
+    assert model_coupling("xy", 0.3) == (0.3, -0.3)
+    assert model_coupling("general", 0.3, -0.1) == (0.3, -0.1)
+    lam = np.array([0.0, 0.5, -1.5])
+    for model, want in (("xx", lam), ("xy", -lam)):
+        cx, cy = model_coupling(model, lam)
+        assert np.array_equal(cx, lam) and np.array_equal(cy, want)
+    cx, cy = model_coupling("general", lam, 2 * lam)
+    assert np.array_equal(cx, lam) and np.array_equal(cy, 2 * lam)
+    for model in ("bogus", "x"):
+        with pytest.raises(UnknownModel):
+            model_coupling(model, 0.3)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ottopair.cycle import Regime, evaluate_cycle
-from ottopair.errors import EmptyDomain
+from ottopair.errors import EmptyDomain, UnknownModel
 from ottopair.medium import BathPair, MediumKind, standard_cycle
 from ottopair.optimize import (
     SampleRecord,
@@ -37,8 +37,23 @@ def test_search_domain_validation():
         SearchDomain(omega=(5.0, 1.0))
     with pytest.raises(EmptyDomain):
         SearchDomain(coupling=(-1.0, 1.0))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(EmptyDomain):
+            SearchDomain(omega_prime=(0.0, bad))
     with pytest.raises(EmptyDomain):
         max_uncoupled_work(SPIN, BATHS, SearchDomain(), resolution=1)
+
+
+def test_search_with_no_valid_grid_point_raises():
+    # every coupling exceeds every frequency, so no oscillator mode is stable
+    box = SearchDomain(omega=(0.0, 1.0), omega_prime=(0.0, 1.0), coupling=(2.0, 3.0))
+    with pytest.raises(EmptyDomain):
+        max_coupled_work(OSC, "xx", BATHS, box, resolution=5)
+
+
+def test_max_coupled_work_rejects_unknown_model():
+    with pytest.raises(UnknownModel):
+        max_coupled_work(SPIN, "bogus", BATHS, SearchDomain(), resolution=4)
 
 
 def test_max_uncoupled_work_matches_dense_grid_oracle():
