@@ -19,15 +19,12 @@ from .cycle import (
     evaluate_cycles,
     figure_of_merit_bounds,
     mode_heats,
-    occupation_relaxation,
     perturbative_prediction,
     xx_cop_difference,
     xx_efficiency_difference,
 )
 from .entanglement import (
-    ConcurrencePair,
     concurrence,
-    cycle_concurrences,
     spin_pair_hamiltonian,
     thermal_state,
 )
@@ -50,7 +47,6 @@ from .medium import (
     ModePair,
     OscillatorCoupling,
     SpinCoupling,
-    mean_occupation,
     mode_pairs_for_cycle,
     model_coupling,
     oscillator_normal_modes,
@@ -58,7 +54,7 @@ from .medium import (
     standard_cycle,
 )
 from .optimize import (
-    SampleRecord,
+    SampleColumns,
     SearchDomain,
     max_coupled_work,
     max_uncoupled_work,

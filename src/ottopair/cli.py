@@ -9,8 +9,9 @@ All output is deterministic for a fixed configuration and seed.  CSV is
 UTF-8, comma-separated with '\\n' line endings and a mandatory header
 row; numbers carry 17 significant digits; figures of merit outside their
 regime serialize as empty fields, never 0.  Exit codes: 0 ok, 2 config
-error, 3 domain error, 4 verification failure.  Sweep and figure rows
-are evaluated in one batched pass (`evaluate_cycles`).
+error, 3 domain error, 4 verification failure, 141 stdout closed early
+(e.g. by ``| head``).  Sweep and figure rows are evaluated in one batched
+pass (`evaluate_cycles`).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, get_args, get_type_hints
@@ -35,6 +37,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 EXIT_VERIFY = 4
+EXIT_PIPE = 141  # 128 + SIGPIPE
 
 
 @dataclass
@@ -69,15 +72,10 @@ MAX_SWEEP_ROWS = 1_000_000
 
 
 def _fmt(value) -> str:
+    """A row cell: a float, None (empty) or a Regime."""
     if type(value) is float:
         return format(value, ".17g")
-    if value is None:
-        return ""
-    if isinstance(value, (Regime, MediumKind)):
-        return value.value
-    if isinstance(value, str):
-        return value
-    return format(float(value), ".17g")
+    return "" if value is None else value.value
 
 
 def _write_text(cfg: RunConfig, chunks: Iterable[str]) -> None:
@@ -95,7 +93,7 @@ def _write_text(cfg: RunConfig, chunks: Iterable[str]) -> None:
 def _write_rows(cfg: RunConfig, header: list[str], rows: Iterable[Iterable]) -> None:
     if cfg.format == "json":
         doc = [
-            {k: (v.value if isinstance(v, (Regime, MediumKind)) else v) for k, v in zip(header, row)}
+            {k: (v.value if isinstance(v, Regime) else v) for k, v in zip(header, row)}
             for row in rows
         ]
         _write_doc(cfg, doc)
@@ -121,11 +119,7 @@ def _require(cfg: RunConfig, field: str):
 
 
 def _medium_kind(cfg: RunConfig) -> MediumKind:
-    name = _require(cfg, "medium")
-    try:
-        return MediumKind(name)
-    except ValueError:
-        raise ConfigError(f"--medium must be 'osc' or 'spin', got {name!r}") from None
+    return MediumKind(_require(cfg, "medium"))
 
 
 def _baths(cfg: RunConfig) -> BathPair:
@@ -155,19 +149,30 @@ def _domain(cfg: RunConfig) -> SearchDomain:
 
 def _coupling_value(cfg: RunConfig, kind: MediumKind):
     """Scalar lam for xx/xy, (cx, cy) pair for general."""
-    if cfg.model in ("xx", "xy"):
+    if cfg.model != "general":
         if cfg.lam is not None:
             return float(cfg.lam)
         raise ConfigError(f"model {cfg.model!r} needs --lam")
-    if cfg.model == "general":
-        if kind is MediumKind.SPIN:
-            if cfg.jx is None or cfg.jy is None:
-                raise ConfigError("model 'general' with --medium spin needs --jx and --jy")
-            return float(cfg.jx), float(cfg.jy)
-        if cfg.lx is None or cfg.lp is None:
-            raise ConfigError("model 'general' with --medium osc needs --lx and --lp")
-        return float(cfg.lx), float(cfg.lp)
-    raise ConfigError(f"--model must be 'xx', 'xy' or 'general', got {cfg.model!r}")
+    if kind is MediumKind.SPIN:
+        if cfg.jx is None or cfg.jy is None:
+            raise ConfigError("model 'general' with --medium spin needs --jx and --jy")
+        return float(cfg.jx), float(cfg.jy)
+    if cfg.lx is None or cfg.lp is None:
+        raise ConfigError("model 'general' with --medium osc needs --lx and --lp")
+    return float(cfg.lx), float(cfg.lp)
+
+
+def _bare_frequencies(cfg: RunConfig) -> tuple[float, float]:
+    """(--omega, --omega-prime); DomainError unless both are positive and
+    finite."""
+    omega = float(_require(cfg, "omega"))
+    omega_prime = float(_require(cfg, "omega_prime"))
+    if not (0.0 < omega < math.inf and 0.0 < omega_prime < math.inf):
+        raise DomainError(
+            "bare frequencies must be positive and finite, got "
+            f"omega={omega}, omega_prime={omega_prime}"
+        )
+    return omega, omega_prime
 
 
 def _parse_sweep(text: str) -> np.ndarray:
@@ -182,6 +187,8 @@ def _parse_sweep(text: str) -> np.ndarray:
     if not (hi - lo) / step < MAX_SWEEP_ROWS - 0.5:
         raise ConfigError(f"--sweep {text!r} exceeds {MAX_SWEEP_ROWS} rows")
     count = int(round((hi - lo) / step))
+    if not math.isfinite(lo + step * count):
+        raise ConfigError(f"--sweep {text!r} ends beyond the float range")
     return lo + step * np.arange(count + 1)
 
 
@@ -251,15 +258,16 @@ _SWEEP_HEADER = [
 ]
 
 
-def _column(values: np.ndarray, present: np.ndarray) -> list:
+def _column(values: np.ndarray, present: Optional[np.ndarray] = None) -> list:
     """`values` as Python floats, None where `present` is False."""
     out = values.tolist()
-    for i in np.flatnonzero(~present).tolist():
-        out[i] = None
+    if present is not None:
+        for i in np.flatnonzero(~present).tolist():
+            out[i] = None
     return out
 
 
-def _regime_column(codes: np.ndarray, present: np.ndarray) -> list:
+def _regime_column(codes: np.ndarray, present: Optional[np.ndarray] = None) -> list:
     return _column(np.array(REGIMES, dtype=object)[codes], present)
 
 
@@ -287,8 +295,6 @@ def _sweep_rows(lam: np.ndarray, c: CycleColumns):
 def cmd_sweep(cfg: RunConfig) -> int:
     kind = _medium_kind(cfg)
     baths = _baths(cfg)
-    omega = float(_require(cfg, "omega"))
-    omega_prime = float(_require(cfg, "omega_prime"))
     if cfg.sweep is None:
         raise ConfigError("missing required option --sweep LO:HI:STEP")
     grid = _parse_sweep(cfg.sweep)
@@ -298,14 +304,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
         if not (math.isfinite(cx) and math.isfinite(cy)):
             raise DomainError(f"coupling direction must be finite, got ({cx}, {cy})")
         values = (cx * grid, cy * grid)
-    elif cfg.model not in ("xx", "xy"):
-        raise ConfigError(f"--model must be 'xx', 'xy' or 'general', got {cfg.model!r}")
     coupling = model_coupling(cfg.model, *values)
-    if not (0.0 < omega < math.inf and 0.0 < omega_prime < math.inf):
-        raise DomainError(
-            "bare frequencies must be positive and finite, got "
-            f"omega={omega}, omega_prime={omega_prime}"
-        )
+    omega, omega_prime = _bare_frequencies(cfg)
     columns = evaluate_cycles(kind, omega, omega_prime, coupling, coupling, baths)
     _write_rows(cfg, _SWEEP_HEADER, _sweep_rows(grid, columns))
     return EXIT_OK
@@ -322,11 +322,8 @@ _FIGURE_DEFAULTS = {
 
 
 def figure_rows(name: str, cfg: RunConfig) -> tuple[list[str], list[list]]:
-    """Dataset rows for one named figure; shared by the CLI and the tests."""
-    if name not in _FIGURE_DEFAULTS:
-        raise ConfigError(
-            f"unknown figure {name!r}; choose from {sorted(_FIGURE_DEFAULTS)}"
-        )
+    """Dataset rows for one named figure (a `_FIGURE_DEFAULTS` key); shared
+    by the CLI and the tests."""
     # the preset fills every option left unset
     preset = _FIGURE_DEFAULTS[name]
     cfg = replace(cfg, **{k: v for k, v in preset.items() if getattr(cfg, k) is None})
@@ -335,16 +332,13 @@ def figure_rows(name: str, cfg: RunConfig) -> tuple[list[str], list[list]]:
     if name == "fig5":
         domain = _domain(cfg)
         seed, n = _at_least(cfg, "seed", 0), _at_least(cfg, "n", 1)
-        records = sample_engine_points(seed, n, domain, baths)
+        s = sample_engine_points(seed, n, domain, baths)
         header = ["W", "C_h", "C_c", "omega", "omega_prime", "lambda_J"]
-        rows = [
-            [r.w_total, r.c_h, r.c_c, r.omega, r.omega_prime, r.lam] for r in records
-        ]
-        return header, rows
+        columns = (s.w_total, s.c_h, s.c_c, s.omega, s.omega_prime, s.lam)
+        return header, [list(row) for row in zip(*map(_column, columns))]
 
-    omega = float(cfg.omega)
-    omega_prime = float(cfg.omega_prime)
     grid = _parse_sweep(cfg.sweep)
+    omega, omega_prime = _bare_frequencies(cfg)
 
     want = Regime.ENGINE if name in ("fig3", "fig7a") else Regime.REFRIGERATOR
     if name in ("fig3", "fig6"):
@@ -362,11 +356,15 @@ def figure_rows(name: str, cfg: RunConfig) -> tuple[list[str], list[list]]:
             if want is Regime.ENGINE
             else ["lambda_J", "zeta_os", "zeta_sp", "zeta_uncoupled"]
         )
-        constant = (
-            1.0 - omega_prime / omega
-            if want is Regime.ENGINE
-            else omega_prime / (omega - omega_prime)
-        )
+        # the uncoupled pair's efficiency or COP, which omega = omega' (COP)
+        # or a tiny omega (efficiency) leaves without a finite value
+        with np.errstate(divide="ignore", over="ignore"):
+            w, wp = np.float64(omega), np.float64(omega_prime)
+            constant = float(1.0 - wp / w if want is Regime.ENGINE else wp / (w - wp))
+        if not math.isfinite(constant):
+            raise DomainError(
+                f"{name} has no finite uncoupled value at omega={omega}, omega_prime={omega_prime}"
+            )
 
     osc, spn = (
         evaluate_cycles(kind, omega, omega_prime, coupling, coupling, baths)
@@ -433,22 +431,17 @@ def cmd_sample(cfg: RunConfig) -> int:
     baths = _baths(cfg)
     domain = _domain(cfg)
     seed, n = _at_least(cfg, "seed", 0), _at_least(cfg, "n", 1)
-    records = sample_engine_points(seed, n, domain, baths)
+    s = sample_engine_points(seed, n, domain, baths)
     header = [
         "omega", "omega_prime", "lambda_J", "W_total", "C_h", "C_c",
         "regime_A", "regime_B",
     ]
-    rows = [
-        [r.omega, r.omega_prime, r.lam, r.w_total, r.c_h, r.c_c, r.regime_a, r.regime_b]
-        for r in records
-    ]
-    _write_rows(cfg, header, rows)
+    columns = map(_column, (s.omega, s.omega_prime, s.lam, s.w_total, s.c_h, s.c_c))
+    _write_rows(cfg, header, zip(*columns, _regime_column(s.regime_a), _regime_column(s.regime_b)))
     return EXIT_OK
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    if cfg.level not in ("quick", "full"):
-        raise ConfigError(f"--level must be 'quick' or 'full', got {cfg.level!r}")
     report = run_verification(cfg.level, seed=_at_least(cfg, "seed", 0))
     sys.stdout.write(report.format_table() + "\n")
     return EXIT_OK if report.ok else EXIT_VERIFY
@@ -467,10 +460,19 @@ _COMMANDS = {
 # ---------------------------------------------------------------------------
 # argument parsing
 
+# the values a choice option takes, from a flag or from --config alike
+_CHOICES = {
+    "medium": ("osc", "spin"),
+    "model": ("xx", "xy", "general"),
+    "format": ("csv", "json"),
+    "level": ("quick", "full"),
+    "figure": tuple(sorted(_FIGURE_DEFAULTS)),
+}
+
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--medium", choices=["osc", "spin"], default=None)
-    p.add_argument("--model", choices=["xx", "xy", "general"], default=None)
+    p.add_argument("--medium", choices=_CHOICES["medium"], default=None)
+    p.add_argument("--model", choices=_CHOICES["model"], default=None)
     p.add_argument("--omega", type=float, default=None)
     p.add_argument("--omega-prime", dest="omega_prime", type=float, default=None)
     p.add_argument("--lam", type=float, default=None, help="scalar coupling for xx/xy")
@@ -483,12 +485,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["csv", "json"], default=None)
+    p.add_argument("--format", choices=_CHOICES["format"], default=None)
     p.add_argument("--config", default=None, help="JSON config file; flags override it")
     p.add_argument("--sweep", default=None, help="coupling grid LO:HI:STEP")
     p.add_argument("--domain-max", dest="domain_max", type=float, default=None)
     p.add_argument("--resolution", type=int, default=None)
-    p.add_argument("--level", choices=["quick", "full"], default=None)
+    p.add_argument("--level", choices=_CHOICES["level"], default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -507,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(name, help=help_text)
         if name == "figure":
-            p.add_argument("figure", choices=sorted(_FIGURE_DEFAULTS))
+            p.add_argument("figure", choices=_CHOICES["figure"])
         _add_common(p)
     return parser
 
@@ -520,10 +522,17 @@ _FIELD_TYPES = {
 
 
 def _file_value(field: str, value):
-    """A --config value converted as its flag would be; ConfigError if it
-    has the wrong type."""
+    """A --config value converted as its flag would be, null as the
+    option's default; ConfigError if it has the wrong type or is not one of
+    the option's choices."""
     want = _FIELD_TYPES[field]
-    if value is None or (want is str and isinstance(value, str)):
+    if field in _CHOICES and value not in _CHOICES[field]:
+        raise ConfigError(
+            f"--config value of {field!r} must be one of {list(_CHOICES[field])}, got {value!r}"
+        )
+    if value is None:
+        return getattr(_DEFAULTS, field)
+    if want is str and isinstance(value, str):
         return value
     if want is not str:
         try:
@@ -566,7 +575,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _merge_config(args)
-        return _COMMANDS[args.command](cfg)
+        code = _COMMANDS[args.command](cfg)
+        sys.stdout.flush()  # a closed pipe raises here rather than at exit
+        return code
+    except BrokenPipeError:
+        # the SIGPIPE note of Python's `signal` docs: send the rest of
+        # stdout, and the flush at exit, to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -38,7 +38,6 @@ from .medium import (
 __all__ = [
     "Regime",
     "REGIMES",
-    "RegimeLabel",
     "ModeCycleResult",
     "CycleResult",
     "CycleColumns",
@@ -53,7 +52,6 @@ __all__ = [
     "perturbative_prediction",
     "xx_efficiency_difference",
     "xx_cop_difference",
-    "occupation_relaxation",
     "heats_arrays",
     "default_tolerance",
 ]
@@ -68,12 +66,6 @@ class Regime(enum.Enum):
 # regime codes of the array classifier index this tuple
 REGIMES = (Regime.ENGINE, Regime.REFRIGERATOR, Regime.DISSIPATOR)
 _ENGINE, _FRIDGE, _DISSIPATOR = range(3)
-
-
-@dataclass(frozen=True)
-class RegimeLabel:
-    regime: Regime
-    at_boundary: bool
 
 
 @dataclass(frozen=True)
@@ -209,7 +201,7 @@ def heats_arrays(kind: MediumKind, omega_hot, omega_cold, beta_h, beta_c):
     """
     omega_hot = np.asarray(omega_hot, dtype=float)
     omega_cold = np.asarray(omega_cold, dtype=float)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         if kind is MediumKind.OSCILLATOR:
             bracket = coth(0.5 * beta_h * omega_hot) - coth(0.5 * beta_c * omega_cold)
         else:
@@ -249,13 +241,14 @@ def mode_heats(
 
 def classify_regime(
     q_h: float, q_c: float, w: float, eps: Optional[float] = None
-) -> RegimeLabel:
+) -> tuple[Regime, bool]:
     """Classify a (Q_h, Q_c, W) triple into engine / refrigerator / dissipator.
 
-    Raises InconsistentEnergy if the triple violates W = Q_h + Q_c beyond
-    the tolerance.  Points within eps of a regime boundary are classified
-    as dissipator with ``at_boundary=True`` rather than silently landing
-    in an operating regime.  A length-1 call of `regime_codes`.
+    Returns (regime, at_boundary).  Raises InconsistentEnergy if the
+    triple violates W = Q_h + Q_c beyond the tolerance.  Points within eps
+    of a regime boundary are classified as dissipator with
+    ``at_boundary=True`` rather than silently landing in an operating
+    regime.  A length-1 call of `regime_codes`.
     """
     if eps is None:
         eps = default_tolerance(q_h, q_c)
@@ -264,7 +257,7 @@ def classify_regime(
             f"W - Q_h - Q_c = {w - q_h - q_c!r} exceeds tolerance {eps!r}"
         )
     codes, boundary = regime_codes([q_h], [q_c], [w], eps)
-    return RegimeLabel(REGIMES[codes[0]], bool(boundary[0]))
+    return REGIMES[codes[0]], bool(boundary[0])
 
 
 def _tolerances(q_h, q_c):
@@ -340,7 +333,9 @@ def evaluate_cycles(
 
     All six arrays broadcast to one dimension.  Every column equals, bit
     for bit, what `evaluate_cycle` returns for the same cycle, and
-    ``valid`` is False exactly where it raises DomainError.  Raises
+    ``valid`` is False exactly where it raises DomainError: an invalid
+    mode decomposition, a non-finite input, or a heat, work or total that
+    is not finite.  Raises
     InconsistentEnergy like `classify_regime` if a valid triple breaks
     ``W = Q_h + Q_c`` beyond the tolerance.
     """
@@ -357,8 +352,11 @@ def evaluate_cycles(
     valid &= ((w_hot > 0.0) & (w_cold > 0.0)).all(axis=0)
 
     q_h, q_c, w = heats_arrays(kind, w_hot, w_cold, baths.beta_h, baths.beta_c)
+    with np.errstate(over="ignore"):
+        q_h_t, q_c_t, w_t = q_h[0] + q_h[1], q_c[0] + q_c[1], w[0] + w[1]
+    # a heat that overflows is refused like an unstable mode
+    valid &= np.isfinite([*q_h, *q_c, *w, q_h_t, q_c_t, w_t]).all(axis=0)
     codes, boundary, fom = _classify(q_h, q_c, w, eps, valid)
-    q_h_t, q_c_t, w_t = q_h[0] + q_h[1], q_c[0] + q_c[1], w[0] + w[1]
     g_codes, g_boundary, g_fom = _classify(q_h_t, q_c_t, w_t, eps, valid)
 
     # convex weight of mode A: heat fraction for two engines, work
@@ -415,7 +413,9 @@ def evaluate_cycle(spec: CycleSpec, eps: Optional[float] = None) -> CycleResult:
     )
     if not c.valid[0]:
         mode_pairs_for_cycle(spec)  # raises the decomposition's own DomainError
-        raise DomainError(f"no valid mode decomposition for {spec}")
+        heats = np.stack([c.q_h, c.q_c, c.w], axis=-1)[:, 0].tolist()
+        total = [float(x[0]) for x in (c.q_h_total, c.q_c_total, c.w_total)]
+        raise DomainError(f"non-finite heats: (Q_h, Q_c, W) = {heats} of modes A, B, {total} total")
     modes = [
         ModeCycleResult(
             mode_id=mode_id,
@@ -572,11 +572,3 @@ def xx_cop_difference(
     t_h, t_c = baths.t_h, baths.t_c
     gamma_p = t_h * t_c * (omega - omega_prime)
     return (t_c * _csch(omega / t_h) + t_h * _csch(omega_prime / t_c)) * lam * lam / gamma_p
-
-
-def occupation_relaxation(n0: float, n_eq: float, rate: float, t: float) -> float:
-    """Closed-form occupation relaxation against a flat reservoir:
-    ``(n0 - n_eq) exp(-rate * t) + n_eq``."""
-    if rate < 0.0 or t < 0.0:
-        raise DomainError(f"need rate >= 0 and t >= 0, got rate={rate}, t={t}")
-    return (n0 - n_eq) * math.exp(-rate * t) + n_eq

@@ -6,15 +6,11 @@ matrix sigma_y x sigma_y depends on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .medium import CycleSpec, MediumKind
 
 __all__ = [
-    "ConcurrencePair",
     "spin_pair_hamiltonian",
     "spin_pair_hamiltonian_batch",
     "thermal_state",
@@ -22,7 +18,6 @@ __all__ = [
     "validate_density_matrix",
     "concurrence",
     "concurrence_batch",
-    "cycle_concurrences",
 ]
 
 # sigma_y x sigma_y in the product basis; real because the i's cancel.
@@ -37,15 +32,6 @@ SPIN_FLIP = np.array(
 
 _CLAMP = 1e-12  # eigenvalues in (-_CLAMP, 0) are rounding noise -> 0
 _BROKEN = 1e-10  # anything below -_BROKEN signals a broken state
-
-
-@dataclass(frozen=True)
-class ConcurrencePair:
-    """Concurrence at the end of the hot (Stage 1) and cold (Stage 3)
-    thermalization strokes."""
-
-    c_h: float
-    c_c: float
 
 
 def spin_pair_hamiltonian(omega: float, j_x: float, j_y: float) -> np.ndarray:
@@ -67,15 +53,14 @@ def spin_pair_hamiltonian_batch(omega, j_x, j_y) -> np.ndarray:
         np.asarray(omega, dtype=float), np.asarray(j_x, dtype=float), np.asarray(j_y, dtype=float)
     )
     n = omega.shape[0]
-    l_plus = 0.5 * (j_x + j_y)
-    l_minus = 0.5 * (j_x - j_y)
     h = np.zeros((n, 4, 4))
-    h[:, 0, 0] = 3.0 * omega
-    h[:, 1, 1] = 2.0 * omega
-    h[:, 2, 2] = 2.0 * omega
+    with np.errstate(over="ignore"):
+        h[:, 0, 0] = 3.0 * omega
+        h[:, 1, 1] = 2.0 * omega
+        h[:, 2, 2] = 2.0 * omega
+        h[:, 1, 2] = h[:, 2, 1] = 0.5 * (j_x + j_y)
+        h[:, 0, 3] = h[:, 3, 0] = 0.5 * (j_x - j_y)
     h[:, 3, 3] = omega
-    h[:, 1, 2] = h[:, 2, 1] = l_plus
-    h[:, 0, 3] = h[:, 3, 0] = l_minus
     return h
 
 
@@ -92,10 +77,17 @@ def thermal_state(h: np.ndarray, beta: float) -> np.ndarray:
 
 
 def thermal_state_batch(h: np.ndarray, beta) -> np.ndarray:
-    """Batched Gibbs states for stacked Hamiltonians (n, d, d)."""
+    """Batched Gibbs states for stacked Hamiltonians (n, d, d); DomainError
+    if an entry is not finite (e.g. a frequency near the float limit)."""
+    if not np.isfinite(h).all():
+        raise DomainError("Hamiltonian has a non-finite entry")
     beta = np.asarray(beta, dtype=float).reshape(-1, 1)
     evals, vecs = np.linalg.eigh(h)
-    weights = np.exp(-beta * (evals - evals.min(axis=1, keepdims=True)))
+    gap = evals - evals.min(axis=1, keepdims=True)
+    # the ground level keeps weight 1 also at beta = inf (a t_c whose
+    # inverse overflows), where -beta * 0 would be nan
+    with np.errstate(invalid="ignore"):
+        weights = np.where(gap > 0.0, np.exp(-beta * gap), 1.0)
     weights /= weights.sum(axis=1, keepdims=True)
     return np.einsum("nik,nk,njk->nij", vecs, weights, vecs.conj())
 
@@ -137,7 +129,8 @@ def concurrence_batch(rho: np.ndarray) -> np.ndarray:
     descending order.
 
     Raises NumericalError if an eigenvalue falls below -1e-10, which
-    signals a broken (non-positive) input state.
+    signals a broken (non-positive) input state.  An empty stack gives an
+    empty array.
     """
     rho = np.asarray(rho)
     herm = (rho + np.swapaxes(rho.conj(), -1, -2)) / 2.0
@@ -146,27 +139,9 @@ def concurrence_batch(rho: np.ndarray) -> np.ndarray:
     rho_tilde = SPIN_FLIP @ rho.conj() @ SPIN_FLIP
     m = sqrt_rho @ rho_tilde @ sqrt_rho
     lam = np.linalg.eigvalsh((m + np.swapaxes(m.conj(), -1, -2)) / 2.0)
-    if lam.min() < -_BROKEN:
+    if (lam < -_BROKEN).any():
         raise NumericalError(
             f"spin-flipped spectrum has eigenvalue {lam.min():.3e} < -{_BROKEN:g}"
         )
     lam = np.sqrt(np.clip(lam, 0.0, None))
     return np.maximum(0.0, 2.0 * lam[..., -1] - lam.sum(axis=-1))
-
-
-def cycle_concurrences(spec: CycleSpec) -> ConcurrencePair:
-    """Concurrence of the thermal states at the ends of Stages 1 and 3.
-
-    C_h comes from the hot-point Hamiltonian at beta_h, C_c from the
-    cold-point Hamiltonian at beta_c.  Spin medium only.
-    """
-    if spec.kind is not MediumKind.SPIN:
-        raise DomainError("cycle concurrences are defined for the spin medium only")
-    hot, cold = spec.hot, spec.cold
-    h = spin_pair_hamiltonian_batch(
-        [hot.omega, cold.omega],
-        [hot.coupling.j_x, cold.coupling.j_x],
-        [hot.coupling.j_y, cold.coupling.j_y],
-    )
-    c_h, c_c = concurrence_batch(thermal_state_batch(h, [spec.baths.beta_h, spec.baths.beta_c]))
-    return ConcurrencePair(c_h=float(c_h), c_c=float(c_c))

@@ -34,7 +34,6 @@ __all__ = [
     "ModePairs",
     "oscillator_normal_modes",
     "spin_normal_modes",
-    "mean_occupation",
     "mode_pairs_for_cycle",
     "model_coupling",
     "standard_cycle",
@@ -211,23 +210,6 @@ def spin_normal_modes(omega: float, j_x: float, j_y: float) -> ModePair:
     return ModePair(float(w_a), float(w_b))
 
 
-def mean_occupation(kind: MediumKind, beta: float, omega: float) -> float:
-    """Thermal mean excitation number of a single mode.
-
-    Oscillator: ``1/(exp(beta*omega) - 1)``; spin: ``1/(exp(beta*omega) + 1)``.
-    Evaluated through ``exp(-beta*omega)`` so large arguments underflow to 0
-    instead of overflowing.
-    """
-    if not (beta > 0.0 and omega > 0.0):
-        raise DomainError(f"need beta > 0 and omega > 0, got beta={beta}, omega={omega}")
-    q = math.exp(-beta * omega)
-    if kind is MediumKind.OSCILLATOR:
-        return q / (1.0 - q)
-    if kind is MediumKind.SPIN:
-        return q / (1.0 + q)
-    raise UnknownModel(f"unknown medium kind: {kind!r}")
-
-
 def mode_pairs_for_cycle(spec: CycleSpec) -> ModePairs:
     """Hot/cold decoupled frequencies for both modes of a cycle.
 
@@ -247,7 +229,6 @@ def model_coupling(model: str, *values):
     ``(v, -v)`` and ``"general"`` passes ``(cx, cy)`` through.  The pair is
     (j_x, j_y) for spins and (lambda_x, lambda_p) for oscillators.
     """
-    model = model.lower()
     if model == "xx":
         (v,) = values
         return v, v
@@ -274,7 +255,7 @@ def standard_cycle(
     for ``"general"``, mapped by `model_coupling`.  The same coupling is
     used at the hot and cold points; only the bare frequency is driven.
     """
-    values = coupling if model.lower() == "general" else (coupling,)
+    values = coupling if model == "general" else (coupling,)
     cx, cy = map(float, model_coupling(model, *values))
     if kind is MediumKind.OSCILLATOR:
         c = OscillatorCoupling(lambda_x=cx, lambda_p=cy)
@@ -299,7 +280,7 @@ def oscillator_mode_frequencies(omega, lambda_x, lambda_p):
     than raising, so sweeps can mask them.
     """
     omega = np.asarray(omega, dtype=float)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         w_a = np.sqrt((omega + lambda_p) * (omega + lambda_x))
         w_b = np.sqrt((omega - lambda_p) * (omega - lambda_x))
     bad = ~(omega > np.maximum(np.abs(lambda_x), np.abs(lambda_p)))
@@ -315,7 +296,7 @@ def spin_mode_frequencies(omega, j_x, j_y):
     """Spin decomposition over broadcast arrays; returns (w_a, w_b) with
     nan where ``omega <= 0`` or a mode frequency would be non-positive."""
     omega = np.asarray(omega, dtype=float)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         l_plus = 0.5 * (np.asarray(j_x, dtype=float) + j_y)
         l_minus = 0.5 * (np.asarray(j_x, dtype=float) - j_y)
         s = np.asarray(_hypot(omega, l_minus), dtype=float)

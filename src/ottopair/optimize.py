@@ -24,7 +24,7 @@ from .medium import BathPair, MediumKind, model_coupling, oscillator_mode_freque
 
 __all__ = [
     "SearchDomain",
-    "SampleRecord",
+    "SampleColumns",
     "single_system_work",
     "coupled_total_work",
     "max_uncoupled_work",
@@ -54,17 +54,25 @@ class SearchDomain:
 
 
 @dataclass(frozen=True)
-class SampleRecord:
-    """One accepted Monte Carlo draw of the coupled XX spin engine."""
+class SampleColumns:
+    """`sample_engine_points` output: one array per column over the
+    accepted draws of the coupled XX spin engine, in draw order.
 
-    omega: float
-    omega_prime: float
-    lam: float
-    w_total: float
-    c_h: float
-    c_c: float
-    regime_a: Regime
-    regime_b: Regime
+    Regimes are int8 codes into `REGIMES`; ``len()`` is the number of
+    accepted draws.
+    """
+
+    omega: np.ndarray
+    omega_prime: np.ndarray
+    lam: np.ndarray
+    w_total: np.ndarray
+    c_h: np.ndarray
+    c_c: np.ndarray
+    regime_a: np.ndarray
+    regime_b: np.ndarray
+
+    def __len__(self) -> int:
+        return self.omega.shape[0]
 
 
 def single_system_work(kind: MediumKind, omega, omega_prime, baths: BathPair):
@@ -210,7 +218,7 @@ def max_coupled_work(
     other model and NumericalError if the optimum beats the uncoupled-pair
     optimum by more than 1e-9.
     """
-    n_couplings = 2 if model.lower() == "general" else 1
+    n_couplings = 2 if model == "general" else 1
 
     def work(omega, omega_prime, *coupling):
         cx, cy = model_coupling(model, *coupling)
@@ -233,7 +241,7 @@ def sample_engine_points(
     n: int,
     domain: SearchDomain = SearchDomain(),
     baths: Optional[BathPair] = None,
-) -> list[SampleRecord]:
+) -> SampleColumns:
     """Monte Carlo sweep of the coupled XX spin pair in engine mode.
 
     Draws `n` i.i.d. uniform (omega, omega', lambda) triples from the
@@ -255,41 +263,21 @@ def sample_engine_points(
     omega, omega_prime, lam = draws.T
 
     valid = (omega > lam) & (omega_prime > lam) & (omega > 0) & (omega_prime > 0)
-    qa = heats_arrays(MediumKind.SPIN, omega + lam, omega_prime + lam, baths.beta_h, baths.beta_c)
+    with np.errstate(over="ignore"):
+        qa = heats_arrays(
+            MediumKind.SPIN, omega + lam, omega_prime + lam, baths.beta_h, baths.beta_c
+        )
     qb = heats_arrays(MediumKind.SPIN, omega - lam, omega_prime - lam, baths.beta_h, baths.beta_c)
     w = qa[2] + qb[2]
     engine = REGIMES.index(Regime.ENGINE)
     keep = valid & (regime_codes(qa[0] + qb[0], qa[1] + qb[1], w)[0] == engine)
 
-    idx = np.nonzero(keep)[0]
-    if idx.size == 0:
-        return []
-    labels = np.array(REGIMES, dtype=object)
-    regimes = [labels[regime_codes(qs[0][idx], qs[1][idx], qs[2][idx])[0]] for qs in (qa, qb)]
-
-    c_h = concurrence_batch(
-        thermal_state_batch(
-            spin_pair_hamiltonian_batch(omega[idx], lam[idx], lam[idx]),
-            np.full(idx.size, baths.beta_h),
+    omega, omega_prime, lam = omega[keep], omega_prime[keep], lam[keep]
+    c_h, c_c = (
+        concurrence_batch(
+            thermal_state_batch(spin_pair_hamiltonian_batch(om, lam, lam), np.full(lam.size, beta))
         )
+        for om, beta in ((omega, baths.beta_h), (omega_prime, baths.beta_c))
     )
-    c_c = concurrence_batch(
-        thermal_state_batch(
-            spin_pair_hamiltonian_batch(omega_prime[idx], lam[idx], lam[idx]),
-            np.full(idx.size, baths.beta_c),
-        )
-    )
-
-    return [
-        SampleRecord(
-            omega=float(omega[i]),
-            omega_prime=float(omega_prime[i]),
-            lam=float(lam[i]),
-            w_total=float(w[i]),
-            c_h=float(c_h[j]),
-            c_c=float(c_c[j]),
-            regime_a=regimes[0][j],
-            regime_b=regimes[1][j],
-        )
-        for j, i in enumerate(idx)
-    ]
+    regime_a, regime_b = (regime_codes(*(x[keep] for x in qs))[0] for qs in (qa, qb))
+    return SampleColumns(omega, omega_prime, lam, w[keep], c_h, c_c, regime_a, regime_b)

@@ -341,7 +341,6 @@ def oscillator_cycle_heat_check(
     within-sector rank); the general coupling only conserves parity, so it
     is not covered here (the spectrum and per-mode checks are).
     """
-    model = model.lower()
     if model == "xx":
         hot = _xx_sector_levels(omega, lam, n_max)
         cold = _xx_sector_levels(omega_prime, lam, n_max)

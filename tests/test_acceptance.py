@@ -223,11 +223,9 @@ def test_criterion_7_optimal_work_bound():
 
     # seed chosen so the near-optimal set is non-empty and the
     # zero-concurrence claim is exercised, not vacuously true
-    records = sample_engine_points(2, 100000, SearchDomain(), BATHS)
-    assert records, "engine filter rejected every sample"
-    w = np.array([r.w_total for r in records])
-    c_h = np.array([r.c_h for r in records])
-    c_c = np.array([r.c_c for r in records])
+    samples = sample_engine_points(2, 100000, SearchDomain(), BATHS)
+    assert len(samples), "engine filter rejected every sample"
+    w, c_h, c_c = samples.w_total, samples.c_h, samples.c_c
     assert (w <= w0_pair + 1e-9).all()
     near = w > w0_pair - 1e-3
     assert near.sum() >= 1
@@ -236,7 +234,7 @@ def test_criterion_7_optimal_work_bound():
     assert elapsed < 300.0
     _report(
         7,
-        f"optimal work bound holds on {len(records)} engine samples "
+        f"optimal work bound holds on {len(samples)} engine samples "
         f"(W_0^max = {w0_pair:.9f} at omega = {w_star:.4f}, omega' = {wp_star:.4f}); "
         f"{int(near.sum())} near-optimal samples all have C_h, C_c < 0.02 "
         f"({elapsed:.1f} s)",

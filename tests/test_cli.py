@@ -1,12 +1,23 @@
+import contextlib
 import csv
-import time
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+import tempfile
+import time
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ottopair
 import ottopair.medium as medium
-from ottopair.cli import EXIT_CONFIG, EXIT_DOMAIN, EXIT_OK, EXIT_VERIFY, main
+from ottopair.cli import EXIT_CONFIG, EXIT_DOMAIN, EXIT_OK, EXIT_PIPE, EXIT_VERIFY, main
 
 
 def run_cli(capsys, *args):
@@ -396,3 +407,172 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "figure", "fig3", "--out", str(tmp_path / "no" / "x.csv"))
     assert code == EXIT_CONFIG
     assert "--out" in err
+
+
+_CYCLE_POINT = ("cycle", "--lam", "1", "--omega", "4", "--omega-prime", "3", "--th", "2",
+                "--tc", "1")
+
+
+@pytest.mark.parametrize(
+    "command,values",
+    [
+        (("figure", "fig3"), {"format": "xml"}),
+        (("optimize", "--medium", "spin", "--th", "2", "--tc", "1"), {"model": "XX"}),
+        (("optimize", "--medium", "spin", "--th", "2", "--tc", "1"), {"model": "bogus"}),
+        (_CYCLE_POINT + ("--medium", "spin"), {"model": "bogus"}),
+        (_CYCLE_POINT + ("--model", "xx"), {"medium": "OSC"}),
+        (("verify",), {"level": "slow"}),
+        (("sample", "--th", "2", "--tc", "1", "--n", "10"), {"format": None}),
+    ],
+    ids=["format-xml", "model-XX", "optimize-model-bogus", "cycle-model-bogus", "medium-OSC",
+         "level-slow", "format-null"],
+)
+def test_config_choice_outside_the_flag_choices_exits_2(tmp_path, capsys, command, values):
+    # a config file gets the same choices as the flags, with no case folding
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(values))
+    code, out, err = run_cli(capsys, *command, "--config", str(cfg))
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert "must be one of" in err
+
+
+def test_config_null_is_the_option_default(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"seed": None, "domain_max": None}))
+    args = ("sample", "--th", "2", "--tc", "1", "--n", "300")
+    with_nulls = run_cli(capsys, *args, "--config", str(cfg))
+    assert with_nulls == run_cli(capsys, *args)
+    assert with_nulls[0] == EXIT_OK and with_nulls[1].count("\n") > 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("fig7a", "--omega", "0", "--sweep", "0:0.02:0.01"),
+        ("fig7b", "--omega", "3", "--omega-prime", "3", "--sweep", "0:1:1"),
+        ("fig7a", "--omega", "nan"),
+        ("fig3", "--omega", "inf"),
+        ("fig6", "--omega-prime", "-1"),
+        ("fig7a", "--omega", "1e-320", "--sweep", "0:0:1"),
+    ],
+    ids=["fig7a-zero", "fig7b-equal", "fig7a-nan", "fig3-inf", "fig6-negative", "fig7a-tiny"],
+)
+def test_figure_refuses_bad_frequencies(capsys, args):
+    code, out, err = run_cli(capsys, "figure", *args)
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert "omega" in err
+
+
+_OVERFLOW = ("--medium", "osc", "--model", "xx", "--omega", "4", "--omega-prime", "3",
+             "--th", "1e308", "--tc", "1e-308")
+
+
+def test_overflowing_heats_are_refused(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "cycle", *_OVERFLOW, "--lam", "0")
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert "non-finite heats" in err
+        # the sweep prints the row the way it prints an unstable one
+        code, out, _ = run_cli(capsys, "sweep", *_OVERFLOW, "--sweep", "0:0:1")
+    assert code == EXIT_OK
+    assert out.splitlines()[1] == "0" + "," * 21
+
+
+def test_closed_stdout_pipe_exits_141():
+    src = str(Path(ottopair.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ottopair.cli", "sweep", "--medium", "osc", "--model", "xx",
+         "--omega", "4", "--omega-prime", "3", "--th", "2", "--tc", "1", "--sweep", "0:3:0.0001"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"lambda,")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == EXIT_PIPE
+    assert err == b""
+
+
+# ---------------------------------------------------------------------------
+# property test: every documented flag, edge values included
+
+_EDGE = [0.0, -1.0, math.nan, math.inf, 1e-320, 1e308]
+_VALUE = st.one_of(
+    st.sampled_from(_EDGE + [0.5, 1.0, 2.0, 3.0, 4.0, 5.0]),
+    st.floats(-2.0, 8.0),
+)
+
+
+def _flag(name, value):
+    return [f"--{name}={value!r}"]
+
+
+@st.composite
+def _grid(draw):
+    lo, step = draw(_VALUE), draw(_VALUE)
+    return f"{lo!r}:{lo + step * draw(st.integers(0, 49))!r}:{step!r}"
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["cycle", "sweep", "figure", "sample"]))
+    argv = [command]
+    if command == "figure":
+        argv.append(draw(st.sampled_from(["fig3", "fig6", "fig7a", "fig7b"])))
+    optional = lambda name: _flag(name, draw(_VALUE)) if draw(st.booleans()) else []
+    if command in ("cycle", "sweep"):
+        model = draw(st.sampled_from(["xx", "xy", "general"]))
+        argv += ["--medium", draw(st.sampled_from(["osc", "spin"])), "--model", model]
+        couplings = ["lam"] if model != "general" else ["jx", "jy", "lx", "lp"]
+        for name in ["omega", "omega-prime", "th", "tc", *couplings]:
+            argv += _flag(name, draw(_VALUE))
+    else:
+        for name in ["th", "tc"] + (["omega", "omega-prime"] if command == "figure" else []):
+            argv += optional(name)
+    if command in ("sweep", "figure"):
+        argv += ["--sweep", draw(_grid())]
+    if command == "sample":
+        argv += ["--n", str(draw(st.integers(-1, 200))), "--seed", str(draw(st.integers(-1, 9)))]
+        argv += optional("domain-max")
+    if command != "cycle":
+        argv += ["--format", draw(st.sampled_from(["csv", "json"]))]
+    return argv
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"non-finite JSON number {name}")
+
+
+def _assert_finite_fields(text, is_json):
+    if is_json:
+        json.loads(text, parse_constant=_refuse_constant)
+        return
+    for row in csv.reader(io.StringIO(text)):
+        for cell in row:
+            try:
+                value = float(cell)
+            except ValueError:
+                continue
+            assert math.isfinite(value), row
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(argv=_argv(), to_file=st.booleans())
+def test_cli_never_crashes_or_prints_non_finite_numbers(argv, to_file):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "out")
+        if to_file:
+            argv = argv + ["--out", str(path)]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refusals
+                code = exc.code
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DOMAIN), (code, stderr.getvalue())
+        text = path.read_text() if to_file and path.exists() else stdout.getvalue()
+    if code != EXIT_OK:
+        assert text == ""  # a refused input prints nothing
+    else:
+        _assert_finite_fields(text, argv[0] == "cycle" or "json" in argv)

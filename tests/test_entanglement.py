@@ -7,7 +7,6 @@ from ottopair.entanglement import (
     SPIN_FLIP,
     concurrence,
     concurrence_batch,
-    cycle_concurrences,
     spin_pair_hamiltonian,
     spin_pair_hamiltonian_batch,
     thermal_state,
@@ -15,7 +14,7 @@ from ottopair.entanglement import (
     validate_density_matrix,
 )
 from ottopair.errors import DomainError, NumericalError
-from ottopair.medium import BathPair, MediumKind, standard_cycle
+from ottopair.medium import BathPair
 
 BATHS = BathPair(2.0, 1.0)
 
@@ -71,8 +70,12 @@ def test_thermal_state_limits():
     evals, vecs = np.linalg.eigh(h)
     ground = np.outer(vecs[:, 0], vecs[:, 0].conj())
     assert np.allclose(cold, ground, atol=1e-12)
+    assert np.allclose(thermal_state(h, math.inf), ground, atol=1e-15)
     with pytest.raises(DomainError):
         thermal_state(h, 0.0)
+    # 3 * omega overflows the |uu> level
+    with pytest.raises(DomainError):
+        thermal_state(spin_pair_hamiltonian(1e308, 1.0, 1.0), 1.0)
 
 
 def test_thermal_state_is_valid_and_commutes():
@@ -181,35 +184,25 @@ def test_validate_density_matrix_errors():
         validate_density_matrix(negative)
 
 
-def test_cycle_concurrences_product_state_at_zero_coupling():
-    pair = cycle_concurrences(standard_cycle(MediumKind.SPIN, "xx", 4.0, 3.0, 0.0, BATHS))
-    assert pair.c_h == 0.0 and pair.c_c == 0.0
+def test_concurrence_of_product_state_at_zero_coupling():
+    for omega, beta in ((4.0, BATHS.beta_h), (3.0, BATHS.beta_c)):
+        assert concurrence(thermal_state(spin_pair_hamiltonian(omega, 0.0, 0.0), beta)) == 0.0
 
 
-def test_cycle_concurrences_strong_coupling_cold_limit():
+def test_concurrence_strong_coupling_cold_limit():
     # with lambda >> omega the ground state is the singlet, so cold thermal
     # states approach a Bell state and the concurrence goes to 1
     cold = BathPair(0.05, 0.02)
-    pair = cycle_concurrences(standard_cycle(MediumKind.SPIN, "xx", 1.0, 0.9, 3.0, cold))
-    assert pair.c_h > 0.95 and pair.c_c > 0.95
-    with pytest.raises(DomainError):
-        cycle_concurrences(standard_cycle(MediumKind.OSCILLATOR, "xx", 4.0, 3.0, 0.5, BATHS))
+    for omega, beta in ((1.0, cold.beta_h), (0.9, cold.beta_c)):
+        assert concurrence(thermal_state(spin_pair_hamiltonian(omega, 3.0, 3.0), beta)) > 0.95
 
 
-def test_cycle_concurrences_stay_in_unit_interval():
-    rng = np.random.default_rng(5)
-    for _ in range(300):
-        omega = rng.uniform(0.2, 10.0)
-        omega_prime = rng.uniform(0.2, 10.0)
-        lam = rng.uniform(-3.0, 3.0)
-        t_c = rng.uniform(0.05, 2.0)
-        baths = BathPair(t_c * rng.uniform(1.1, 5.0), t_c)
-        pair = cycle_concurrences(
-            standard_cycle(MediumKind.SPIN, "general", omega, omega_prime,
-                           (lam, rng.uniform(-3.0, 3.0)), baths)
-        )
-        assert 0.0 <= pair.c_h <= 1.0
-        assert 0.0 <= pair.c_c <= 1.0
+def test_concurrence_batch_of_empty_stack():
+    empty = np.zeros((0, 4, 4))
+    assert concurrence_batch(empty).shape == (0,)
+    states = thermal_state_batch(spin_pair_hamiltonian_batch([], [], []), [])
+    assert states.shape == (0, 4, 4)
+    assert concurrence_batch(states).shape == (0,)
 
 
 def test_thermal_concurrences_unit_interval_bulk():

@@ -12,7 +12,6 @@ from ottopair.medium import (
     ModePair,
     OscillatorCoupling,
     SpinCoupling,
-    mean_occupation,
     mode_pairs_for_cycle,
     model_coupling,
     oscillator_normal_modes,
@@ -100,26 +99,6 @@ def test_oscillator_modes_match_truncated_fock_spectrum():
             ((n[:, None] + 0.5) * modes.omega_a + (n[None, :] + 0.5) * modes.omega_b).ravel()
         )[:12]
         assert np.abs(brute - ladder).max() < 1e-8
-
-
-def test_mean_occupation_values():
-    assert mean_occupation(OSC, 1.0, 1.0) == pytest.approx(1.0 / (math.e - 1.0), rel=1e-14)
-    assert mean_occupation(OSC, 1000.0, 1.0) == pytest.approx(0.0, abs=1e-300)
-    assert mean_occupation(SPIN, 1e-12, 1.0) == pytest.approx(0.5, abs=1e-9)
-    assert mean_occupation(SPIN, 0.7, 3.0) == pytest.approx(1.0 / (math.exp(2.1) + 1.0), rel=1e-14)
-    with pytest.raises(DomainError):
-        mean_occupation(OSC, -1.0, 1.0)
-
-
-def test_mean_occupation_identities():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        beta = rng.uniform(0.05, 5.0)
-        omega = rng.uniform(0.1, 8.0)
-        n_os = mean_occupation(OSC, beta, omega)
-        n_sp = mean_occupation(SPIN, beta, omega)
-        assert 1.0 / math.tanh(0.5 * beta * omega) == pytest.approx(2 * n_os + 1, rel=1e-13)
-        assert math.tanh(0.5 * beta * omega) == pytest.approx(1 - 2 * n_sp, rel=1e-13)
 
 
 def test_mode_pairs_for_cycle_tracks_branches():

@@ -1,14 +1,15 @@
 import math
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from ottopair.cycle import Regime, evaluate_cycle
+from ottopair.cycle import REGIMES, Regime, evaluate_cycle
 from ottopair.errors import EmptyDomain, UnknownModel
 from ottopair.medium import BathPair, MediumKind, standard_cycle
 from ottopair.optimize import (
-    SampleRecord,
+    SampleColumns,
     SearchDomain,
     max_coupled_work,
     max_uncoupled_work,
@@ -104,22 +105,32 @@ def test_max_coupled_work_oscillator_bound_holds():
 
 def test_sampler_determinism_and_filter():
     domain = SearchDomain()
-    records = sample_engine_points(17, 4000, domain, BATHS)
+    cols = sample_engine_points(17, 4000, domain, BATHS)
     again = sample_engine_points(17, 4000, domain, BATHS)
-    assert records == again
-    assert 0 < len(records) < 4000
-    for r in records[:: max(1, len(records) // 60)]:
-        assert isinstance(r, SampleRecord)
-        assert r.lam < min(r.omega, r.omega_prime)
-        assert 0.0 <= r.c_h <= 1.0 and 0.0 <= r.c_c <= 1.0
+    assert isinstance(cols, SampleColumns)
+    for f in fields(SampleColumns):
+        a, b = getattr(cols, f.name), getattr(again, f.name)
+        assert a.shape == (len(cols),) and np.array_equal(a, b)
+    assert 0 < len(cols) < 4000
+    assert cols.regime_a.dtype == cols.regime_b.dtype == np.int8
+    for i in range(0, len(cols), max(1, len(cols) // 60)):
+        omega, omega_prime, lam = cols.omega[i], cols.omega_prime[i], cols.lam[i]
+        assert lam < min(omega, omega_prime)
+        assert 0.0 <= cols.c_h[i] <= 1.0 and 0.0 <= cols.c_c[i] <= 1.0
         # the engine filter must agree with a from-scratch evaluation
-        result = evaluate_cycle(
-            standard_cycle(SPIN, "xx", r.omega, r.omega_prime, r.lam, BATHS)
-        )
+        result = evaluate_cycle(standard_cycle(SPIN, "xx", omega, omega_prime, lam, BATHS))
         assert result.regime is Regime.ENGINE
-        assert result.w_total == pytest.approx(r.w_total, rel=1e-12)
-        assert result.mode_a.regime is r.regime_a
-        assert result.mode_b.regime is r.regime_b
+        assert result.w_total == pytest.approx(cols.w_total[i], rel=1e-12)
+        assert result.mode_a.regime is REGIMES[cols.regime_a[i]]
+        assert result.mode_b.regime is REGIMES[cols.regime_b[i]]
+
+
+def test_sampler_with_no_accepted_draw_returns_empty_columns():
+    # one draw that is not an engine: the same path as any other run
+    cols = sample_engine_points(0, 1, SearchDomain(), BATHS)
+    assert len(cols) == 0
+    for f in fields(SampleColumns):
+        assert getattr(cols, f.name).shape == (0,)
 
 
 def test_sampler_rejects_bad_count():
@@ -129,9 +140,8 @@ def test_sampler_rejects_bad_count():
 
 def test_sampled_points_never_beat_uncoupled_bound():
     _, _, w_single = max_uncoupled_work(SPIN, BATHS, SearchDomain(), resolution=400)
-    records = sample_engine_points(23, 20000, SearchDomain(), BATHS)
-    w = np.array([r.w_total for r in records])
-    assert (w <= 2.0 * w_single + 1e-9).all()
+    cols = sample_engine_points(23, 20000, SearchDomain(), BATHS)
+    assert (cols.w_total <= 2.0 * w_single + 1e-9).all()
 
 
 def test_single_system_work_handles_zero_frequency():
