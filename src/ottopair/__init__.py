@@ -62,7 +62,6 @@ from .optimize import (
 )
 from .oracle import (
     exact_spin_spectrum,
-    partition_factorization_check,
     run_verification,
     thermal_energy_check,
     truncated_oscillator_matrix,

@@ -28,7 +28,7 @@ from typing import Iterable, Optional, get_args, get_type_hints
 import numpy as np
 
 from .cycle import REGIMES, CycleColumns, CycleResult, Regime, evaluate_cycle, evaluate_cycles
-from .errors import ConfigError, DomainError, OttoPairError
+from .errors import ConfigError, DomainError, NumericalError, OttoPairError
 from .medium import BathPair, MediumKind, model_coupling, standard_cycle
 from .optimize import SearchDomain, max_coupled_work, max_uncoupled_work, sample_engine_points
 from .oracle import run_verification
@@ -69,6 +69,8 @@ class RunConfig:
 
 # a batched grid is allocated at once, so its size is capped
 MAX_SWEEP_ROWS = 1_000_000
+# the sampler draws all its points at once
+MAX_DRAWS = 10_000_000
 
 
 def _fmt(value) -> str:
@@ -102,9 +104,18 @@ def _write_rows(cfg: RunConfig, header: list[str], rows: Iterable[Iterable]) -> 
         _write_text(cfg, itertools.chain([",".join(header) + "\n"], lines))
 
 
+def _json_chunks(doc):
+    """The chunks of json.dumps(doc, indent=2); NumericalError at a
+    non-finite number, which JSON has no spelling for."""
+    try:
+        yield from json.JSONEncoder(indent=2, allow_nan=False).iterencode(doc)
+    except ValueError as exc:
+        raise NumericalError(f"non-finite number in the output document: {exc}") from None
+
+
 def _write_doc(cfg: RunConfig, doc) -> None:
-    # streamed, with the bytes of json.dumps(doc, indent=2) + "\n"
-    _write_text(cfg, itertools.chain(json.JSONEncoder(indent=2).iterencode(doc), ["\n"]))
+    # streamed; a refused document may leave the chunks before the bad number
+    _write_text(cfg, itertools.chain(_json_chunks(doc), ["\n"]))
 
 
 # ---------------------------------------------------------------------------
@@ -130,11 +141,14 @@ def _baths(cfg: RunConfig) -> BathPair:
     return BathPair(t_h=th, t_c=tc)
 
 
-def _at_least(cfg: RunConfig, field: str, low: int) -> int:
-    """An integer option (--seed, --n, --resolution) refused below `low`."""
+def _bounded(cfg: RunConfig, field: str, low: int, high: float = math.inf) -> int:
+    """An integer option (--seed, --n, --resolution) refused below `low`
+    or above `high`."""
     value = int(getattr(cfg, field))
     if value < low:
         raise ConfigError(f"--{field} must be at least {low}, got {value}")
+    if value > high:
+        raise ConfigError(f"--{field} must be at most {high}, got {value}")
     return value
 
 
@@ -184,9 +198,12 @@ def _parse_sweep(text: str) -> np.ndarray:
         raise ConfigError(f"--sweep values must be finite, got {text!r}")
     if step <= 0 or hi < lo:
         raise ConfigError(f"--sweep needs step > 0 and hi >= lo, got {text!r}")
-    if not (hi - lo) / step < MAX_SWEEP_ROWS - 0.5:
+    ratio = (hi - lo) / step
+    if not ratio < MAX_SWEEP_ROWS - 0.5:
         raise ConfigError(f"--sweep {text!r} exceeds {MAX_SWEEP_ROWS} rows")
-    count = int(round((hi - lo) / step))
+    # the last point stays <= hi; the slack absorbs the rounding of the ratio
+    # (0:1.99:0.01 gives 198.99999999999997 and keeps its 200 rows)
+    count = math.floor(ratio * (1.0 + 1e-12))
     if not math.isfinite(lo + step * count):
         raise ConfigError(f"--sweep {text!r} ends beyond the float range")
     return lo + step * np.arange(count + 1)
@@ -331,7 +348,7 @@ def figure_rows(name: str, cfg: RunConfig) -> tuple[list[str], list[list]]:
 
     if name == "fig5":
         domain = _domain(cfg)
-        seed, n = _at_least(cfg, "seed", 0), _at_least(cfg, "n", 1)
+        seed, n = _bounded(cfg, "seed", 0), _bounded(cfg, "n", 1, MAX_DRAWS)
         s = sample_engine_points(seed, n, domain, baths)
         header = ["W", "C_h", "C_c", "omega", "omega_prime", "lambda_J"]
         columns = (s.w_total, s.c_h, s.c_c, s.omega, s.omega_prime, s.lam)
@@ -397,7 +414,10 @@ def cmd_optimize(cfg: RunConfig) -> int:
     kind = _medium_kind(cfg)
     baths = _baths(cfg)
     domain = _domain(cfg)
-    resolution = _at_least(cfg, "resolution", 2)
+    # the coupled search evaluates resolution^2 (xx, xy) or resolution^3
+    # (general) points per omega-slice, at most MAX_SWEEP_ROWS
+    slice_axes = 3 if cfg.model == "general" else 2
+    resolution = _bounded(cfg, "resolution", 2, round(MAX_SWEEP_ROWS ** (1 / slice_axes)))
     w_star, wp_star, w_single = max_uncoupled_work(kind, baths, domain, max(resolution, 200))
     params, w_max = max_coupled_work(kind, cfg.model, baths, domain, resolution)
     # both searches estimate their optima from below, so the better of the
@@ -430,7 +450,7 @@ def cmd_optimize(cfg: RunConfig) -> int:
 def cmd_sample(cfg: RunConfig) -> int:
     baths = _baths(cfg)
     domain = _domain(cfg)
-    seed, n = _at_least(cfg, "seed", 0), _at_least(cfg, "n", 1)
+    seed, n = _bounded(cfg, "seed", 0), _bounded(cfg, "n", 1, MAX_DRAWS)
     s = sample_engine_points(seed, n, domain, baths)
     header = [
         "omega", "omega_prime", "lambda_J", "W_total", "C_h", "C_c",
@@ -442,7 +462,7 @@ def cmd_sample(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    report = run_verification(cfg.level, seed=_at_least(cfg, "seed", 0))
+    report = run_verification(cfg.level, seed=_bounded(cfg, "seed", 0))
     sys.stdout.write(report.format_table() + "\n")
     return EXIT_OK if report.ok else EXIT_VERIFY
 

@@ -39,28 +39,27 @@ def spin_pair_hamiltonian(omega: float, j_x: float, j_y: float) -> np.ndarray:
 
     Diagonal (3w, 2w, 2w, w); flip-flop entries (j_x + j_y)/2 between
     |ud> and |du>; double-flip entries (j_x - j_y)/2 between |uu> and
-    |dd>.  Real symmetric.  A length-1 call of
+    |dd>.  Real symmetric.  A scalar call of
     `spin_pair_hamiltonian_batch`.
     """
     if not omega > 0.0:
         raise DomainError(f"bare frequency must be positive, got {omega}")
-    return spin_pair_hamiltonian_batch([omega], j_x, j_y)[0]
+    return spin_pair_hamiltonian_batch(omega, j_x, j_y)
 
 
 def spin_pair_hamiltonian_batch(omega, j_x, j_y) -> np.ndarray:
-    """Stacked (n, 4, 4) Hamiltonians for 1-D arrays of parameters."""
+    """Stacked (..., 4, 4) Hamiltonians over broadcast parameter arrays."""
     omega, j_x, j_y = np.broadcast_arrays(
         np.asarray(omega, dtype=float), np.asarray(j_x, dtype=float), np.asarray(j_y, dtype=float)
     )
-    n = omega.shape[0]
-    h = np.zeros((n, 4, 4))
+    h = np.zeros(omega.shape + (4, 4))
     with np.errstate(over="ignore"):
-        h[:, 0, 0] = 3.0 * omega
-        h[:, 1, 1] = 2.0 * omega
-        h[:, 2, 2] = 2.0 * omega
-        h[:, 1, 2] = h[:, 2, 1] = 0.5 * (j_x + j_y)
-        h[:, 0, 3] = h[:, 3, 0] = 0.5 * (j_x - j_y)
-    h[:, 3, 3] = omega
+        h[..., 0, 0] = 3.0 * omega
+        h[..., 1, 1] = 2.0 * omega
+        h[..., 2, 2] = 2.0 * omega
+        h[..., 1, 2] = h[..., 2, 1] = 0.5 * (j_x + j_y)
+        h[..., 0, 3] = h[..., 3, 0] = 0.5 * (j_x - j_y)
+    h[..., 3, 3] = omega
     return h
 
 

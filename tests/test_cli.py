@@ -16,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ottopair
+import ottopair.cli as cli
+import ottopair.cycle as cycle
 import ottopair.medium as medium
 from ottopair.cli import EXIT_CONFIG, EXIT_DOMAIN, EXIT_OK, EXIT_PIPE, EXIT_VERIFY, main
 
@@ -229,15 +231,29 @@ def test_verify_quick_passes(capsys):
     assert "pass" in out and "FAIL" not in out
 
 
-def test_verify_detects_corrupted_formula(capsys, monkeypatch):
-    # mutation sanity check: negate lambda_p inside the kernel the CLI
-    # prints from and the oracle suite must catch it
-    true_fn = medium.oscillator_mode_frequencies
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        (medium, "oscillator_mode_frequencies"),
+        (medium, "spin_mode_frequencies"),
+        (cycle, "heats_arrays"),
+    ],
+    ids=["oscillator_mode_frequencies", "spin_mode_frequencies", "heats_arrays"],
+)
+def test_verify_detects_corrupted_formula(capsys, monkeypatch, module, name):
+    # mutation sanity check: corrupt a kernel the CLI prints from and the
+    # oracle suite must catch it
+    true_fn = getattr(module, name)
+    if module is medium:
+        # negate the second coupling (lambda_p, or j_y)
+        def corrupted(omega, c_x, c_y):
+            return true_fn(omega, c_x, -c_y)
+    else:
+        # swap the bath temperatures
+        def corrupted(kind, omega_hot, omega_cold, beta_h, beta_c):
+            return true_fn(kind, omega_hot, omega_cold, beta_c, beta_h)
 
-    def corrupted(omega, lambda_x, lambda_p):
-        return true_fn(omega, lambda_x, -lambda_p)
-
-    monkeypatch.setattr(medium, "oscillator_mode_frequencies", corrupted)
+    monkeypatch.setattr(module, name, corrupted)
     code, out, _ = run_cli(capsys, "verify", "--level", "quick")
     assert code == EXIT_VERIFY
     assert "FAIL" in out
@@ -286,6 +302,23 @@ def test_sweep_rejects_non_finite_or_oversized_grid(capsys, grid):
     assert code == EXIT_CONFIG
     assert out == ""
     assert "--sweep" in err
+
+
+@pytest.mark.parametrize(
+    "grid,rows", [("0:1:0.6", 2), ("0:1:0.5", 3), ("0:0.3:0.1", 4), ("0:1.99:0.01", 200)]
+)
+@pytest.mark.parametrize("command", ["sweep", "figure"])
+def test_sweep_grid_never_ends_past_hi(capsys, command, grid, rows):
+    # the largest row count whose last point stays <= hi within rounding
+    if command == "sweep":
+        args = _SWEEP_ARGS + ("--omega", "4", "--omega-prime", "3")
+    else:
+        args = ("figure", "fig3")
+    code, out, _ = run_cli(capsys, *args, f"--sweep={grid}", "--format", "json")
+    assert code == EXIT_OK
+    lam = [row.get("lambda", row.get("lambda_J")) for row in json.loads(out)]
+    assert len(lam) == rows
+    assert lam[-1] <= float(grid.split(":")[1]) * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("omega,omega_prime", [("0", "3"), ("4", "-1"), ("nan", "3")])
@@ -375,6 +408,43 @@ def test_count_below_minimum_exits_2(capsys, args, flag):
     code, out, err = run_cli(capsys, *args)
     assert (code, out) == (EXIT_CONFIG, "")
     assert flag in err
+
+
+_GENERAL_OPTIMIZE = _DOMAIN_COMMANDS["optimize"] + ("--model", "general")
+
+
+@pytest.mark.parametrize(
+    "args,flag",
+    [
+        (_DOMAIN_COMMANDS["sample"] + ("--n", "10000001"), "--n"),
+        (_DOMAIN_COMMANDS["sample"] + ("--n", "1000000000000000"), "--n"),
+        (_DOMAIN_COMMANDS["fig5"][:2] + ("--n", "10000001"), "--n"),
+        (_DOMAIN_COMMANDS["optimize"] + ("--resolution", "1001"), "--resolution"),
+        (_DOMAIN_COMMANDS["optimize"] + ("--resolution", "100000000"), "--resolution"),
+        (_GENERAL_OPTIMIZE + ("--resolution", "101"), "--resolution"),
+    ],
+    ids=["sample-n", "sample-n-huge", "fig5-n", "optimize-resolution", "optimize-resolution-huge",
+         "optimize-general-resolution"],
+)
+def test_count_above_maximum_exits_2(capsys, monkeypatch, args, flag):
+    # refused before anything is drawn or allocated
+    def unreachable(*_, **__):
+        raise AssertionError("the search or sampler ran")
+
+    for name in ("sample_engine_points", "max_uncoupled_work", "max_coupled_work"):
+        monkeypatch.setattr(cli, name, unreachable)
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert flag in err and "at most" in err
+
+
+def test_non_finite_json_value_exits_3(capsys, monkeypatch):
+    nan = float("nan")
+    monkeypatch.setattr(cli, "max_coupled_work", lambda *_: ((4.0, 3.0, nan), nan))
+    code, out, err = run_cli(capsys, *_DOMAIN_COMMANDS["optimize"], "--resolution", "4")
+    assert code == EXIT_DOMAIN
+    assert "non-finite" in err
+    assert "NaN" not in out + err
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):

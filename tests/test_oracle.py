@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from ottopair import cycle, medium
+from ottopair.entanglement import spin_pair_hamiltonian
 from ottopair.errors import DomainError, NumericalError, UnknownModel
-from ottopair.medium import BathPair, MediumKind, OscillatorCoupling, SpinCoupling
+from ottopair.medium import BathPair, MediumKind
 from ottopair.oracle import (
-    TruncatedFockSpec,
+    _fock_blocks,
     exact_spin_spectrum,
     mode_heat_check,
     oscillator_cycle_heat_check,
     oscillator_spectrum_check,
-    partition_factorization_check,
     run_verification,
     spin_cycle_heat_check,
     spin_spectrum_check,
@@ -24,6 +25,7 @@ from ottopair.oracle import (
 OSC = MediumKind.OSCILLATOR
 SPIN = MediumKind.SPIN
 BATHS = BathPair(2.0, 1.0)
+BETAS = (BATHS.beta_h, BATHS.beta_c)
 
 
 def test_exact_spin_spectrum_block_values():
@@ -41,7 +43,7 @@ def test_spin_spectrum_shift_equivalence():
         j_x, j_y = rng.uniform(-2.0, 2.0, 2)
         if math.hypot(omega, 0.5 * (j_x - j_y)) - abs(0.5 * (j_x + j_y)) <= 1e-6:
             continue
-        assert spin_spectrum_check(omega, j_x, j_y) < 1e-12
+        assert spin_spectrum_check(omega, j_x, j_y, 1.0)[0] < 1e-12
 
 
 def test_truncated_matrix_uncoupled_is_diagonal():
@@ -49,11 +51,11 @@ def test_truncated_matrix_uncoupled_is_diagonal():
     n = np.arange(4)
     expected = 3.0 * (n[:, None] + n[None, :] + 1.0).ravel()
     assert np.allclose(h, np.diag(expected))
-    assert TruncatedFockSpec(3).dimension == 16
+    assert h.shape == (16, 16)
     with pytest.raises(DomainError):
         truncated_oscillator_matrix(1.0, 2.0, 0.0, n_max=3)
     with pytest.raises(DomainError):
-        TruncatedFockSpec(0)
+        truncated_oscillator_matrix(3.0, 0.0, 0.0, n_max=0)
 
 
 def test_truncated_matrix_is_symmetric():
@@ -64,7 +66,7 @@ def test_truncated_matrix_is_symmetric():
 def test_truncated_spectrum_matches_ladder_within_1e8():
     # low-lying levels reproduce n_a w_a + n_b w_b + (w_a + w_b)/2
     for lx, lp in ((1.0, 1.0), (1.0, -1.0), (0.9, 0.3)):
-        res = oscillator_spectrum_check(4.0, lx, lp, n_max=16, levels=20)
+        res, _ = oscillator_spectrum_check(4.0, lx, lp, 1.0, n_max=16, levels=20)
         assert res < 1e-8
 
 
@@ -94,20 +96,20 @@ def test_partition_factorization_spin_exact():
     rng = np.random.default_rng(1)
     for _ in range(100):
         omega = rng.uniform(1.0, 6.0)
-        coupling = SpinCoupling(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+        j_x, j_y = rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)
         beta = rng.uniform(0.05, 3.0)
-        assert partition_factorization_check(omega, coupling, beta) < 1e-12
+        assert spin_spectrum_check(omega, j_x, j_y, beta)[1] < 1e-12
 
 
 def test_partition_factorization_oscillator_deep_truncation():
     # beta * omega_min >= 1 with n_max = 60
-    res = partition_factorization_check(4.0, OscillatorCoupling(1.0, 1.0), 0.4, n_max=60)
+    _, res = oscillator_spectrum_check(4.0, 1.0, 1.0, 0.4, n_max=60)
     assert res < 1e-10
 
 
 def test_partition_factorization_cold_limit():
     # ground-state dominance: residual collapses as beta grows
-    res = partition_factorization_check(4.0, OscillatorCoupling(0.8, 0.2), 6.0, n_max=12)
+    _, res = oscillator_spectrum_check(4.0, 0.8, 0.2, 6.0, n_max=12)
     assert res < 1e-13
 
 
@@ -127,10 +129,10 @@ def test_thermal_energy_spin_exact():
 
 
 def test_mode_heat_checks():
-    assert mode_heat_check(OSC, 4.0, 3.0, BATHS) < 1e-12
-    assert mode_heat_check(SPIN, 4.0, 3.0, BATHS) < 1e-13
+    assert mode_heat_check(OSC, 4.0, 3.0, *BETAS) < 1e-12
+    assert mode_heat_check(SPIN, 4.0, 3.0, *BETAS) < 1e-13
     # refrigerator-side frequencies too
-    assert mode_heat_check(OSC, 5.0, 2.0, BATHS) < 1e-12
+    assert mode_heat_check(OSC, 5.0, 2.0, *BETAS) < 1e-12
 
 
 def test_spin_cycle_heat_check_random():
@@ -141,15 +143,17 @@ def test_spin_cycle_heat_check_random():
         j_x, j_y = rng.uniform(-1.5, 1.5, 2)
         t_c = rng.uniform(0.4, 2.0)
         baths = BathPair(t_c * rng.uniform(1.3, 3.5), t_c)
-        assert spin_cycle_heat_check(omega, omega_prime, j_x, j_y, baths) < 1e-12
+        assert spin_cycle_heat_check(
+            omega, omega_prime, j_x, j_y, baths.beta_h, baths.beta_c
+        ) < 1e-12
 
 
 def test_oscillator_cycle_heat_check():
-    assert oscillator_cycle_heat_check(4.0, 3.0, 1.0, "xx", BATHS, n_max=40) < 1e-12
-    assert oscillator_cycle_heat_check(4.0, 3.0, 1.0, "xy", BATHS, n_max=40) < 1e-12
-    assert oscillator_cycle_heat_check(5.0, 2.0, 0.5, "xx", BATHS, n_max=60) < 1e-12
+    assert oscillator_cycle_heat_check(4.0, 3.0, 1.0, "xx", *BETAS, n_max=40) < 1e-12
+    assert oscillator_cycle_heat_check(4.0, 3.0, 1.0, "xy", *BETAS, n_max=40) < 1e-12
+    assert oscillator_cycle_heat_check(5.0, 2.0, 0.5, "xx", *BETAS, n_max=60) < 1e-12
     with pytest.raises(UnknownModel):
-        oscillator_cycle_heat_check(4.0, 3.0, 1.0, "general", BATHS)
+        oscillator_cycle_heat_check(4.0, 3.0, 1.0, "general", *BETAS)
 
 
 def test_run_verification_quick_passes():
@@ -175,3 +179,105 @@ def test_run_verification_rejects_unknown_level():
 
     with pytest.raises(UnknownModel):
         run_verification("exhaustive")
+
+
+def _per_draw_spin_residuals(omega, omega_prime, j_x, j_y, t_h, t_c, beta_z, beta_e):
+    """The five spin checks for one draw, written out with scalar calls:
+    one eigensolve per matrix, `@` for every Boltzmann average."""
+    baths = BathPair(t_h, t_c)
+    beta_h, beta_c = baths.beta_h, baths.beta_c
+
+    def weights(beta, energies):
+        w = np.exp(-beta * (energies - energies.min()))
+        return w / w.sum()
+
+    def transport(e_hot, e_cold):
+        p_hot, p_cold = weights(beta_h, e_hot), weights(beta_c, e_cold)
+        return float(e_hot @ (p_hot - p_cold)), float(e_cold @ (p_cold - p_hot))
+
+    h = spin_pair_hamiltonian(omega, j_x, j_y)
+    brute = np.sort(np.linalg.eigvalsh(h))
+    modes = medium.spin_normal_modes(omega, j_x, j_y)
+    modes_prime = medium.spin_normal_modes(omega_prime, j_x, j_y)
+    e0 = brute[0]
+    w_a, w_b = modes.omega_a, modes.omega_b
+    ladder = np.sort([e0, e0 + w_b, e0 + w_a, e0 + w_a + w_b])
+    spectrum = np.abs(brute - ladder).max() / max(1.0, abs(brute[-1]))
+    z_exact = np.exp(-beta_z * (brute - 2.0 * omega)).sum()
+    z_closed = 4.0 * np.cosh(0.5 * beta_z * w_a) * np.cosh(0.5 * beta_z * w_b)
+    partition = abs(z_exact - z_closed) / z_exact
+
+    levels = np.array([0.5 * omega, 1.5 * omega])
+    closed = omega - 0.5 * omega * np.tanh(0.5 * beta_e * omega)
+    energy = abs(float(levels @ weights(beta_e, levels)) - closed) / max(1.0, abs(closed))
+
+    n = np.array([0.5, 1.5])
+    b_h, b_c = transport(n * modes.omega_a, n * modes_prime.omega_a)
+    q_h, q_c, w = cycle.mode_heats(SPIN, modes.omega_a, modes_prime.omega_a, baths)
+    heat = max(abs(q_h - b_h), abs(q_c - b_c), abs(w - b_h - b_c)) / max(1.0, abs(q_h), abs(q_c))
+
+    def block_levels(h):
+        inner = np.linalg.eigvalsh(h[1:3, 1:3])
+        outer = np.linalg.eigvalsh(h[np.ix_([0, 3], [0, 3])])
+        return np.concatenate([inner, outer])
+
+    h_prime = spin_pair_hamiltonian(omega_prime, j_x, j_y)
+    b_h, b_c = transport(block_levels(h), block_levels(h_prime))
+    qa = cycle.mode_heats(SPIN, modes.omega_a, modes_prime.omega_a, baths)
+    qb = cycle.mode_heats(SPIN, modes.omega_b, modes_prime.omega_b, baths)
+    q_h, q_c = qa[0] + qb[0], qa[1] + qb[1]
+    heats = max(abs(q_h - b_h), abs(q_c - b_c)) / max(1.0, abs(q_h), abs(q_c))
+    return spectrum, partition, energy, heat, heats
+
+
+def test_stacked_spin_checks_equal_per_draw_computation_bit_for_bit():
+    rng = np.random.default_rng(11)
+    n = 300
+    omega = rng.uniform(2.0, 6.0, n)
+    omega_prime = omega * rng.uniform(0.4, 1.4, n)
+    cap = 0.35 * np.minimum(omega, omega_prime)
+    j_x = rng.uniform(-1.0, 1.0, n) * cap
+    # xx, xy and general couplings in turn
+    model = np.arange(n) % 3
+    general = rng.uniform(-1.0, 1.0, n) * cap
+    j_y = np.select([model == 0, model == 1], [j_x, -j_x], general)
+    t_c = rng.uniform(0.5, 2.0, n)
+    t_h = t_c * rng.uniform(1.5, 4.0, n)
+    beta_h, beta_c = 1.0 / t_h, 1.0 / t_c
+    beta_z, beta_e = rng.uniform(0.2, 2.0, n), rng.uniform(0.05, 2.0, n)
+
+    w_a = medium.spin_mode_frequencies(omega, j_x, j_y)[0]
+    w_a_prime = medium.spin_mode_frequencies(omega_prime, j_x, j_y)[0]
+    stacked = np.stack([
+        *spin_spectrum_check(omega, j_x, j_y, beta_z),
+        thermal_energy_check(SPIN, omega, beta_e),
+        mode_heat_check(SPIN, w_a, w_a_prime, beta_h, beta_c),
+        spin_cycle_heat_check(omega, omega_prime, j_x, j_y, beta_h, beta_c),
+    ])
+    columns = (omega, omega_prime, j_x, j_y, t_h, t_c, beta_z, beta_e)
+    per_draw = np.array([_per_draw_spin_residuals(*draw) for draw in zip(*columns)]).T
+    assert stacked.shape == per_draw.shape == (5, n)
+    assert np.array_equal(stacked, per_draw)
+    assert stacked.max() < 1e-12
+
+
+@pytest.mark.parametrize("model", ["xx", "xy"])
+def test_fock_blocks_are_the_conserved_blocks_of_the_dense_matrix(model):
+    omega, lam, n_max = 3.7, 0.9, 9
+    h = truncated_oscillator_matrix(omega, *medium.model_coupling(model, lam), n_max)
+    n1, n2 = np.divmod(np.arange(h.shape[0]), n_max + 1)
+    label = n1 + n2 if model == "xx" else n1 - n2
+    # no dense entry links two different blocks
+    rows, cols = np.nonzero(h)
+    assert np.array_equal(label[rows], label[cols])
+    expected_levels, expected_mult = [], []
+    for block in range(label.max() + 1):
+        states = np.flatnonzero(label == block)
+        expected_levels.append(np.linalg.eigvalsh(h[np.ix_(states, states)]))
+        # xy: the d < 0 blocks mirror the d > 0 ones
+        expected_mult.append(np.full(states.size, 2.0 if model == "xy" and block > 0 else 1.0))
+    levels, mult = _fock_blocks(omega, lam, model, n_max)
+    assert np.array_equal(levels, np.concatenate(expected_levels))
+    assert np.array_equal(mult, np.concatenate(expected_mult))
+    # with multiplicities the blocks hold the whole dense spectrum
+    assert np.allclose(np.sort(np.repeat(levels, mult.astype(int))), np.linalg.eigvalsh(h))

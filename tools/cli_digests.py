@@ -1,0 +1,87 @@
+"""sha256 digests of a fixed list of ottopair CLI jobs, one line per job.
+
+Run it on two checkouts and diff the two listings to see which command
+outputs a change leaves byte-identical:
+
+    python tools/cli_digests.py --root path/to/parent > before.txt
+    python tools/cli_digests.py > after.txt
+    diff before.txt after.txt
+
+Each line is ``<sha256>  <job argv>``.  A job runs ``python -m ottopair.cli``
+with PYTHONPATH set to ``<root>/src``, in a fresh temporary directory;
+its digest covers the exit code, stdout, stderr and the ``--out`` file if
+the job writes one.  The ``elapsed:`` line of ``verify`` is a wall time,
+so it is masked.  The jobs are the README examples, fig6/fig7a/fig7b, a
+spin general-model JSON sweep and ``verify --level quick`` at three seeds;
+together they take under a minute.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+JOBS = [
+    # README examples
+    "cycle --medium spin --model xx --omega 4 --omega-prime 3 --lam 1 --th 2 --tc 1",
+    "sweep --medium osc --model xx --omega 4 --omega-prime 3 --th 2 --tc 1 "
+    "--sweep 0:3:0.01 --out sweep.csv",
+    "figure fig3 --out fig3.csv",
+    "figure fig5 --seed 0 --n 100000 --out fig5.csv",
+    "optimize --medium spin --model xx --th 2 --tc 1",
+    "sample --th 2 --tc 1 --n 100000 --seed 0 --out samples.csv",
+    "verify --level full",
+    # the other figures and a general-model sweep
+    "figure fig6",
+    "figure fig7a",
+    "figure fig7b",
+    "sweep --medium spin --model general --jx 1.1 --jy -0.4 --omega 4 --omega-prime 2.8 "
+    "--th 2 --tc 1 --sweep 0:1.2:0.001 --format json",
+    # oracle tables; 488576684 reaches the 200-level truncation cap
+    "verify --level quick --seed 0",
+    "verify --level quick --seed 7",
+    "verify --level quick --seed 488576684",
+]
+
+_ELAPSED = re.compile(rb"^elapsed: .*$", re.MULTILINE)
+
+
+def digest(root: Path, job: str) -> str:
+    """sha256 of one job's exit code, stdout, stderr and --out file."""
+    argv = job.split()
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    with tempfile.TemporaryDirectory() as work:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ottopair.cli", *argv],
+            cwd=work, env=env, capture_output=True, check=False,
+        )
+        stdout = _ELAPSED.sub(b"elapsed: -", proc.stdout) if argv[0] == "verify" else proc.stdout
+        h = hashlib.sha256(f"exit {proc.returncode}\n".encode())
+        for part in (stdout, proc.stderr):
+            h.update(len(part).to_bytes(8, "big") + part)
+        if "--out" in argv:
+            out = Path(work, argv[argv.index("--out") + 1])
+            h.update(out.read_bytes() if out.exists() else b"<no --out file>")
+    return h.hexdigest()
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--root", type=Path, default=Path(__file__).resolve().parent.parent,
+        help="checkout whose src/ is run (default: this one)",
+    )
+    root = parser.parse_args().root.resolve()
+    for job in JOBS:
+        print(f"{digest(root, job)}  {job}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
