@@ -104,18 +104,27 @@ def _write_rows(cfg: RunConfig, header: list[str], rows: Iterable[Iterable]) -> 
         _write_text(cfg, itertools.chain([",".join(header) + "\n"], lines))
 
 
-def _json_chunks(doc):
-    """The chunks of json.dumps(doc, indent=2); NumericalError at a
-    non-finite number, which JSON has no spelling for."""
-    try:
-        yield from json.JSONEncoder(indent=2, allow_nan=False).iterencode(doc)
-    except ValueError as exc:
-        raise NumericalError(f"non-finite number in the output document: {exc}") from None
+def _check_finite(doc) -> None:
+    """NumericalError at any non-finite float in `doc`, which JSON
+    has no spelling for; numpy floats count, being float subclasses."""
+    stack = [(doc,)]
+    while stack:
+        for x in stack.pop():
+            if isinstance(x, float):
+                if not math.isfinite(x):
+                    raise NumericalError(f"non-finite number {x} in the output document")
+            elif isinstance(x, dict):
+                stack.append(x.values())
+            elif isinstance(x, (list, tuple)):
+                stack.append(x)
 
 
 def _write_doc(cfg: RunConfig, doc) -> None:
-    # streamed; a refused document may leave the chunks before the bad number
-    _write_text(cfg, itertools.chain(_json_chunks(doc), ["\n"]))
+    # checked before anything is opened, so a refused document writes
+    # nothing; then streamed, since one json.dumps string doubles peak RSS
+    _check_finite(doc)
+    chunks = json.JSONEncoder(indent=2, allow_nan=False).iterencode(doc)
+    _write_text(cfg, itertools.chain(chunks, ["\n"]))
 
 
 # ---------------------------------------------------------------------------

@@ -172,11 +172,8 @@ def coth(x):
     1e-8 where 1/tanh loses accuracy.
     """
     x = np.asarray(x, dtype=float)
-    small = np.abs(x) < _COTH_SERIES_CUTOFF
     with np.errstate(divide="ignore"):
-        series = 1.0 / np.where(small, x, 1.0) + x / 3.0
-        direct = 1.0 / np.tanh(np.where(small, 1.0, x))
-    out = np.where(small, series, direct)
+        out = np.where(np.abs(x) < _COTH_SERIES_CUTOFF, 1.0 / x + x / 3.0, 1.0 / np.tanh(x))
     if out.ndim == 0:
         return float(out)
     return out
@@ -511,45 +508,44 @@ def perturbative_prediction(
     x = 0.5 * omega / t_h
     y = 0.5 * omega_prime / t_c
     lam2 = lam * lam
-    tag = model.lower()
 
-    if tag.startswith("xx-engine"):
+    if model.startswith("xx-engine"):
         gamma = (omega - omega_prime) / (t_h * t_c * omega**2)
         eta0 = 1.0 - omega_prime / omega
-        if tag == "xx-engine-os":
+        if model == "xx-engine-os":
             num = t_c * _csch(x) ** 2 - t_h * _csch(y) ** 2
             den = 2.0 * (coth(x) - coth(y))
             return eta0 + gamma * num / den * lam2
-        if tag == "xx-engine-sp":
+        if model == "xx-engine-sp":
             num = t_h * _sech(y) ** 2 - t_c * _sech(x) ** 2
             den = 2.0 * (math.tanh(x) - math.tanh(y))
             return eta0 + gamma * num / den * lam2
-    elif tag.startswith("xx-fridge"):
+    elif model.startswith("xx-fridge"):
         gamma_p = t_h * t_c * (omega - omega_prime)
         zeta0 = omega_prime / (omega - omega_prime)
-        if tag == "xx-fridge-os":
+        if model == "xx-fridge-os":
             num = t_h * _csch(y) ** 2 - t_c * _csch(x) ** 2
             den = 2.0 * gamma_p * (coth(x) - coth(y))
             return zeta0 + num / den * lam2
-        if tag == "xx-fridge-sp":
+        if model == "xx-fridge-sp":
             num = t_c * _sech(x) ** 2 - t_h * _sech(y) ** 2
             den = 2.0 * gamma_p * (math.tanh(x) - math.tanh(y))
             return zeta0 + num / den * lam2
-    elif tag.startswith("xy-engine"):
+    elif model.startswith("xy-engine"):
         eta0 = 1.0 - omega_prime / omega
         corr = (omega**2 - omega_prime**2) * lam2 / (2.0 * omega**3 * omega_prime)
-        if tag == "xy-engine-os":
+        if model == "xy-engine-os":
             return eta0 + corr
-        if tag == "xy-engine-sp":
+        if model == "xy-engine-sp":
             return eta0 - corr
-    elif tag.startswith("xy-fridge"):
+    elif model.startswith("xy-fridge"):
         zeta0 = omega_prime / (omega - omega_prime)
         corr = (omega + omega_prime) * lam2 / (
             2.0 * omega * omega_prime * (omega - omega_prime)
         )
-        if tag == "xy-fridge-os":
+        if model == "xy-fridge-os":
             return zeta0 - corr
-        if tag == "xy-fridge-sp":
+        if model == "xy-fridge-sp":
             return zeta0 + corr
     raise UnknownModel(f"unknown prediction tag: {model!r}")
 

@@ -438,13 +438,22 @@ def test_count_above_maximum_exits_2(capsys, monkeypatch, args, flag):
     assert flag in err and "at most" in err
 
 
-def test_non_finite_json_value_exits_3(capsys, monkeypatch):
+def test_non_finite_json_value_exits_3(tmp_path, capsys, monkeypatch):
+    # refused before anything is written: no partial document on stdout
+    # and no --out file
     nan = float("nan")
     monkeypatch.setattr(cli, "max_coupled_work", lambda *_: ((4.0, 3.0, nan), nan))
     code, out, err = run_cli(capsys, *_DOMAIN_COMMANDS["optimize"], "--resolution", "4")
-    assert code == EXIT_DOMAIN
+    assert (code, out) == (EXIT_DOMAIN, "")
     assert "non-finite" in err
-    assert "NaN" not in out + err
+    assert "NaN" not in err
+    target = tmp_path / "opt.json"
+    code, out, err = run_cli(
+        capsys, *_DOMAIN_COMMANDS["optimize"], "--resolution", "4", "--out", str(target)
+    )
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert "non-finite" in err
+    assert not target.exists()
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):

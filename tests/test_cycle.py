@@ -325,10 +325,12 @@ def test_xy_second_order_symmetry():
 
 def test_perturbative_predictions_reduce_to_uncoupled():
     assert perturbative_prediction("xy-engine-os", 4.0, 3.0, BATHS, 0.0) == 0.25
-    assert perturbative_prediction("XX-engine-sp", 4.0, 3.0, BATHS, 0.0) == 0.25
+    assert perturbative_prediction("xx-engine-sp", 4.0, 3.0, BATHS, 0.0) == 0.25
     assert perturbative_prediction("xx-fridge-os", 5.0, 2.0, BATHS, 0.0) == pytest.approx(2.0 / 3.0)
-    with pytest.raises(UnknownModel):
-        perturbative_prediction("zz-engine-os", 4.0, 3.0, BATHS, 0.1)
+    # tags are exact lower-case names, as everywhere else
+    for tag in ("zz-engine-os", "XX-engine-sp"):
+        with pytest.raises(UnknownModel):
+            perturbative_prediction(tag, 4.0, 3.0, BATHS, 0.1)
 
 
 def test_perturbative_difference_formulas_match_expansions():

@@ -12,8 +12,10 @@ with PYTHONPATH set to ``<root>/src``, in a fresh temporary directory;
 its digest covers the exit code, stdout, stderr and the ``--out`` file if
 the job writes one.  The ``elapsed:`` line of ``verify`` is a wall time,
 so it is masked.  The jobs are the README examples, fig6/fig7a/fig7b, a
-spin general-model JSON sweep and ``verify --level quick`` at three seeds;
-together they take under a minute.  Standard library only.
+spin general-model JSON sweep, ``optimize`` for the oscillator xx, xy and
+general models (``--resolution 20``) and the spin general model, and
+``verify --level quick`` at three seeds; together they take about a
+minute on two cores.  Standard library only.
 """
 
 from __future__ import annotations
@@ -43,6 +45,11 @@ JOBS = [
     "figure fig7b",
     "sweep --medium spin --model general --jx 1.1 --jy -0.4 --omega 4 --omega-prime 2.8 "
     "--th 2 --tc 1 --sweep 0:1.2:0.001 --format json",
+    # the optimizer on every oscillator model and the 4-D spin general grid
+    "optimize --medium osc --model xx --th 2 --tc 1 --resolution 20",
+    "optimize --medium osc --model xy --th 2 --tc 1 --resolution 20",
+    "optimize --medium osc --model general --th 2 --tc 1 --resolution 20",
+    "optimize --medium spin --model general --th 2 --tc 1",
     # oracle tables; 488576684 reaches the 200-level truncation cap
     "verify --level quick --seed 0",
     "verify --level quick --seed 7",
