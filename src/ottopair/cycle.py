@@ -205,7 +205,7 @@ def heats_arrays(kind: MediumKind, omega_hot, omega_cold, beta_h, beta_c):
             bracket = np.tanh(0.5 * beta_c * omega_cold) - np.tanh(0.5 * beta_h * omega_hot)
         q_h = 0.5 * omega_hot * bracket
         q_c = -0.5 * omega_cold * bracket
-    return q_h, q_c, q_h + q_c
+        return q_h, q_c, q_h + q_c
 
 
 def mode_heats(

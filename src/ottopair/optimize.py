@@ -2,10 +2,13 @@
 
 Every optimizer call is one derivative-free search, `_grid_refine`: the
 best point of a dense rectangular grid, then coordinate-descent
-refinement with step halving.  The objective is cheap and smooth, so
-robustness beats gradient machinery.  Everything is seeded and
-deterministic; the sampler draws all parameters up front from one
-generator so the output order never depends on evaluation order.
+refinement with step halving.  Each coordinate sweep is one array call
+of the objective over every point the sweep could visit, walked in move
+order, so the search takes the same first-improvement path as one call
+per move.  The objective is cheap and smooth, so robustness beats
+gradient machinery.  Everything is seeded and deterministic; the sampler
+draws all parameters up front from one generator so the output order
+never depends on evaluation order.
 """
 
 from __future__ import annotations
@@ -91,11 +94,12 @@ def _finite_work(kind: MediumKind, baths: BathPair, omega, omega_prime):
 def _spin_grid_frequencies(omega, j_x, j_y):
     """Spin mode frequencies (w_a, w_b) over grids, nan where invalid."""
     omega = np.asarray(omega, dtype=float)
-    l_plus = 0.5 * (np.asarray(j_x, dtype=float) + j_y)
-    l_minus = 0.5 * (np.asarray(j_x, dtype=float) - j_y)
-    s = np.hypot(omega, l_minus)
-    w_a = s + l_plus
-    w_b = s - l_plus
+    with np.errstate(invalid="ignore", over="ignore"):
+        l_plus = 0.5 * (np.asarray(j_x, dtype=float) + j_y)
+        l_minus = 0.5 * (np.asarray(j_x, dtype=float) - j_y)
+        s = np.hypot(omega, l_minus)
+        w_a = s + l_plus
+        w_b = s - l_plus
     bad = ~((omega > 0) & (w_a > 0) & (w_b > 0))
     return np.where(bad, np.nan, w_a), np.where(bad, np.nan, w_b)
 
@@ -109,11 +113,12 @@ def coupled_total_work(kind: MediumKind, omega, omega_prime, cx, cy, baths: Bath
     freqs = _spin_grid_frequencies if kind is MediumKind.SPIN else oscillator_mode_frequencies
     wa_h, wb_h = freqs(omega, cx, cy)
     wa_c, wb_c = freqs(omega_prime, cx, cy)
-    w = np.asarray(
-        heats_arrays(kind, wa_h, wa_c, baths.beta_h, baths.beta_c)[2]
-        + heats_arrays(kind, wb_h, wb_c, baths.beta_h, baths.beta_c)[2],
-        dtype=float,
-    )
+    with np.errstate(invalid="ignore", over="ignore"):
+        w = np.asarray(
+            heats_arrays(kind, wa_h, wa_c, baths.beta_h, baths.beta_c)[2]
+            + heats_arrays(kind, wb_h, wb_c, baths.beta_h, baths.beta_c)[2],
+            dtype=float,
+        )
     ok = np.isfinite(w) & (wa_h > 0) & (wb_h > 0) & (wa_c > 0) & (wb_c > 0)
     return np.where(ok, w, -np.inf)
 
@@ -126,7 +131,11 @@ def _grid_refine(work, box, resolution: int):
     point is invalid.  The `resolution`-per-axis grid is evaluated one
     slice of the first axis at a time; its first maximum in C order seeds
     a pattern search whose first step is one grid cell, so the result is
-    never worse than the grid's best.
+    never worse than the grid's best.  The search is Hooke & Jeeves'
+    exploratory move (J. ACM 8, 212, 1961): +step then -step on each axis
+    in turn, clamped to the box, each accepted at once if it improves.
+    One `work` call per sweep evaluates the sweep's whole decision tree,
+    2^(2*dim) - 1 points, and walking it gives that path bit for bit.
     """
     if resolution < 2:
         raise EmptyDomain(f"resolution must be >= 2, got {resolution}")
@@ -141,21 +150,36 @@ def _grid_refine(work, box, resolution: int):
     if best_idx is None:
         raise EmptyDomain(f"no valid point on the {resolution}-point grid over {box}")
     # pattern search: coordinate sweeps at a fixed step, halving the step
-    # only when a full sweep brings no improvement
+    # only when a full sweep brings no improvement.  Move k of a sweep
+    # (axis k // 2, + then -) tries a point that depends only on which of
+    # moves 0..k-1 were accepted, so level k of the tree holds 2^k
+    # candidates; walking the levels in move order picks the ones the
+    # sequential search would have tried.
     x = np.array([axis[k] for axis, k in zip(axes, best_idx)], dtype=float)
     best = float(work(*x))
     step = np.array([axis[1] - axis[0] for axis in axes])
+    lo, hi = np.array(box, dtype=float).T
+    moves = [(i, sign) for i in range(len(box)) for sign in (1.0, -1.0)]
     done = sweeps = 0
     while done < _REFINE_STEPS and sweeps < 200 * _REFINE_STEPS:
         sweeps += 1
+        # states: every point the sweep can stand on before the next move,
+        # rejected histories first, then the accepted ones
+        states, levels = x[None, :], []
+        for i, sign in moves:
+            cand = states.copy()
+            cand[:, i] = np.minimum(np.maximum(states[:, i] + sign * step[i], lo[i]), hi[i])
+            levels.append(cand)
+            states = np.concatenate((states, cand))
+        vals = work(*np.concatenate(levels).T)
+        # j: index of the current point among the states of this level
+        j = start = 0
         improved = False
-        for i, (lo, hi) in enumerate(box):
-            for sign in (1.0, -1.0):
-                cand = x.copy()
-                cand[i] = min(max(x[i] + sign * step[i], lo), hi)
-                val = float(work(*cand))
-                if val > best:
-                    best, x, improved = val, cand, True
+        for cand in levels:
+            if vals[start + j] > best:
+                best, j, improved = float(vals[start + j]), j + len(cand), True
+            start += len(cand)
+        x = states[j]
         if not improved:
             step *= 0.5
             done += 1

@@ -558,6 +558,21 @@ def test_overflowing_heats_are_refused(capsys):
     assert out.splitlines()[1] == "0" + "," * 21
 
 
+def test_optimizer_overflow_raises_no_warning(capsys):
+    # the objective maps overflowing points to -inf without numpy warnings;
+    # the huge bath refuses the inf optimum, the huge box still has one
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "optimize", "--medium", "osc", "--model", "xx",
+                                 "--th", "1e308", "--tc", "1", "--resolution", "5")
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err == "domain error: non-finite number inf in the output document\n"
+        code, _, err = run_cli(capsys, "optimize", "--medium", "spin", "--model", "xx",
+                               "--th", "2", "--tc", "1", "--domain-max", "1e308",
+                               "--resolution", "5")
+    assert (code, err) == (EXIT_OK, "")
+
+
 def test_closed_stdout_pipe_exits_141():
     src = str(Path(ottopair.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -1,5 +1,6 @@
 import math
 from dataclasses import fields
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,10 +8,13 @@ import pytest
 
 from ottopair.cycle import REGIMES, Regime, evaluate_cycle
 from ottopair.errors import EmptyDomain, UnknownModel
-from ottopair.medium import BathPair, MediumKind, standard_cycle
+from ottopair.medium import BathPair, MediumKind, model_coupling, standard_cycle
 from ottopair.optimize import (
     SampleColumns,
     SearchDomain,
+    _finite_work,
+    _grid_refine,
+    coupled_total_work,
     max_coupled_work,
     max_uncoupled_work,
     sample_engine_points,
@@ -93,6 +97,87 @@ def test_max_coupled_work_spin_xy_equality_case():
     params, w_max = max_coupled_work(SPIN, "xy", BATHS, SearchDomain(), resolution=50)
     _, _, w_single = max_uncoupled_work(SPIN, BATHS, SearchDomain(), resolution=400)
     assert w_max == pytest.approx(2.0 * w_single, rel=1e-7)
+
+
+def _sequential_grid_refine(work, box, resolution):
+    """Reference pattern search with one scalar `work` call per move.
+
+    The same grid seed as `_grid_refine`, then coordinate sweeps that try
+    +step and -step on each axis in turn, clamp the candidate to the box
+    and accept it at once if it improves (first improvement).  Returns
+    (x, W, sweeps, clamped), `clamped` holding "lo"/"hi" for every bound a
+    candidate was clamped to.
+    """
+    axes = [np.linspace(lo, hi, resolution) for lo, hi in box]
+    rest = np.ix_(*axes[1:])
+    grid_best, best_idx = -np.inf, None
+    for i, w in enumerate(axes[0]):
+        vals = work(w, *rest)
+        k = np.argmax(vals)
+        if vals.flat[k] > grid_best:
+            grid_best, best_idx = vals.flat[k], (i, *np.unravel_index(k, vals.shape))
+    x = np.array([axis[k] for axis, k in zip(axes, best_idx)], dtype=float)
+    best = float(work(*x))
+    step = np.array([axis[1] - axis[0] for axis in axes])
+    done = sweeps = 0
+    clamped = set()
+    while done < 48 and sweeps < 200 * 48:
+        sweeps += 1
+        improved = False
+        for i, (lo, hi) in enumerate(box):
+            for sign in (1.0, -1.0):
+                cand = x.copy()
+                raw = x[i] + sign * step[i]
+                if raw < lo:
+                    clamped.add("lo")
+                elif raw > hi:
+                    clamped.add("hi")
+                cand[i] = min(max(raw, lo), hi)
+                val = float(work(*cand))
+                if val > best:
+                    best, x, improved = val, cand, True
+        if not improved:
+            step *= 0.5
+            done += 1
+    return x, best, sweeps, clamped
+
+
+def _coupled_objective(kind, model):
+    def work(omega, omega_prime, *coupling):
+        return coupled_total_work(kind, omega, omega_prime, *model_coupling(model, *coupling), BATHS)
+
+    return work
+
+
+@pytest.mark.parametrize(
+    "work, box, resolution, clamps",
+    [
+        # runs to the sweep cap toward omega, omega' -> 0
+        (partial(_finite_work, OSC, BATHS), ((0.0, 10.0),) * 2, 40, set()),
+        # omega >= 1 keeps the optimum on a face, so the search converges
+        (_coupled_objective(OSC, "xx"), ((1.0, 10.0), (0.0, 10.0), (0.0, 10.0)), 12, {"lo"}),
+        (_coupled_objective(SPIN, "general"), ((0.0, 10.0),) * 4, 8, {"lo"}),
+        # the spin optimum has omega ~ 4 and zero coupling: clamped at hi and at 0
+        (_coupled_objective(SPIN, "xx"), ((0.0, 3.0), (0.0, 10.0), (0.0, 1.0)), 10, {"lo", "hi"}),
+    ],
+    ids=["osc-uncoupled", "osc-xx", "spin-general", "narrow-box"],
+)
+def test_grid_refine_follows_the_sequential_path(work, box, resolution, clamps):
+    # one `work` call per sweep must reproduce the one-call-per-move search
+    # bit for bit, and cost one call per grid slice, one for the seed point
+    # and one per sweep
+    x_ref, w_ref, sweeps, clamped = _sequential_grid_refine(work, box, resolution)
+    assert clamps <= clamped
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return work(*args)
+
+    x, w = _grid_refine(counted, box, resolution)
+    assert w == w_ref
+    assert x.tolist() == x_ref.tolist()
+    assert len(calls) == resolution + 1 + sweeps
 
 
 def test_max_coupled_work_oscillator_bound_holds():

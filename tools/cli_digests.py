@@ -13,9 +13,10 @@ its digest covers the exit code, stdout, stderr and the ``--out`` file if
 the job writes one.  The ``elapsed:`` line of ``verify`` is a wall time,
 so it is masked.  The jobs are the README examples, fig6/fig7a/fig7b, a
 spin general-model JSON sweep, ``optimize`` for the oscillator xx, xy and
-general models (``--resolution 20``) and the spin general model, and
-``verify --level quick`` at three seeds; together they take about a
-minute on two cores.  Standard library only.
+general models (``--resolution 20``), the oscillator xx model at the
+default resolution 60 (the benchmark's slowest optimizer job, about 2 s)
+and the spin general model, and ``verify --level quick`` at three seeds;
+together they take about a minute on two cores.  Standard library only.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ JOBS = [
     "optimize --medium osc --model xx --th 2 --tc 1 --resolution 20",
     "optimize --medium osc --model xy --th 2 --tc 1 --resolution 20",
     "optimize --medium osc --model general --th 2 --tc 1 --resolution 20",
+    "optimize --medium osc --model xx --th 2 --tc 1",
     "optimize --medium spin --model general --th 2 --tc 1",
     # oracle tables; 488576684 reaches the 200-level truncation cap
     "verify --level quick --seed 0",
