@@ -5,13 +5,20 @@ coupling sweep), ``figure`` (named datasets fig3/fig5/fig6/fig7a/fig7b),
 ``optimize`` (work maximization), ``sample`` (Monte Carlo engine sweep)
 and ``verify`` (brute-force oracle suite).
 
+One table, ``_OPTIONS``, defines every option, and ``_READS`` says which
+options each command or figure dataset reads; ``cycle`` also reads its
+model's coupling and ``sweep`` a general model's direction.  A subcommand
+registers only the options it can read, and a flag or ``--config`` key
+that the invocation does not read is a config error, never ignored.
+
 All output is deterministic for a fixed configuration and seed.  CSV is
 UTF-8, comma-separated with '\\n' line endings and a mandatory header
 row; numbers carry 17 significant digits; figures of merit outside their
 regime serialize as empty fields, never 0.  Exit codes: 0 ok, 2 config
-error, 3 domain error, 4 verification failure, 141 stdout closed early
-(e.g. by ``| head``).  Sweep and figure rows are evaluated in one batched
-pass (`evaluate_cycles`).
+error (including output that cannot be written), 3 domain error, 4
+verification failure, 141 stdout closed early (e.g. by ``| head``).
+Sweep and figure rows are evaluated in one batched pass
+(`evaluate_cycles`).
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, get_args, get_type_hints
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -81,15 +88,21 @@ def _fmt(value) -> str:
 
 
 def _write_text(cfg: RunConfig, chunks: Iterable[str]) -> None:
-    if cfg.out:
-        try:
-            fh = open(cfg.out, "w", encoding="utf-8", newline="")
-        except OSError as exc:
-            raise ConfigError(f"cannot write --out file: {exc}") from exc
+    if not cfg.out:
+        sys.stdout.writelines(chunks)
+        return
+    try:
+        fh = open(cfg.out, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out file: {exc}") from exc
+    try:
         with fh:
             fh.writelines(chunks)
-    else:
-        sys.stdout.writelines(chunks)
+    except OSError as exc:
+        # a refusal leaves no file; a device such as /dev/full stays
+        if os.path.isfile(cfg.out):
+            os.remove(cfg.out)
+        raise ConfigError(f"cannot write output: {exc}") from exc
 
 
 def _write_rows(cfg: RunConfig, header: list[str], rows: Iterable[Iterable]) -> None:
@@ -329,7 +342,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
         cx, cy = _coupling_value(cfg, kind)  # direction scaled by the sweep value
         if not (math.isfinite(cx) and math.isfinite(cy)):
             raise DomainError(f"coupling direction must be finite, got ({cx}, {cy})")
-        values = (cx * grid, cy * grid)
+        with np.errstate(over="ignore"):  # an overflowing coupling is an unstable row
+            values = (cx * grid, cy * grid)
     coupling = model_coupling(cfg.model, *values)
     omega, omega_prime = _bare_frequencies(cfg)
     columns = evaluate_cycles(kind, omega, omega_prime, coupling, coupling, baths)
@@ -489,37 +503,61 @@ _COMMANDS = {
 # ---------------------------------------------------------------------------
 # argument parsing
 
-# the values a choice option takes, from a flag or from --config alike
-_CHOICES = {
-    "medium": ("osc", "spin"),
-    "model": ("xx", "xy", "general"),
-    "format": ("csv", "json"),
-    "level": ("quick", "full"),
-    "figure": tuple(sorted(_FIGURE_DEFAULTS)),
+# Every option: its argparse spec, whose `type` (str if absent) and
+# `choices` also convert and check its --config value.
+_OPTIONS = {
+    "medium": dict(choices=("osc", "spin"), help="working medium"),
+    "model": dict(choices=("xx", "xy", "general"), help="coupling model (default xx)"),
+    "omega": dict(type=float, help="bare frequency at the hot point"),
+    "omega_prime": dict(type=float, help="bare frequency at the cold point"),
+    "lam": dict(type=float, help="coupling of the xx/xy models"),
+    "jx": dict(type=float, help="spin general coupling J_x"),
+    "jy": dict(type=float, help="spin general coupling J_y"),
+    "lx": dict(type=float, help="oscillator general coupling lambda_x"),
+    "lp": dict(type=float, help="oscillator general coupling lambda_p"),
+    "th": dict(type=float, help="hot bath temperature"),
+    "tc": dict(type=float, help="cold bath temperature"),
+    "seed": dict(type=int, help="random seed (default 0)"),
+    "n": dict(type=int, help="random draws (default 100000)"),
+    "out": dict(help="output file (default stdout)"),
+    "format": dict(choices=("csv", "json"), help="row format (default csv)"),
+    "sweep": dict(help="coupling grid LO:HI:STEP"),
+    "domain_max": dict(type=float, help="upper end of every parameter range (default 10)"),
+    "resolution": dict(type=int, help="search grid points per axis (default 60)"),
+    "level": dict(choices=("quick", "full"), help="oracle draw count (default quick)"),
 }
 
+_ROWS_FIGURE = ("th", "tc", "omega", "omega_prime", "sweep", "format", "out")
+_DRAWS = ("th", "tc", "seed", "n", "domain_max", "format", "out")
+# the options each command, or figure dataset, reads; see `_reads`
+_READS = {
+    "cycle": ("medium", "model", "omega", "omega_prime", "th", "tc", "out"),
+    "sweep": ("medium", "model", "omega", "omega_prime", "th", "tc", "sweep", "format", "out"),
+    **{name: _DRAWS if name == "fig5" else _ROWS_FIGURE for name in _FIGURE_DEFAULTS},
+    "optimize": ("medium", "model", "th", "tc", "domain_max", "resolution", "out"),
+    "sample": _DRAWS,
+    "verify": ("level", "seed"),
+}
+_GENERAL_COUPLINGS = {"spin": ("jx", "jy"), "osc": ("lx", "lp")}
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--medium", choices=_CHOICES["medium"], default=None)
-    p.add_argument("--model", choices=_CHOICES["model"], default=None)
-    p.add_argument("--omega", type=float, default=None)
-    p.add_argument("--omega-prime", dest="omega_prime", type=float, default=None)
-    p.add_argument("--lam", type=float, default=None, help="scalar coupling for xx/xy")
-    p.add_argument("--jx", type=float, default=None)
-    p.add_argument("--jy", type=float, default=None)
-    p.add_argument("--lx", type=float, default=None)
-    p.add_argument("--lp", type=float, default=None)
-    p.add_argument("--th", type=float, default=None)
-    p.add_argument("--tc", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=_CHOICES["format"], default=None)
-    p.add_argument("--config", default=None, help="JSON config file; flags override it")
-    p.add_argument("--sweep", default=None, help="coupling grid LO:HI:STEP")
-    p.add_argument("--domain-max", dest="domain_max", type=float, default=None)
-    p.add_argument("--resolution", type=int, default=None)
-    p.add_argument("--level", choices=_CHOICES["level"], default=None)
+
+def _reads(command: str, figure, medium, model) -> set[str]:
+    """The options one invocation reads.  `cycle` also reads its model's
+    coupling, and `sweep` the coupling direction of a general model (the
+    grid is the xx/xy coupling); without a medium both general pairs count,
+    as the missing --medium is refused anyway."""
+    names = set(_READS[figure or command])
+    if command in ("cycle", "sweep"):
+        if model == "general":
+            for m in [medium] if medium else _GENERAL_COUPLINGS:
+                names.update(_GENERAL_COUPLINGS[m])
+        elif command == "cycle":
+            names.add("lam")
+    return names
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -528,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quantum Otto cycles for coupled oscillator and spin pairs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
+    for command, help_text in [
         ("cycle", "evaluate a single cycle and print JSON"),
         ("sweep", "sweep the coupling and emit a CSV/JSON dataset"),
         ("figure", "emit a named figure dataset"),
@@ -536,67 +574,87 @@ def build_parser() -> argparse.ArgumentParser:
         ("sample", "Monte Carlo engine sampling with concurrences"),
         ("verify", "run the brute-force oracle suite"),
     ]:
-        p = sub.add_parser(name, help=help_text)
-        if name == "figure":
-            p.add_argument("figure", choices=_CHOICES["figure"])
-        _add_common(p)
+        figures = [None]
+        p = sub.add_parser(command, help=help_text)
+        if command == "figure":
+            figures = sorted(_FIGURE_DEFAULTS)
+            p.add_argument("figure", choices=figures)
+            p.epilog = ("fig5 reads --seed, --n and --domain-max; "
+                        "the others --omega, --omega-prime and --sweep")
+        # every option some dataset, model or medium of the command reads;
+        # `_merge_config` refuses the ones this invocation does not
+        accepted = set().union(*(
+            _reads(command, figure, None, model)
+            for figure in figures for model in _OPTIONS["model"]["choices"]
+        ))
+        for name, spec in _OPTIONS.items():
+            if name in accepted:
+                p.add_argument(_flag(name), **spec)
+        p.add_argument("--config", help="JSON file of option values; flags override it")
     return parser
 
 
-_DEFAULTS = RunConfig(command="")
-# field -> int/float/str, the type its flag parses to
-_FIELD_TYPES = {
-    name: (get_args(hint) or (hint,))[0] for name, hint in get_type_hints(RunConfig).items()
-}
-
-
-def _file_value(field: str, value):
-    """A --config value converted as its flag would be, null as the
-    option's default; ConfigError if it has the wrong type or is not one of
-    the option's choices."""
-    want = _FIELD_TYPES[field]
-    if field in _CHOICES and value not in _CHOICES[field]:
+def _file_value(name: str, value):
+    """A --config value converted as its flag would be (None for null);
+    ConfigError if it is not one of the option's choices, or has the wrong
+    type: a bool for a number, or a non-integral number for an integer."""
+    spec = _OPTIONS[name]
+    if "choices" in spec and value not in spec["choices"]:
         raise ConfigError(
-            f"--config value of {field!r} must be one of {list(_CHOICES[field])}, got {value!r}"
+            f"--config value of {name!r} must be one of {list(spec['choices'])}, got {value!r}"
         )
-    if value is None:
-        return getattr(_DEFAULTS, field)
-    if want is str and isinstance(value, str):
+    want = spec.get("type", str)
+    if value is None or (want is str and isinstance(value, str)):
         return value
-    if want is not str:
+    fraction = want is int and isinstance(value, float) and not value.is_integer()
+    if want is not str and not isinstance(value, bool) and not fraction:
         try:
             return want(value)
-        except (TypeError, ValueError, OverflowError):  # e.g. int(Infinity)
+        except (TypeError, ValueError, OverflowError):
             pass
-    raise ConfigError(f"--config value of {field!r} must be {want.__name__}, got {value!r}")
+    raise ConfigError(f"--config value of {name!r} must be {want.__name__}, got {value!r}")
+
+
+def _load_config(path: Optional[str]) -> dict:
+    if path is None:
+        return {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            values = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read --config file: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"--config is not valid JSON: {exc}") from exc
+    if not isinstance(values, dict):
+        raise ConfigError("--config must contain a JSON object")
+    unknown = sorted(set(values) - set(_OPTIONS))
+    if unknown:
+        raise ConfigError(f"--config has unknown keys {unknown}")
+    return values
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
-    file_values = {}
-    if args.config:
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                file_values = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read --config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"--config is not valid JSON: {exc}") from exc
-        if not isinstance(file_values, dict):
-            raise ConfigError("--config must contain a JSON object")
-        unknown = sorted(set(file_values) - set(_FIELD_TYPES))
-        if unknown:
-            raise ConfigError(f"--config has unknown keys {unknown}")
-    cfg = RunConfig(command=args.command)
-    for field in vars(cfg):
-        if field == "command":
-            continue
-        flag = getattr(args, field, None)
-        if flag is not None:
-            setattr(cfg, field, flag)
-        elif field in file_values:
-            setattr(cfg, field, _file_value(field, file_values[field]))
-        else:
-            setattr(cfg, field, getattr(_DEFAULTS, field))
+    """Flags over --config values over the defaults; ConfigError for a
+    flag or --config key the invocation does not read."""
+    file_values = _load_config(args.config)
+    # the flags given; a subcommand's namespace holds only its own options
+    flags = {name: v for name in _OPTIONS if (v := getattr(args, name, None)) is not None}
+    values = {name: _file_value(name, value) for name, value in file_values.items()}
+    values.update(flags)
+    cfg = RunConfig(
+        command=args.command,
+        figure=getattr(args, "figure", None),
+        **{name: value for name, value in values.items() if value is not None},
+    )
+    reads = _reads(cfg.command, cfg.figure, cfg.medium, cfg.model)
+    foreign = [_flag(k) for k in flags if k not in reads]
+    foreign += [f"--config key {k!r}" for k in file_values if k not in reads]
+    if foreign:
+        invocation = f"figure {cfg.figure}" if cfg.figure else cfg.command
+        if cfg.command in ("cycle", "sweep"):
+            invocation += f" --model {cfg.model}"
+            invocation += f" --medium {cfg.medium}" if cfg.medium else ""
+        raise ConfigError(f"{invocation} does not read {', '.join(foreign)}")
     return cfg
 
 
@@ -605,13 +663,16 @@ def main(argv=None) -> int:
     try:
         cfg = _merge_config(args)
         code = _COMMANDS[args.command](cfg)
-        sys.stdout.flush()  # a closed pipe raises here rather than at exit
+        sys.stdout.flush()  # a closed pipe or full disk raises here rather than at exit
         return code
-    except BrokenPipeError:
+    except OSError as exc:  # from writing stdout; an --out file raises ConfigError
         # the SIGPIPE note of Python's `signal` docs: send the rest of
         # stdout, and the flush at exit, to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_PIPE
+        if isinstance(exc, BrokenPipeError):
+            return EXIT_PIPE
+        print(f"config error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -53,7 +53,6 @@ __all__ = [
     "xx_efficiency_difference",
     "xx_cop_difference",
     "heats_arrays",
-    "default_tolerance",
 ]
 
 
@@ -179,11 +178,6 @@ def coth(x):
     return out
 
 
-def default_tolerance(q_h: float, q_c: float) -> float:
-    """Regime tolerance: 1e-12 x max(|Q_h|, |Q_c|, 1)."""
-    return float(_tolerances(q_h, q_c))
-
-
 # ---------------------------------------------------------------------------
 # heats and regimes
 
@@ -248,7 +242,7 @@ def classify_regime(
     regime.  A length-1 call of `regime_codes`.
     """
     if eps is None:
-        eps = default_tolerance(q_h, q_c)
+        eps = float(_tolerances(q_h, q_c))
     if not abs(w - q_h - q_c) <= eps:
         raise InconsistentEnergy(
             f"W - Q_h - Q_c = {w - q_h - q_c!r} exceeds tolerance {eps!r}"
@@ -270,7 +264,7 @@ def regime_codes(q_h, q_c, w, eps=None) -> tuple[np.ndarray, np.ndarray]:
     energy-balance check.
 
     Returns (codes into `REGIMES`, at_boundary); when `eps` is None the
-    tolerance is `default_tolerance` per element.
+    tolerance is `_tolerances` per element.
     """
     q_h, q_c, w = (np.asarray(x, dtype=float) for x in (q_h, q_c, w))
     if eps is None:

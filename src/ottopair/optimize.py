@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional
 
 import numpy as np
 
@@ -231,8 +230,8 @@ def max_coupled_work(
 def sample_engine_points(
     seed: int,
     n: int,
-    domain: SearchDomain = SearchDomain(),
-    baths: Optional[BathPair] = None,
+    domain: SearchDomain,
+    baths: BathPair,
 ) -> SampleColumns:
     """Monte Carlo sweep of the coupled XX spin pair in engine mode.
 
@@ -246,8 +245,6 @@ def sample_engine_points(
     """
     if n < 1:
         raise EmptyDomain(f"need n >= 1 draws, got {n}")
-    if baths is None:
-        baths = BathPair(2.0, 1.0)
     rng = np.random.default_rng(seed)
     lows = np.array([domain.omega[0], domain.omega_prime[0], domain.coupling[0]])
     highs = np.array([domain.omega[1], domain.omega_prime[1], domain.coupling[1]])

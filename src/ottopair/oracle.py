@@ -94,6 +94,14 @@ def _fock_entries(omega: float, lambda_x: float, lambda_p: float, n_max: int):
     return n1, n2, omega * (n1 + n2 + 1.0), rows, cols, values
 
 
+def _symmetric(diagonal, rows, cols, values) -> np.ndarray:
+    """The symmetric matrix with `diagonal` and the off-diagonal entries
+    h[rows, cols] = h[cols, rows] = values."""
+    h = np.diag(diagonal)
+    h[rows, cols] = h[cols, rows] = values
+    return h
+
+
 def truncated_oscillator_matrix(
     omega: float, lambda_x: float, lambda_p: float, n_max: int
 ) -> np.ndarray:
@@ -105,9 +113,7 @@ def truncated_oscillator_matrix(
     excitations.  Real symmetric, dimension (n_max + 1)^2.
     """
     _, _, diagonal, rows, cols, values = _fock_entries(omega, lambda_x, lambda_p, n_max)
-    h = np.diag(diagonal)
-    h[rows, cols] += values
-    return h + np.triu(h, 1).T
+    return _symmetric(diagonal, rows, cols, values)
 
 
 def truncated_oscillator_spectrum(
@@ -143,9 +149,7 @@ def _fock_blocks(omega: float, lam: float, model: str, n_max: int):
         states = np.flatnonzero(label == block)
         here = label[rows] == block
         r, c = np.searchsorted(states, rows[here]), np.searchsorted(states, cols[here])
-        h = np.diag(diagonal[states])
-        h[r, c] = h[c, r] = values[here]
-        levels.append(np.linalg.eigvalsh(h))
+        levels.append(np.linalg.eigvalsh(_symmetric(diagonal[states], r, c, values[here])))
         mult.append(np.full(states.size, 2.0 if model == "xy" and block > 0 else 1.0))
     return np.concatenate(levels), np.concatenate(mult)
 

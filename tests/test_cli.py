@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -467,9 +468,11 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "'bogus'" in err
 
 
-@pytest.mark.parametrize("command", [("sample", "--th", "2", "--tc", "1"), ("verify",)])
+@pytest.mark.parametrize(
+    "command", [("sample", "--th", "2", "--tc", "1", "--n", "10"), ("verify",)]
+)
 def test_negative_seed_exits_2(capsys, command):
-    code, out, err = run_cli(capsys, *command, "--n", "10", "--seed", "-1")
+    code, out, err = run_cli(capsys, *command, "--seed", "-1")
     assert (code, out) == (EXIT_CONFIG, "")
     assert "--seed" in err
 
@@ -542,6 +545,7 @@ def test_figure_refuses_bad_frequencies(capsys, args):
     assert "omega" in err
 
 
+_POINT_ARGS = ("--omega", "4", "--omega-prime", "3", "--th", "2", "--tc", "1")
 _OVERFLOW = ("--medium", "osc", "--model", "xx", "--omega", "4", "--omega-prime", "3",
              "--th", "1e308", "--tc", "1e-308")
 
@@ -556,6 +560,14 @@ def test_overflowing_heats_are_refused(capsys):
         code, out, _ = run_cli(capsys, "sweep", *_OVERFLOW, "--sweep", "0:0:1")
     assert code == EXIT_OK
     assert out.splitlines()[1] == "0" + "," * 21
+
+
+def test_overflowing_sweep_coupling_is_an_unstable_row(capsys):
+    # 1e308 times the grid value 2 overflows the coupling with no warning
+    code, out, err = run_cli(capsys, "sweep", "--medium", "osc", "--model", "general",
+                             "--lx", "1e308", "--lp", "0", *_POINT_ARGS, "--sweep", "0:2:1")
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[3] == "2" + "," * 21
 
 
 def test_optimizer_overflow_raises_no_warning(capsys):
@@ -589,6 +601,266 @@ def test_closed_stdout_pipe_exits_141():
 
 
 # ---------------------------------------------------------------------------
+# the option contract: an invocation accepts exactly the options it reads
+
+# a valid value of each of the 19 options, for adding it where it is foreign
+_VALID = {
+    "medium": "osc", "model": "xx", "omega": 4.0, "omega-prime": 3.0, "lam": 1.0, "jx": 1.0,
+    "jy": 0.5, "lx": 1.0, "lp": 0.5, "th": 2.0, "tc": 1.0, "seed": 1, "n": 10, "out": "OUT",
+    "format": "csv", "sweep": "0:1:0.5", "domain-max": 5.0, "resolution": 4, "level": "quick",
+}
+_POINT = {"omega": 4.0, "omega-prime": 3.0, "th": 2.0, "tc": 1.0}
+_NEW_POINT = {"omega": 4.5, "omega-prime": 2.5, "th": 2.5, "tc": 0.5}
+_DRAWS = {"th": 2.5, "tc": 0.5, "seed": 1, "n": 200, "domain-max": 5.0, "format": "json",
+          "out": "OUT"}
+_FIGURE_ROWS = {**_NEW_POINT, "sweep": "0:0.5:0.25", "format": "json", "out": "OUT"}
+
+
+def _general(medium):
+    return {"jx": 1.0, "jy": 0.5} if medium == "spin" else {"lx": 1.0, "lp": 0.5}
+
+
+# invocation -> (leading argv, options of a valid run, a second valid value of
+# every option the invocation reads); the last one's keys are the read set
+_INVOCATIONS = {
+    **{
+        f"cycle-{model}": (
+            ["cycle"], {"medium": "spin", "model": model, **_POINT, "lam": 1.0},
+            {"medium": "osc", "model": other, **_NEW_POINT, "lam": 0.5, "out": "OUT"},
+        )
+        for model, other in (("xx", "xy"), ("xy", "xx"))
+    },
+    **{
+        f"cycle-{medium}-general": (
+            ["cycle"], {"medium": medium, "model": "general", **_POINT, **_general(medium)},
+            {"medium": other, "model": "xx", **_NEW_POINT, **{k: -0.3 for k in _general(medium)},
+             "out": "OUT"},
+        )
+        for medium, other in (("spin", "osc"), ("osc", "spin"))
+    },
+    **{
+        f"sweep-{model}": (
+            ["sweep"], {"medium": "osc", "model": model, **_POINT, "sweep": "0:1:0.5"},
+            {"medium": "spin", "model": other, **_NEW_POINT, "sweep": "0:1:0.25",
+             "format": "json", "out": "OUT"},
+        )
+        for model, other in (("xx", "xy"), ("xy", "xx"))
+    },
+    **{
+        f"sweep-{medium}-general": (
+            ["sweep"],
+            {"medium": medium, "model": "general", **_POINT, **_general(medium),
+             "sweep": "0:1:0.5"},
+            {"medium": other, "model": "xx", **_NEW_POINT, **{k: -0.3 for k in _general(medium)},
+             "sweep": "0:1:0.25", "format": "json", "out": "OUT"},
+        )
+        for medium, other in (("spin", "osc"), ("osc", "spin"))
+    },
+    **{name: (["figure", name], {}, _FIGURE_ROWS) for name in ("fig3", "fig6", "fig7a", "fig7b")},
+    "fig5": (["figure", "fig5"], {"n": 300}, _DRAWS),
+    "optimize": (
+        ["optimize"], {"medium": "spin", "model": "xx", "th": 2.0, "tc": 1.0, "resolution": 4},
+        {"medium": "osc", "model": "xy", "th": 2.5, "tc": 0.5, "domain-max": 5.0,
+         "resolution": 5, "out": "OUT"},
+    ),
+    "sample": (["sample"], {"th": 2.0, "tc": 1.0, "n": 300}, _DRAWS),
+    "verify": (["verify"], {}, {"level": "full", "seed": 1}),
+}
+
+
+def _options_argv(options, out):
+    argv = []
+    for name, value in options.items():
+        argv += [f"--{name}", out if value == "OUT" else str(value)]
+    return argv
+
+
+def _run_invocation(capsys, name, options, tmp_path, config=None):
+    """(exit code, stdout, --out bytes or None) of one invocation."""
+    out = tmp_path / "out.txt"
+    argv = _INVOCATIONS[name][0] + _options_argv(options, str(out))
+    if config is not None:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refusals
+        code = exc.code
+    written = out.read_bytes() if out.exists() else None
+    if out.exists():
+        out.unlink()
+    return code, capsys.readouterr().out, written
+
+
+@pytest.fixture
+def stub_oracle(monkeypatch):
+    # verify at --level full takes half a minute; the stub shows which
+    # level and seed the command passed on
+    class Report:
+        def __init__(self, level, seed):
+            self.ok, self.table = True, f"{level} {seed}"
+
+        def format_table(self):
+            return self.table
+
+    monkeypatch.setattr(cli, "run_verification", lambda level, seed: Report(level, seed))
+
+
+_FOREIGN = [
+    (name, option)
+    for name, (_, _, reads) in _INVOCATIONS.items()
+    for option in _VALID
+    if option not in reads
+]
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+@pytest.mark.parametrize("name,option", _FOREIGN, ids=[f"{n}-{o}" for n, o in _FOREIGN])
+def test_foreign_option_exits_2(tmp_path, capsys, stub_oracle, name, option, route):
+    _, base, reads = _INVOCATIONS[name]
+    options = dict(base, **({"out": "OUT"} if "out" in reads else {}))
+    if route == "flag":
+        got = _run_invocation(capsys, name, {**options, option: _VALID[option]}, tmp_path)
+    else:
+        value = str(tmp_path / "out.txt") if option == "out" else _VALID[option]
+        got = _run_invocation(
+            capsys, name, options, tmp_path, config={option.replace("-", "_"): value}
+        )
+    assert got == (EXIT_CONFIG, "", None)
+
+
+_OWN = [(name, option) for name, (_, _, reads) in _INVOCATIONS.items() for option in reads]
+
+
+@pytest.mark.parametrize("name,option", _OWN, ids=[f"{n}-{o}" for n, o in _OWN])
+def test_own_option_changes_the_result(tmp_path, capsys, stub_oracle, name, option):
+    _, base, reads = _INVOCATIONS[name]
+    before = _run_invocation(capsys, name, base, tmp_path)
+    after = _run_invocation(capsys, name, {**base, option: reads[option]}, tmp_path)
+    assert before[0] == EXIT_OK
+    assert after != before
+
+
+@pytest.mark.parametrize("command", ["cycle", "sweep", "figure", "optimize", "sample", "verify"])
+def test_help_lists_exactly_the_options_read(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    # the option lines of the help text: "  --name ..." or "  -h, --help ..."
+    listed = set(re.findall(r"^ +(?:-\w, )?--([\w-]+)", capsys.readouterr().out, re.MULTILINE))
+    reads = set().union(*(
+        reads for name, (lead, _, reads) in _INVOCATIONS.items() if lead[0] == command
+    ))
+    assert listed == reads | {"help", "config"}
+
+
+def test_figure_options_go_on_either_side_of_the_name(capsys):
+    after = run_cli(capsys, "figure", "fig3", "--th", "2.5", "--sweep", "0:0.5:0.25")
+    assert run_cli(capsys, "figure", "--th", "2.5", "--sweep", "0:0.5:0.25", "fig3") == after
+    assert after[0] == EXIT_OK
+    # the dataset's read set is checked after parsing, on either side
+    assert run_cli(capsys, "figure", "--seed", "1", "fig3") == (
+        EXIT_CONFIG, "", "config error: figure fig3 does not read --seed\n"
+    )
+
+
+def test_read_sets_hold_51_option_slots():
+    # the 19 options in 6 subcommands were 114 slots; the help test ties
+    # these read sets to the parser
+    slots = {
+        command: set().union(*(r for lead, _, r in _INVOCATIONS.values() if lead[0] == command))
+        for command in ("cycle", "sweep", "figure", "optimize", "sample", "verify")
+    }
+    counts = {command: len(options) for command, options in slots.items()}
+    assert counts == {"cycle": 12, "sweep": 13, "figure": 10, "optimize": 7, "sample": 7,
+                      "verify": 2}
+    assert sum(counts.values()) == 51
+
+
+@pytest.mark.parametrize(
+    "values,word",
+    [
+        ({"n": 4.7}, "int"),
+        ({"resolution": 5.9}, "int"),
+        ({"seed": True}, "int"),
+        ({"th": True}, "float"),
+        ({"domain_max": False}, "float"),
+        ({"n": "4.5"}, "int"),
+        ({"command": "sample"}, "unknown"),
+        ({"figure": "fig3"}, "unknown"),
+    ],
+)
+def test_config_value_keeps_its_json_type(tmp_path, capsys, values, word):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(values))
+    code, out, err = run_cli(capsys, "sample", "--th", "2", "--tc", "1", "--n", "10",
+                             "--config", str(cfg))
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert word in err
+
+
+@pytest.mark.parametrize(
+    "values",
+    [{"th": 2, "n": 300.0, "seed": 0}, {"th": "2", "n": "300", "seed": "0"},
+     {"th": 2.0, "n": 3e2, "seed": 0.0}],
+)
+def test_integral_and_numeric_string_config_values_are_accepted(tmp_path, capsys, values):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(values))
+    from_file = run_cli(capsys, "sample", "--tc", "1", "--config", str(cfg))
+    from_flags = run_cli(capsys, "sample", "--tc", "1", "--th", "2", "--n", "300", "--seed", "0")
+    assert from_file == from_flags
+    assert from_file[0] == EXIT_OK
+
+
+def test_verify_reads_its_config_keys(tmp_path, capsys, stub_oracle):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"seed": 3, "level": "full"}))
+    assert run_cli(capsys, "verify", "--config", str(cfg)) == (EXIT_OK, "full 3\n", "")
+
+
+_DEV_FULL = Path("/dev/full")
+
+
+@pytest.mark.skipif(not _DEV_FULL.exists(), reason="no /dev/full")
+@pytest.mark.parametrize(
+    "argv,to_stdout",
+    [
+        (_CYCLE_POINT + ("--medium", "spin", "--model", "xx"), True),
+        (_CYCLE_POINT + ("--medium", "spin", "--model", "xx", "--out", "/dev/full"), False),
+        (("figure", "fig3", "--out", "/dev/full"), False),
+        (("figure", "fig3"), True),
+    ],
+    ids=["cycle-stdout", "cycle-out", "fig3-out", "fig3-stdout"],
+)
+def test_failed_write_exits_2(argv, to_stdout):
+    src = str(Path(ottopair.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    with open(_DEV_FULL, "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ottopair.cli", *argv],
+            stdout=full if to_stdout else subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            timeout=60, check=False,
+        )
+    assert proc.returncode == EXIT_CONFIG
+    # one line, and no "Exception ignored" at interpreter exit
+    assert proc.stderr == b"config error: cannot write output: [Errno 28] No space left on device\n"
+    assert _DEV_FULL.exists()
+
+
+def test_failed_write_removes_the_partial_out_file(tmp_path):
+    target = tmp_path / "rows.csv"
+
+    def chunks():
+        yield "x" * 100_000  # reaches the file before the failure
+        raise OSError(28, "No space left on device")
+
+    with pytest.raises(cli.ConfigError, match="cannot write output"):
+        cli._write_text(cli.RunConfig(command="sweep", out=str(target)), chunks())
+    assert not target.exists()
+
+
+# ---------------------------------------------------------------------------
 # property test: every documented flag, edge values included
 
 _EDGE = [0.0, -1.0, math.nan, math.inf, 1e-320, 1e308]
@@ -610,15 +882,24 @@ def _grid(draw):
 
 @st.composite
 def _argv(draw):
+    """(argv, foreign): a documented invocation and, rarely, one option it
+    does not read, which must be refused."""
     command = draw(st.sampled_from(["cycle", "sweep", "figure", "sample"]))
-    argv = [command]
+    argv, invocation = [command], command
     if command == "figure":
-        argv.append(draw(st.sampled_from(["fig3", "fig6", "fig7a", "fig7b"])))
+        invocation = draw(st.sampled_from(["fig3", "fig6", "fig7a", "fig7b"]))
+        argv.append(invocation)
     optional = lambda name: _flag(name, draw(_VALUE)) if draw(st.booleans()) else []
     if command in ("cycle", "sweep"):
+        medium = draw(st.sampled_from(["osc", "spin"]))
         model = draw(st.sampled_from(["xx", "xy", "general"]))
-        argv += ["--medium", draw(st.sampled_from(["osc", "spin"])), "--model", model]
-        couplings = ["lam"] if model != "general" else ["jx", "jy", "lx", "lp"]
+        argv += ["--medium", medium, "--model", model]
+        if model == "general":
+            invocation = f"{command}-{medium}-general"
+            couplings = list(_general(medium))
+        else:
+            invocation = f"{command}-{model}"
+            couplings = ["lam"] if command == "cycle" else []  # the sweep grid is the coupling
         for name in ["omega", "omega-prime", "th", "tc", *couplings]:
             argv += _flag(name, draw(_VALUE))
     else:
@@ -631,7 +912,12 @@ def _argv(draw):
         argv += optional("domain-max")
     if command != "cycle":
         argv += ["--format", draw(st.sampled_from(["csv", "json"]))]
-    return argv
+    foreign = draw(st.integers(0, 9)) == 0
+    if foreign:
+        reads = _INVOCATIONS[invocation][2]
+        option = draw(st.sampled_from([o for o in _VALID if o not in reads]))
+        argv += [f"--{option}", str(_VALID[option])]
+    return argv, foreign
 
 
 def _refuse_constant(name):
@@ -652,8 +938,9 @@ def _assert_finite_fields(text, is_json):
 
 
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
-@given(argv=_argv(), to_file=st.booleans())
-def test_cli_never_crashes_or_prints_non_finite_numbers(argv, to_file):
+@given(case=_argv(), to_file=st.booleans())
+def test_cli_never_crashes_or_prints_non_finite_numbers(case, to_file):
+    argv, foreign = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "out")
         if to_file:
@@ -665,6 +952,7 @@ def test_cli_never_crashes_or_prints_non_finite_numbers(argv, to_file):
             except SystemExit as exc:  # argparse refusals
                 code = exc.code
         assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DOMAIN), (code, stderr.getvalue())
+        assert code == EXIT_CONFIG or not foreign, argv
         text = path.read_text() if to_file and path.exists() else stdout.getvalue()
     if code != EXIT_OK:
         assert text == ""  # a refused input prints nothing
