@@ -10,14 +10,11 @@ states, work-extraction optimization, and a brute-force oracle suite.
 
 from .cycle import (
     CycleColumns,
-    CycleResult,
-    ModeCycleResult,
     Regime,
     classify_regime,
     critical_coupling,
     evaluate_cycle,
     evaluate_cycles,
-    figure_of_merit_bounds,
     mode_heats,
     perturbative_prediction,
     xx_cop_difference,
@@ -36,17 +33,12 @@ from .errors import (
     InconsistentEnergy,
     NumericalError,
     OttoPairError,
-    RegimeMismatch,
     UnknownModel,
 )
 from .medium import (
     BathPair,
-    CyclePoint,
     CycleSpec,
     MediumKind,
-    ModePair,
-    OscillatorCoupling,
-    SpinCoupling,
     mode_pairs_for_cycle,
     model_coupling,
     oscillator_normal_modes,

@@ -9,7 +9,8 @@ One table, ``_OPTIONS``, defines every option, and ``_READS`` says which
 options each command or figure dataset reads; ``cycle`` also reads its
 model's coupling and ``sweep`` a general model's direction.  A subcommand
 registers only the options it can read, and a flag or ``--config`` key
-that the invocation does not read is a config error, never ignored.
+that the invocation does not read is a config error, never ignored; a
+flag the subcommand does not register prints that subcommand's usage.
 
 All output is deterministic for a fixed configuration and seed.  CSV is
 UTF-8, comma-separated with '\\n' line endings and a mandatory header
@@ -17,8 +18,10 @@ row; numbers carry 17 significant digits; figures of merit outside their
 regime serialize as empty fields, never 0.  Exit codes: 0 ok, 2 config
 error (including output that cannot be written), 3 domain error, 4
 verification failure, 141 stdout closed early (e.g. by ``| head``).
-Sweep and figure rows are evaluated in one batched pass
-(`evaluate_cycles`).
+Every cycle comes from `evaluate_cycles` columns: ``sweep`` and ``figure``
+evaluate their rows in one batched pass, and the ``cycle`` document is a
+length-1 call's columns, absent values as null where a sweep row leaves
+its field empty.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .cycle import REGIMES, CycleColumns, CycleResult, Regime, evaluate_cycle, evaluate_cycles
+from .cycle import REGIMES, CycleColumns, Regime, evaluate_cycle, evaluate_cycles
 from .errors import ConfigError, DomainError, NumericalError, OttoPairError
 from .medium import BathPair, MediumKind, model_coupling, standard_cycle
 from .optimize import SearchDomain, max_coupled_work, max_uncoupled_work, sample_engine_points
@@ -235,58 +238,6 @@ def _parse_sweep(text: str) -> np.ndarray:
 # subcommands
 
 
-def _mode_doc(mode) -> dict:
-    return {
-        "omega_hot": mode.omega_hot,
-        "omega_cold": mode.omega_cold,
-        "q_h": mode.q_h,
-        "q_c": mode.q_c,
-        "w": mode.w,
-        "regime": mode.regime.value,
-        "at_boundary": mode.at_boundary,
-        "figure_of_merit": mode.figure_of_merit,
-    }
-
-
-def _result_doc(result: CycleResult) -> dict:
-    return {
-        "modes": {"A": _mode_doc(result.mode_a), "B": _mode_doc(result.mode_b)},
-        "totals": {
-            "q_h": result.q_h_total,
-            "q_c": result.q_c_total,
-            "w": result.w_total,
-        },
-        "global": {
-            "regime": result.regime.value,
-            "at_boundary": result.at_boundary,
-            "figure_of_merit": result.global_figure,
-            "weight": result.weight,
-            "bounds": list(result.bounds) if result.bounds else None,
-        },
-    }
-
-
-def cmd_cycle(cfg: RunConfig) -> int:
-    kind = _medium_kind(cfg)
-    baths = _baths(cfg)
-    omega = float(_require(cfg, "omega"))
-    omega_prime = float(_require(cfg, "omega_prime"))
-    coupling = _coupling_value(cfg, kind)
-    spec = standard_cycle(kind, cfg.model, omega, omega_prime, coupling, baths)
-    result = evaluate_cycle(spec)
-    doc = {
-        "medium": kind.value,
-        "model": cfg.model,
-        "omega": omega,
-        "omega_prime": omega_prime,
-        "t_h": baths.t_h,
-        "t_c": baths.t_c,
-        **_result_doc(result),
-    }
-    _write_doc(cfg, doc)
-    return EXIT_OK
-
-
 _SWEEP_HEADER = [
     "lambda",
     "omega_a_hot", "omega_a_cold", "omega_b_hot", "omega_b_cold",
@@ -329,6 +280,62 @@ def _sweep_rows(lam: np.ndarray, c: CycleColumns):
         _column(c.bounds[0], shared), _column(c.bounds[1], shared),
     ]
     return zip(*columns)
+
+
+def _cycle_doc(c: CycleColumns) -> dict:
+    """The `modes`, `totals` and `global` parts of the `cycle` document,
+    from length-1 columns by the rules of `_sweep_rows`."""
+
+    def cell(values, present=None):
+        return _column(values, present)[0]
+
+    def regime(codes):
+        return REGIMES[codes[0]].value
+
+    def mode(m):
+        return {
+            "omega_hot": cell(c.omega_hot[m]),
+            "omega_cold": cell(c.omega_cold[m]),
+            "q_h": cell(c.q_h[m]),
+            "q_c": cell(c.q_c[m]),
+            "w": cell(c.w[m]),
+            "regime": regime(c.regime[m]),
+            "at_boundary": cell(c.at_boundary[m]),
+            "figure_of_merit": cell(c.figure_of_merit[m], c.operating[m]),
+        }
+
+    return {
+        "modes": {"A": mode(0), "B": mode(1)},
+        "totals": {"q_h": cell(c.q_h_total), "q_c": cell(c.q_c_total), "w": cell(c.w_total)},
+        "global": {
+            "regime": regime(c.global_regime),
+            "at_boundary": cell(c.global_at_boundary),
+            "figure_of_merit": cell(c.global_figure, c.global_operating),
+            "weight": cell(c.weight, c.shared),
+            "bounds": cell(c.bounds.T, c.shared),
+        },
+    }
+
+
+def cmd_cycle(cfg: RunConfig) -> int:
+    kind = _medium_kind(cfg)
+    baths = _baths(cfg)
+    coupling = _coupling_value(cfg, kind)
+    omega, omega_prime = _bare_frequencies(cfg)
+    spec = standard_cycle(kind, cfg.model, omega, omega_prime, coupling, baths)
+    if not all(map(math.isfinite, spec.coupling_hot)):
+        raise DomainError(f"coupling must be finite, got {spec.coupling_hot}")
+    doc = {
+        "medium": kind.value,
+        "model": cfg.model,
+        "omega": omega,
+        "omega_prime": omega_prime,
+        "t_h": baths.t_h,
+        "t_c": baths.t_c,
+        **_cycle_doc(evaluate_cycle(spec)),
+    }
+    _write_doc(cfg, doc)
+    return EXIT_OK
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
@@ -576,6 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         figures = [None]
         p = sub.add_parser(command, help=help_text)
+        p.set_defaults(subparser=p)  # `main` reports unknown options with its usage
         if command == "figure":
             figures = sorted(_FIGURE_DEFAULTS)
             p.add_argument("figure", choices=figures)
@@ -659,7 +667,9 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        args.subparser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         cfg = _merge_config(args)
         code = _COMMANDS[args.command](cfg)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -23,7 +23,6 @@ from .errors import (
     DegenerateBaths,
     DomainError,
     InconsistentEnergy,
-    RegimeMismatch,
     UnknownModel,
 )
 from .medium import (
@@ -38,8 +37,6 @@ from .medium import (
 __all__ = [
     "Regime",
     "REGIMES",
-    "ModeCycleResult",
-    "CycleResult",
     "CycleColumns",
     "coth",
     "mode_heats",
@@ -47,7 +44,6 @@ __all__ = [
     "regime_codes",
     "evaluate_cycle",
     "evaluate_cycles",
-    "figure_of_merit_bounds",
     "critical_coupling",
     "perturbative_prediction",
     "xx_efficiency_difference",
@@ -68,48 +64,6 @@ _ENGINE, _FRIDGE, _DISSIPATOR = range(3)
 
 
 @dataclass(frozen=True)
-class ModeCycleResult:
-    """One decoupled mode over a full cycle."""
-
-    mode_id: str
-    omega_hot: float
-    omega_cold: float
-    q_h: float
-    q_c: float
-    w: float
-    regime: Regime
-    at_boundary: bool
-    figure_of_merit: Optional[float]
-
-
-@dataclass(frozen=True)
-class CycleResult:
-    """Both modes plus the global (total-system) quantities.
-
-    ``weight`` is the convex weight of mode A in the global figure of
-    merit: the heat fraction Q_A/(Q_A+Q_B) when both modes are engines,
-    the work fraction |W_A|/|W_A+W_B| when both are refrigerators.
-    ``bounds`` is the (min, max) per-mode figure-of-merit interval and is
-    attached only when both modes share the operating regime.
-    """
-
-    mode_a: ModeCycleResult
-    mode_b: ModeCycleResult
-    q_h_total: float
-    q_c_total: float
-    w_total: float
-    regime: Regime
-    at_boundary: bool
-    global_figure: Optional[float]
-    weight: Optional[float]
-    bounds: Optional[tuple[float, float]]
-
-    @property
-    def modes(self) -> tuple[ModeCycleResult, ModeCycleResult]:
-        return (self.mode_a, self.mode_b)
-
-
-@dataclass(frozen=True)
 class CycleColumns:
     """`evaluate_cycles` output for n cycles, one array per quantity.
 
@@ -119,8 +73,11 @@ class CycleColumns:
     Regimes are int8 codes into `REGIMES`.  A figure of merit is present
     only where its regime is engine or refrigerator, and ``weight`` and
     ``bounds`` only where both modes share that regime; absent entries
-    are nan.  Rows with ``valid`` False are the cycles `evaluate_cycle`
-    refuses with DomainError; only ``valid`` is meaningful there.
+    are nan.  ``weight`` is the convex weight of mode A in the global
+    figure of merit: the heat fraction Q_A/(Q_A+Q_B) for two engines, the
+    work fraction |W_A|/|W_A+W_B| for two refrigerators.  Rows with
+    ``valid`` False are the cycles `evaluate_cycle` refuses with
+    DomainError; only ``valid`` is meaningful there.
     """
 
     valid: np.ndarray
@@ -278,12 +235,12 @@ def regime_codes(q_h, q_c, w, eps=None) -> tuple[np.ndarray, np.ndarray]:
     return codes, near & (codes == _DISSIPATOR)
 
 
-def _classify(q_h, q_c, w, eps, valid):
+def _classify(q_h, q_c, w, valid):
     """`classify_regime` plus the figure of merit, over arrays: (codes,
     at_boundary, eta = W/Q_h for engines or zeta = Q_c/|W| for
     refrigerators, else nan).  Applies the energy-balance check to the
     valid entries."""
-    tol = _tolerances(q_h, q_c) if eps is None else eps
+    tol = _tolerances(q_h, q_c)
     with np.errstate(invalid="ignore"):
         bad = valid & ~(np.abs(w - q_h - q_c) <= tol)
     if bad.any():
@@ -305,7 +262,6 @@ def evaluate_cycles(
     coupling_hot,
     coupling_cold,
     baths: BathPair,
-    eps: Optional[float] = None,
 ) -> CycleColumns:
     """Evaluate n cycles at once; the batched form of `evaluate_cycle`.
 
@@ -318,17 +274,13 @@ def evaluate_cycles(
     coupling_hot, coupling_cold : (array_like, array_like)
         (lambda_x, lambda_p) for oscillators, (j_x, j_y) for spins.
     baths : BathPair
-    eps : float, optional
-        Regime tolerance; default ``1e-12 * max(|Q_h|, |Q_c|, 1)`` per
-        triple.
 
-    All six arrays broadcast to one dimension.  Every column equals, bit
-    for bit, what `evaluate_cycle` returns for the same cycle, and
-    ``valid`` is False exactly where it raises DomainError: an invalid
-    mode decomposition, a non-finite input, or a heat, work or total that
-    is not finite.  Raises
-    InconsistentEnergy like `classify_regime` if a valid triple breaks
-    ``W = Q_h + Q_c`` beyond the tolerance.
+    All six arrays broadcast to one dimension.  ``valid`` is False exactly
+    where `evaluate_cycle` raises DomainError: an invalid mode
+    decomposition, a non-finite input, or a heat, work or total that is
+    not finite.  Regimes use the tolerance ``1e-12 * max(|Q_h|, |Q_c|, 1)``
+    per triple.  Raises InconsistentEnergy like `classify_regime` if a
+    valid triple breaks ``W = Q_h + Q_c`` beyond it.
     """
     omega_hot, omega_cold, cx_h, cy_h, cx_c, cy_c = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(x, dtype=float))
@@ -347,8 +299,8 @@ def evaluate_cycles(
         q_h_t, q_c_t, w_t = q_h[0] + q_h[1], q_c[0] + q_c[1], w[0] + w[1]
     # a heat that overflows is refused like an unstable mode
     valid &= np.isfinite([*q_h, *q_c, *w, q_h_t, q_c_t, w_t]).all(axis=0)
-    codes, boundary, fom = _classify(q_h, q_c, w, eps, valid)
-    g_codes, g_boundary, g_fom = _classify(q_h_t, q_c_t, w_t, eps, valid)
+    codes, boundary, fom = _classify(q_h, q_c, w, valid)
+    g_codes, g_boundary, g_fom = _classify(q_h_t, q_c_t, w_t, valid)
 
     # convex weight of mode A: heat fraction for two engines, work
     # fraction for two refrigerators; min/max as Python's, nan included
@@ -379,75 +331,29 @@ def evaluate_cycles(
     )
 
 
-def _optional(value, present) -> Optional[float]:
-    return float(value) if present else None
-
-
-def evaluate_cycle(spec: CycleSpec, eps: Optional[float] = None) -> CycleResult:
-    """Evaluate a full cycle: per-mode heats and regimes, totals, global
-    figure of merit, convex weight and per-mode bounds.
+def evaluate_cycle(spec: CycleSpec) -> CycleColumns:
+    """Evaluate one cycle: the length-1 columns of `evaluate_cycles`.
 
     The global figure of merit is W_total/Q_h_total when the totals
     satisfy the engine condition and Q_c_total/|W_total| when they
     satisfy the refrigerator condition; otherwise it is absent (mixed or
-    dissipative cycles have no figure of merit).  A length-1 call of
-    `evaluate_cycles`.
+    dissipative cycles have no figure of merit).  ``bounds`` is the
+    sandwich interval of the per-mode figures of merit, which holds the
+    global one; it is nan where the modes do not share a regime.
+
+    Raises
+    ------
+    DomainError
+        Where ``valid`` is False: the decomposition's own error for an
+        invalid mode, otherwise "non-finite heats".
     """
-    c = evaluate_cycles(
-        spec.kind,
-        spec.hot.omega,
-        spec.cold.omega,
-        astuple(spec.hot.coupling),
-        astuple(spec.cold.coupling),
-        spec.baths,
-        eps,
-    )
+    c = evaluate_cycles(**vars(spec))
     if not c.valid[0]:
         mode_pairs_for_cycle(spec)  # raises the decomposition's own DomainError
         heats = np.stack([c.q_h, c.q_c, c.w], axis=-1)[:, 0].tolist()
         total = [float(x[0]) for x in (c.q_h_total, c.q_c_total, c.w_total)]
         raise DomainError(f"non-finite heats: (Q_h, Q_c, W) = {heats} of modes A, B, {total} total")
-    modes = [
-        ModeCycleResult(
-            mode_id=mode_id,
-            omega_hot=float(c.omega_hot[m, 0]),
-            omega_cold=float(c.omega_cold[m, 0]),
-            q_h=float(c.q_h[m, 0]),
-            q_c=float(c.q_c[m, 0]),
-            w=float(c.w[m, 0]),
-            regime=REGIMES[c.regime[m, 0]],
-            at_boundary=bool(c.at_boundary[m, 0]),
-            figure_of_merit=_optional(c.figure_of_merit[m, 0], c.operating[m, 0]),
-        )
-        for m, mode_id in enumerate("AB")
-    ]
-    shared = bool(c.shared[0])
-    return CycleResult(
-        mode_a=modes[0],
-        mode_b=modes[1],
-        q_h_total=float(c.q_h_total[0]),
-        q_c_total=float(c.q_c_total[0]),
-        w_total=float(c.w_total[0]),
-        regime=REGIMES[c.global_regime[0]],
-        at_boundary=bool(c.global_at_boundary[0]),
-        global_figure=_optional(c.global_figure[0], c.global_operating[0]),
-        weight=_optional(c.weight[0], shared),
-        bounds=(float(c.bounds[0, 0]), float(c.bounds[1, 0])) if shared else None,
-    )
-
-
-def figure_of_merit_bounds(result: CycleResult) -> tuple[float, float]:
-    """(min, max) of the per-mode figures of merit.
-
-    Defined only when both modes operate in the same regime; the global
-    figure of merit always lies in this closed interval.
-    """
-    if result.bounds is None:
-        raise RegimeMismatch(
-            f"modes operate as {result.mode_a.regime.value} / "
-            f"{result.mode_b.regime.value}; no joint bounds"
-        )
-    return result.bounds
+    return c
 
 
 def critical_coupling(

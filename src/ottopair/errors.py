@@ -14,11 +14,6 @@ class InconsistentEnergy(OttoPairError):
     """Heats and work passed in do not satisfy W = Q_h + Q_c."""
 
 
-class RegimeMismatch(OttoPairError):
-    """The two modes of a cycle operate in different regimes, so a joint
-    figure-of-merit interval is undefined."""
-
-
 class DegenerateBaths(OttoPairError):
     """Hot and cold bath temperatures coincide."""
 

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import astuple, dataclass
-from typing import NamedTuple, Union
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,13 +24,7 @@ from .errors import DomainError, UnknownModel
 __all__ = [
     "MediumKind",
     "BathPair",
-    "OscillatorCoupling",
-    "SpinCoupling",
-    "Coupling",
-    "CyclePoint",
     "CycleSpec",
-    "ModePair",
-    "ModePairs",
     "oscillator_normal_modes",
     "spin_normal_modes",
     "mode_pairs_for_cycle",
@@ -79,104 +72,44 @@ class BathPair:
 
 
 @dataclass(frozen=True)
-class OscillatorCoupling:
-    """Position/momentum coupling strengths, same units as the frequency."""
-
-    lambda_x: float
-    lambda_p: float
-
-
-@dataclass(frozen=True)
-class SpinCoupling:
-    """Exchange constants along x and y."""
-
-    j_x: float
-    j_y: float
-
-
-Coupling = Union[OscillatorCoupling, SpinCoupling]
-
-_COUPLING_FOR_KIND = {
-    MediumKind.OSCILLATOR: OscillatorCoupling,
-    MediumKind.SPIN: SpinCoupling,
-}
-
-
-@dataclass(frozen=True)
-class CyclePoint:
-    """Bare frequency and coupling at one end of the adiabatic strokes;
-    every value finite, the frequency positive."""
-
-    omega: float
-    coupling: Coupling
-
-    def __post_init__(self):
-        if not self.omega > 0.0:
-            raise DomainError(f"bare frequency must be positive, got {self.omega}")
-        if not all(map(math.isfinite, (self.omega, *astuple(self.coupling)))):
-            raise DomainError(f"cycle point values must be finite, got {self}")
-
-
-@dataclass(frozen=True)
 class CycleSpec:
-    """Full description of one Otto cycle: medium kind, the hot-side and
-    cold-side control points, and the bath pair."""
+    """One Otto cycle as the arguments of an `evaluate_cycles` call: the
+    medium, the bare frequency and the coupling pair (cx, cy) of
+    `model_coupling` at the hot and cold points, and the bath pair.
+    `evaluate_cycle` refuses every invalid cycle."""
 
     kind: MediumKind
-    hot: CyclePoint
-    cold: CyclePoint
+    omega_hot: float
+    omega_cold: float
+    coupling_hot: tuple[float, float]
+    coupling_cold: tuple[float, float]
     baths: BathPair
-
-    def __post_init__(self):
-        want = _COUPLING_FOR_KIND[self.kind]
-        for name, point in (("hot", self.hot), ("cold", self.cold)):
-            if not isinstance(point.coupling, want):
-                raise DomainError(
-                    f"{name} point carries {type(point.coupling).__name__}, "
-                    f"expected {want.__name__} for kind={self.kind.value}"
-                )
-
-
-@dataclass(frozen=True)
-class ModePair:
-    """Decoupled mode frequencies at a single cycle point (A = '+' branch)."""
-
-    omega_a: float
-    omega_b: float
-
-    def __post_init__(self):
-        if not (self.omega_a > 0.0 and self.omega_b > 0.0):
-            raise DomainError(
-                f"mode frequencies must be positive, got ({self.omega_a}, {self.omega_b})"
-            )
-
-
-class ModePairs(NamedTuple):
-    """(hot, cold) frequency pairs for each decoupled mode of a cycle.
-
-    Mode identity is fixed by the branch sign, never by re-sorting, so the
-    per-mode cycles remain well defined even when the curves cross.
-    """
-
-    a: tuple[float, float]
-    b: tuple[float, float]
 
 
 # ---------------------------------------------------------------------------
 # decompositions
 
 
-def oscillator_normal_modes(omega: float, lambda_x: float, lambda_p: float) -> ModePair:
+def _positive(w_a, w_b) -> tuple[float, float]:
+    """(w_a, w_b) as floats; DomainError where one underflowed to zero."""
+    w_a, w_b = float(w_a), float(w_b)
+    if not (w_a > 0.0 and w_b > 0.0):
+        raise DomainError(f"mode frequencies must be positive, got ({w_a}, {w_b})")
+    return w_a, w_b
+
+
+def oscillator_normal_modes(omega: float, lambda_x: float, lambda_p: float) -> tuple[float, float]:
     """Decouple a coupled oscillator pair into its two normal modes.
 
-    Returns the frequencies ``sqrt((omega +/- lambda_p) (omega +/-
-    lambda_x))``; a length-1 call of `oscillator_mode_frequencies`.
+    Returns the frequencies ``(w_a, w_b) = sqrt((omega +/- lambda_p)
+    (omega +/- lambda_x))``; a length-1 call of
+    `oscillator_mode_frequencies`.
 
     Raises
     ------
     DomainError
         If ``omega <= max(|lambda_x|, |lambda_p|)`` (an unstable or
-        imaginary mode).
+        imaginary mode) or a frequency underflows to zero.
     """
     w_a, w_b = oscillator_mode_frequencies(omega, lambda_x, lambda_p)
     if np.isnan(w_a):
@@ -184,17 +117,18 @@ def oscillator_normal_modes(omega: float, lambda_x: float, lambda_p: float) -> M
             f"unstable mode: need omega > max(|lambda_x|, |lambda_p|), got "
             f"omega={omega}, lambda_x={lambda_x}, lambda_p={lambda_p}"
         )
-    return ModePair(float(w_a), float(w_b))
+    return _positive(w_a, w_b)
 
 
-def spin_normal_modes(omega: float, j_x: float, j_y: float) -> ModePair:
+def spin_normal_modes(omega: float, j_x: float, j_y: float) -> tuple[float, float]:
     """Decouple a coupled spin-1/2 pair into two independent spin modes.
 
     With ``lp = (j_x + j_y)/2`` and ``lm = (j_x - j_y)/2`` the mode
-    frequencies are ``sqrt(omega^2 + lm^2) +/- lp``.  This reduces to
-    ``omega +/- j`` for the XX model and to ``sqrt(omega^2 + j^2)`` for the
-    XY model; the general form is certified against the exact 4x4 spectrum
-    by the oracle module.  A length-1 call of `spin_mode_frequencies`.
+    frequencies are ``(w_a, w_b) = sqrt(omega^2 + lm^2) +/- lp``.  This
+    reduces to ``omega +/- j`` for the XX model and to ``sqrt(omega^2 +
+    j^2)`` for the XY model; the general form is certified against the
+    exact 4x4 spectrum by the oracle module.  A length-1 call of
+    `spin_mode_frequencies`.
 
     Raises
     ------
@@ -207,19 +141,21 @@ def spin_normal_modes(omega: float, j_x: float, j_y: float) -> ModePair:
             f"non-positive spin mode: need omega > 0 and sqrt(omega^2 + lm^2) > |lp|, "
             f"got omega={omega}, j_x={j_x}, j_y={j_y}"
         )
-    return ModePair(float(w_a), float(w_b))
+    return _positive(w_a, w_b)
 
 
-def mode_pairs_for_cycle(spec: CycleSpec) -> ModePairs:
-    """Hot/cold decoupled frequencies for both modes of a cycle.
+def mode_pairs_for_cycle(spec: CycleSpec) -> tuple[tuple[float, float], tuple[float, float]]:
+    """((a_hot, a_cold), (b_hot, b_cold)): the decoupled frequencies of both
+    modes of a cycle.
 
-    Applies the appropriate decomposition at the hot and cold points and
-    keeps the branch identity (A = "+", B = "-") across the two points.
+    Applies the decomposition at the hot and cold points and keeps the
+    branch identity (A = "+", B = "-") across them, never re-sorting, so
+    the per-mode cycles stay well defined where the curves cross.
     """
     modes = oscillator_normal_modes if spec.kind is MediumKind.OSCILLATOR else spin_normal_modes
-    hot = modes(spec.hot.omega, *astuple(spec.hot.coupling))
-    cold = modes(spec.cold.omega, *astuple(spec.cold.coupling))
-    return ModePairs(a=(hot.omega_a, cold.omega_a), b=(hot.omega_b, cold.omega_b))
+    hot = modes(spec.omega_hot, *spec.coupling_hot)
+    cold = modes(spec.omega_cold, *spec.coupling_cold)
+    return tuple(zip(hot, cold))
 
 
 def model_coupling(model: str, *values):
@@ -256,17 +192,8 @@ def standard_cycle(
     used at the hot and cold points; only the bare frequency is driven.
     """
     values = coupling if model == "general" else (coupling,)
-    cx, cy = map(float, model_coupling(model, *values))
-    if kind is MediumKind.OSCILLATOR:
-        c = OscillatorCoupling(lambda_x=cx, lambda_p=cy)
-    else:
-        c = SpinCoupling(j_x=cx, j_y=cy)
-    return CycleSpec(
-        kind=kind,
-        hot=CyclePoint(omega, c),
-        cold=CyclePoint(omega_prime, c),
-        baths=baths,
-    )
+    pair = tuple(map(float, model_coupling(model, *values)))
+    return CycleSpec(kind, omega, omega_prime, pair, pair, baths)
 
 
 # ---------------------------------------------------------------------------
@@ -300,5 +227,5 @@ def spin_mode_frequencies(omega, j_x, j_y):
         l_plus = 0.5 * (np.asarray(j_x, dtype=float) + j_y)
         l_minus = 0.5 * (np.asarray(j_x, dtype=float) - j_y)
         s = np.asarray(_hypot(omega, l_minus), dtype=float)
-    ok = (omega > 0.0) & (s > np.abs(l_plus))
-    return np.where(ok, s + l_plus, np.nan), np.where(ok, s - l_plus, np.nan)
+        ok = (omega > 0.0) & (s > np.abs(l_plus))
+        return np.where(ok, s + l_plus, np.nan), np.where(ok, s - l_plus, np.nan)

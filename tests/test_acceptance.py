@@ -1,21 +1,14 @@
 """Acceptance suite: every criterion at its stated tolerance, one
 pass/fail line each (run with -s to see them on success)."""
 
-import math
 import time
 
 import numpy as np
 import pytest
 
 from ottopair.cli import RunConfig, figure_rows, main
-from ottopair.cycle import (
-    REGIMES,
-    Regime,
-    evaluate_cycle,
-    evaluate_cycles,
-    perturbative_prediction,
-)
-from ottopair.medium import BathPair, MediumKind, standard_cycle
+from ottopair.cycle import REGIMES, Regime, evaluate_cycles, perturbative_prediction
+from ottopair.medium import BathPair, MediumKind, model_coupling
 from ottopair.optimize import SearchDomain, max_uncoupled_work, sample_engine_points
 from ottopair.oracle import run_verification
 
@@ -131,38 +124,39 @@ def test_criterion_4_fig6_reproduction():
     )
 
 
+def _global_figures(kind, model, omega, omega_prime, lam):
+    """Global figure of merit of every cycle on a coupling grid, one
+    `evaluate_cycles` call; nan where the pair does not operate."""
+    coupling = model_coupling(model, lam)
+    c = evaluate_cycles(kind, omega, omega_prime, coupling, coupling, BATHS)
+    return np.where(c.global_operating, c.global_figure, np.nan)
+
+
 def test_criterion_5_xy_exactness_and_symmetry():
     # engine side: both media operate up to lambda ~ 2.58 at (4, 3)
-    for lam in np.arange(0.0, 2.55, 0.05):
-        eta_os = evaluate_cycle(standard_cycle(OSC, "xy", 4.0, 3.0, lam, BATHS)).global_figure
-        eta_sp = evaluate_cycle(standard_cycle(SPIN, "xy", 4.0, 3.0, lam, BATHS)).global_figure
-        assert eta_os == pytest.approx(
-            1.0 - math.sqrt((9.0 - lam**2) / (16.0 - lam**2)), abs=1e-12
-        )
-        assert eta_sp == pytest.approx(
-            1.0 - math.sqrt((9.0 + lam**2) / (16.0 + lam**2)), abs=1e-12
-        )
+    lam = np.arange(0.0, 2.55, 0.05)
+    assert _global_figures(OSC, "xy", 4.0, 3.0, lam) == pytest.approx(
+        1.0 - np.sqrt((9.0 - lam**2) / (16.0 - lam**2)), abs=1e-12
+    )
+    assert _global_figures(SPIN, "xy", 4.0, 3.0, lam) == pytest.approx(
+        1.0 - np.sqrt((9.0 + lam**2) / (16.0 + lam**2)), abs=1e-12
+    )
     # refrigerator side: both media operate up to lambda ~ sqrt(3) at (5, 2)
-    for lam in np.arange(0.0, 1.70, 0.05):
-        zeta_os = evaluate_cycle(standard_cycle(OSC, "xy", 5.0, 2.0, lam, BATHS)).global_figure
-        zeta_sp = evaluate_cycle(standard_cycle(SPIN, "xy", 5.0, 2.0, lam, BATHS)).global_figure
-        assert zeta_os == pytest.approx(
-            1.0 / (math.sqrt((25.0 - lam**2) / (4.0 - lam**2)) - 1.0), abs=1e-12
-        )
-        assert zeta_sp == pytest.approx(
-            1.0 / (math.sqrt((25.0 + lam**2) / (4.0 + lam**2)) - 1.0), abs=1e-12
-        )
+    lam = np.arange(0.0, 1.70, 0.05)
+    assert _global_figures(OSC, "xy", 5.0, 2.0, lam) == pytest.approx(
+        1.0 / (np.sqrt((25.0 - lam**2) / (4.0 - lam**2)) - 1.0), abs=1e-12
+    )
+    assert _global_figures(SPIN, "xy", 5.0, 2.0, lam) == pytest.approx(
+        1.0 / (np.sqrt((25.0 + lam**2) / (4.0 + lam**2)) - 1.0), abs=1e-12
+    )
     # second-order symmetry about the uncoupled value: quartic remainder
-    sums = []
-    for lam in (0.01, 0.02):
-        eta_os = evaluate_cycle(standard_cycle(OSC, "xy", 4.0, 3.0, lam, BATHS)).global_figure
-        eta_sp = evaluate_cycle(standard_cycle(SPIN, "xy", 4.0, 3.0, lam, BATHS)).global_figure
-        sums.append((eta_os - 0.25) + (eta_sp - 0.25))
+    lam = np.array([0.01, 0.02])
+    sums = sum(_global_figures(kind, "xy", 4.0, 3.0, lam) - 0.25 for kind in (OSC, SPIN))
     ratio = sums[1] / sums[0]
     assert 12.8 < ratio < 19.2
     _report(
         5,
-        f"XY closed forms match evaluate_cycle to 1e-12 on both grids; "
+        f"XY closed forms match evaluate_cycles to 1e-12 on both grids; "
         f"symmetry remainder is quartic (halving ratio {ratio:.2f})",
     )
 
@@ -175,12 +169,11 @@ def test_criterion_6_perturbative_convergence():
         ("xx-fridge-os", OSC, 5.0, 2.0),
         ("xx-fridge-sp", SPIN, 5.0, 2.0),
     ):
-        errs = []
-        for lam in (0.01, 0.02):
-            exact = evaluate_cycle(
-                standard_cycle(kind, "xx", omega, omega_prime, lam, BATHS)
-            ).global_figure
-            errs.append(abs(exact - perturbative_prediction(tag, omega, omega_prime, BATHS, lam)))
+        exact = _global_figures(kind, "xx", omega, omega_prime, np.array([0.01, 0.02]))
+        errs = [
+            abs(e - perturbative_prediction(tag, omega, omega_prime, BATHS, lam))
+            for e, lam in zip(exact, (0.01, 0.02))
+        ]
         ratios[tag] = errs[1] / errs[0]
         assert 12.8 < ratios[tag] < 19.2, (tag, ratios[tag])
     _report(

@@ -343,8 +343,10 @@ _CYCLE_ARGS = ("cycle", "--medium", "spin", "--model", "xx", "--lam", "1")
         (("--omega", "4", "--omega-prime", "inf", "--th", "2", "--tc", "1"), EXIT_DOMAIN),
         (("--omega", "4", "--omega-prime", "3", "--th", "inf", "--tc", "1"), EXIT_CONFIG),
         (("--omega", "4", "--omega-prime", "3", "--th", "2", "--tc", "inf"), EXIT_CONFIG),
+        (("--omega", "4", "--omega-prime", "3", "--th", "2", "--tc", "1", "--lam", "nan"),
+         EXIT_DOMAIN),
     ],
-    ids=["omega", "omega-prime", "th", "tc"],
+    ids=["omega", "omega-prime", "th", "tc", "lam"],
 )
 def test_cycle_rejects_non_finite_input(capsys, args, code):
     got, out, err = run_cli(capsys, *_CYCLE_ARGS, *args)
@@ -568,6 +570,11 @@ def test_overflowing_sweep_coupling_is_an_unstable_row(capsys):
                              "--lx", "1e308", "--lp", "0", *_POINT_ARGS, "--sweep", "0:2:1")
     assert (code, err) == (EXIT_OK, "")
     assert out.splitlines()[3] == "2" + "," * 21
+    # an overflowing spin coupling makes sqrt(omega^2 + lm^2) and lp infinite
+    code, out, err = run_cli(capsys, "sweep", "--medium", "spin", "--model", "general",
+                             "--jx", "2", "--jy", "1", *_POINT_ARGS, "--sweep", "1e308:1e308:1")
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[1] == "1e+308" + "," * 21
 
 
 def test_optimizer_overflow_raises_no_warning(capsys):
@@ -764,6 +771,27 @@ def test_figure_options_go_on_either_side_of_the_name(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cycle", "--seed", "1"],
+        ["sweep", "--n", "3"],
+        ["figure", "fig3", "--lam", "3"],
+        ["optimize", "--seed", "1"],
+        ["sample", "--lam", "3"],
+        ["verify", "--out", "v.txt"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unregistered_option_prints_the_subcommand_usage(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (EXIT_CONFIG, "")
+    assert captured.err.startswith(f"usage: ottopair {argv[0]} ")
+    assert f"error: unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
+
+
 def test_read_sets_hold_51_option_slots():
     # the 19 options in 6 subcommands were 114 slots; the help test ties
     # these read sets to the parser
@@ -858,6 +886,80 @@ def test_failed_write_removes_the_partial_out_file(tmp_path):
     with pytest.raises(cli.ConfigError, match="cannot write output"):
         cli._write_text(cli.RunConfig(command="sweep", out=str(target)), chunks())
     assert not target.exists()
+
+
+# ---------------------------------------------------------------------------
+# property test: `cycle` prints the fields of a one-row `sweep`
+
+# cycle document (section, key) -> sweep row field, per mode A/B where {m}
+_CYCLE_AS_SWEEP = {
+    **{
+        ("modes", m.upper(), key): field.format(m=m)
+        for m in "ab"
+        for key, field in (
+            ("omega_hot", "omega_{m}_hot"), ("omega_cold", "omega_{m}_cold"),
+            ("q_h", "q_h_{m}"), ("q_c", "q_c_{m}"), ("w", "w_{m}"),
+            ("regime", "regime_{m}"), ("figure_of_merit", "fom_{m}"),
+        )
+    },
+    ("totals", "q_h"): "q_h_total",
+    ("totals", "q_c"): "q_c_total",
+    ("totals", "w"): "w_total",
+    ("global", "regime"): "regime",
+    ("global", "figure_of_merit"): "global_fom",
+}
+
+
+def _quiet_main(argv):
+    """(exit code, stdout) of one in-process run."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, stdout.getvalue()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    medium=st.sampled_from(["osc", "spin"]),
+    model=st.sampled_from(["xx", "xy", "general"]),
+    omega=st.floats(0.05, 8.0),
+    ratio=st.floats(0.05, 2.0),
+    t_c=st.floats(0.1, 4.0),
+    t_ratio=st.floats(1.05, 5.0),
+    c=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+)
+def test_cycle_equals_a_one_row_sweep(medium, model, omega, ratio, t_c, t_ratio, c):
+    # couplings up to 1.5x the smaller bare frequency reach unstable modes
+    omega_prime = omega * ratio
+    cx, cy = (min(omega, omega_prime) * x for x in c)
+    point = [f"--omega={omega!r}", f"--omega-prime={omega_prime!r}",
+             f"--th={t_c * t_ratio!r}", f"--tc={t_c!r}"]
+    common = ["--medium", medium, "--model", model, *point]
+    if model == "general":
+        # the general sweep scales its direction by the grid value 1
+        direction = [f"--{name}={x!r}" for name, x in zip(_general(medium), (cx, cy))]
+        cycle_argv = ["cycle", *common, *direction]
+        sweep_argv = ["sweep", *common, *direction, "--sweep=1:1:1"]
+    else:
+        cycle_argv = ["cycle", *common, f"--lam={cx!r}"]
+        sweep_argv = ["sweep", *common, f"--sweep={cx!r}:{cx!r}:1"]
+    code, out = _quiet_main(sweep_argv + ["--format", "json"])
+    assert code == EXIT_OK
+    (row,) = json.loads(out)
+    empty = all(value is None for field, value in row.items() if field != "lambda")
+    code, out = _quiet_main(cycle_argv)
+    assert code == (EXIT_DOMAIN if empty else EXIT_OK)
+    if empty:
+        assert out == ""
+        return
+    doc = json.loads(out)
+    for (section, *keys), field in _CYCLE_AS_SWEEP.items():
+        value = doc[section]
+        for key in keys:
+            value = value[key]
+        assert value == row[field], (section, keys, field)
+    bounds = doc["global"]["bounds"]
+    assert (bounds or [None, None]) == [row["bound_lower"], row["bound_upper"]]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from ottopair.cycle import (
     critical_coupling,
     evaluate_cycle,
     evaluate_cycles,
-    figure_of_merit_bounds,
     mode_heats,
     perturbative_prediction,
     regime_codes,
@@ -25,19 +24,9 @@ from ottopair.errors import (
     DegenerateBaths,
     DomainError,
     InconsistentEnergy,
-    RegimeMismatch,
     UnknownModel,
 )
-from ottopair.medium import (
-    BathPair,
-    CyclePoint,
-    CycleSpec,
-    MediumKind,
-    OscillatorCoupling,
-    SpinCoupling,
-    model_coupling,
-    standard_cycle,
-)
+from ottopair.medium import BathPair, CycleSpec, MediumKind, model_coupling, standard_cycle
 
 OSC = MediumKind.OSCILLATOR
 SPIN = MediumKind.SPIN
@@ -46,6 +35,17 @@ BATHS = BathPair(2.0, 1.0)
 
 def _coth(x):
     return 1.0 / math.tanh(x)
+
+
+def _cycle(kind, model, omega, omega_prime, coupling, baths=BATHS):
+    """Length-1 columns of one frequency-driven cycle."""
+    return evaluate_cycle(standard_cycle(kind, model, omega, omega_prime, coupling, baths))
+
+
+def _figures(kind, model, omega, omega_prime, lam):
+    """Global figures of merit over a grid of xx/xy couplings."""
+    coupling = model_coupling(model, np.asarray(lam, dtype=float))
+    return evaluate_cycles(kind, omega, omega_prime, coupling, coupling, BATHS).global_figure
 
 
 def test_mode_heats_oscillator_reference_point():
@@ -94,11 +94,11 @@ def test_classify_regime_rejects_nan(slot, eps):
 
 
 def test_evaluate_cycle_uncoupled_efficiency():
-    result = evaluate_cycle(standard_cycle(OSC, "xx", 4.0, 3.0, 0.0, BATHS))
-    assert result.regime is Regime.ENGINE
-    assert result.global_figure == pytest.approx(0.25, abs=1e-14)
-    assert result.bounds == (0.25, 0.25)
-    assert result.weight == pytest.approx(0.5, abs=1e-14)
+    c = _cycle(OSC, "xx", 4.0, 3.0, 0.0)
+    assert REGIMES[c.global_regime[0]] is Regime.ENGINE
+    assert c.global_figure[0] == pytest.approx(0.25, abs=1e-14)
+    assert c.bounds[:, 0].tolist() == [0.25, 0.25]
+    assert c.weight[0] == pytest.approx(0.5, abs=1e-14)
 
 
 def test_evaluate_cycle_carnot_point_collapse():
@@ -107,47 +107,59 @@ def test_evaluate_cycle_carnot_point_collapse():
     lam_c = critical_coupling("engine", 4.0, 3.0, BATHS)
     assert lam_c == pytest.approx(2.0, abs=1e-14)
     for kind in (OSC, SPIN):
-        result = evaluate_cycle(standard_cycle(kind, "xx", 4.0, 3.0, lam_c, BATHS))
-        assert result.mode_b.regime is Regime.DISSIPATOR
-        assert result.mode_b.at_boundary
-        assert abs(result.mode_b.w) < 1e-14
-        assert result.global_figure == pytest.approx(1.0 / 6.0, abs=1e-12)
-        assert result.global_figure == pytest.approx(result.mode_a.figure_of_merit, abs=1e-12)
+        c = _cycle(kind, "xx", 4.0, 3.0, lam_c)
+        assert REGIMES[c.regime[1, 0]] is Regime.DISSIPATOR
+        assert c.at_boundary[1, 0]
+        assert abs(c.w[1, 0]) < 1e-14
+        assert c.global_figure[0] == pytest.approx(1.0 / 6.0, abs=1e-12)
+        assert c.global_figure[0] == pytest.approx(c.figure_of_merit[0, 0], abs=1e-12)
 
 
 def test_evaluate_cycle_fridge_collapse_at_critical_coupling():
     lam_c = critical_coupling("refrigerator", 5.0, 2.0, BATHS)
     assert lam_c == pytest.approx(1.0, abs=1e-14)
     for kind in (OSC, SPIN):
-        result = evaluate_cycle(standard_cycle(kind, "xx", 5.0, 2.0, lam_c, BATHS))
-        assert result.mode_a.regime is Regime.DISSIPATOR and result.mode_a.at_boundary
-        zeta_b = result.mode_b.figure_of_merit
+        c = _cycle(kind, "xx", 5.0, 2.0, lam_c)
+        assert REGIMES[c.regime[0, 0]] is Regime.DISSIPATOR and c.at_boundary[0, 0]
+        zeta_b = c.figure_of_merit[1, 0]
         assert zeta_b == pytest.approx(1.0 / 3.0, abs=1e-12)
-        assert result.global_figure == pytest.approx(zeta_b, abs=1e-12)
+        assert c.global_figure[0] == pytest.approx(zeta_b, abs=1e-12)
 
 
 def test_evaluate_cycle_xy_spin_fridge_closed_form():
-    result = evaluate_cycle(standard_cycle(SPIN, "xy", 5.0, 2.0, 1.0, BATHS))
-    assert result.regime is Regime.REFRIGERATOR
-    assert result.global_figure == pytest.approx(1.0 / (math.sqrt(26.0 / 5.0) - 1.0), rel=1e-13)
+    c = _cycle(SPIN, "xy", 5.0, 2.0, 1.0)
+    assert REGIMES[c.global_regime[0]] is Regime.REFRIGERATOR
+    assert c.global_figure[0] == pytest.approx(1.0 / (math.sqrt(26.0 / 5.0) - 1.0), rel=1e-13)
 
 
-def test_figure_of_merit_bounds_examples():
-    result = evaluate_cycle(standard_cycle(SPIN, "xx", 4.0, 3.0, 1.0, BATHS))
-    assert figure_of_merit_bounds(result) == pytest.approx((0.2, 1.0 / 3.0), abs=1e-14)
+def test_evaluate_cycle_refuses_invalid_points():
+    # a non-positive or non-finite bare frequency or coupling is refused
+    # like an unstable mode, at either end of the cycle
+    ok = (1.0, 1.0)
+    cases = [(-4.0, ok), (0.0, ok), (math.inf, ok), (math.nan, ok),
+             (4.0, (1.0, math.nan)), (4.0, (math.inf, 1.0))]
+    for kind in (OSC, SPIN):
+        for omega, coupling in cases:
+            with pytest.raises(DomainError):
+                evaluate_cycle(CycleSpec(kind, omega, 3.0, coupling, ok, BATHS))
+            with pytest.raises(DomainError):
+                evaluate_cycle(CycleSpec(kind, 3.0, omega, ok, coupling, BATHS))
 
-    result = evaluate_cycle(standard_cycle(SPIN, "xx", 5.0, 2.0, 0.5, BATHS))
-    assert result.regime is Regime.REFRIGERATOR
-    assert figure_of_merit_bounds(result) == pytest.approx((0.5, 5.0 / 6.0), abs=1e-13)
 
-    result = evaluate_cycle(standard_cycle(OSC, "xx", 4.0, 3.0, 0.0, BATHS))
-    lo, hi = figure_of_merit_bounds(result)
+def test_sandwich_bounds_examples():
+    c = _cycle(SPIN, "xx", 4.0, 3.0, 1.0)
+    assert c.bounds[:, 0].tolist() == pytest.approx([0.2, 1.0 / 3.0], abs=1e-14)
+
+    c = _cycle(SPIN, "xx", 5.0, 2.0, 0.5)
+    assert REGIMES[c.global_regime[0]] is Regime.REFRIGERATOR
+    assert c.bounds[:, 0].tolist() == pytest.approx([0.5, 5.0 / 6.0], abs=1e-13)
+
+    lo, hi = _cycle(OSC, "xx", 4.0, 3.0, 0.0).bounds[:, 0]
     assert lo == hi == pytest.approx(0.25, abs=1e-14)
 
-    mixed = evaluate_cycle(standard_cycle(SPIN, "xx", 4.0, 3.0, 2.5, BATHS))
-    assert mixed.mode_a.regime is not mixed.mode_b.regime
-    with pytest.raises(RegimeMismatch):
-        figure_of_merit_bounds(mixed)
+    mixed = _cycle(SPIN, "xx", 4.0, 3.0, 2.5)
+    assert mixed.regime[0, 0] != mixed.regime[1, 0]
+    assert not mixed.shared[0] and np.isnan(mixed.bounds[:, 0]).all()
 
 
 def test_critical_couplings_are_negatives():
@@ -187,54 +199,44 @@ def test_energy_balance_and_sandwich_bounds_random():
         kind = OSC if rng.uniform() < 0.5 else SPIN
         model = ("xx", "xy", "general")[int(rng.integers(3))]
         coupling = (lam, rng.uniform(-0.9, 0.9) * omega_prime) if model == "general" else lam
-        result = evaluate_cycle(standard_cycle(kind, model, omega, omega_prime, coupling, baths))
-        for mode in result.modes:
-            assert mode.w == pytest.approx(mode.q_h + mode.q_c, abs=1e-15 + 1e-13 * abs(mode.w))
-        assert result.w_total == result.mode_a.w + result.mode_b.w
-        if result.bounds is None:
+        c = _cycle(kind, model, omega, omega_prime, coupling, baths)
+        for m in (0, 1):
+            w = c.w[m, 0]
+            assert w == pytest.approx(c.q_h[m, 0] + c.q_c[m, 0], abs=1e-15 + 1e-13 * abs(w))
+        assert c.w_total[0] == c.w[0, 0] + c.w[1, 0]
+        if not c.shared[0]:
             continue
-        lo, hi = result.bounds
-        assert lo - 1e-12 <= result.global_figure <= hi + 1e-12
-        if result.regime is Regime.ENGINE:
+        lo, hi = c.bounds[:, 0]
+        figure = c.global_figure[0]
+        assert lo - 1e-12 <= figure <= hi + 1e-12
+        if REGIMES[c.global_regime[0]] is Regime.ENGINE:
             engines += 1
-            assert result.global_figure <= baths.carnot_efficiency + 1e-12
-        elif result.regime is Regime.REFRIGERATOR:
+            assert figure <= baths.carnot_efficiency + 1e-12
+        elif REGIMES[c.global_regime[0]] is Regime.REFRIGERATOR:
             fridges += 1
             scale = max(1.0, baths.carnot_cop)
-            assert result.global_figure <= baths.carnot_cop + 1e-9 * scale
+            assert figure <= baths.carnot_cop + 1e-9 * scale
 
 
 def test_coupling_driven_cycle():
     # adiabats may drive the coupling at fixed bare frequency; the cycle
     # still decomposes mode by mode
-    spec = CycleSpec(
-        kind=MediumKind.OSCILLATOR,
-        hot=CyclePoint(4.0, OscillatorCoupling(0.5, 0.5)),
-        cold=CyclePoint(4.0, OscillatorCoupling(2.0, 2.0)),
-        baths=BATHS,
-    )
-    result = evaluate_cycle(spec)
+    c = evaluate_cycle(CycleSpec(OSC, 4.0, 4.0, (0.5, 0.5), (2.0, 2.0), BATHS))
     # mode A runs 4.5 -> 6.0 (a refrigerator stroke), mode B runs 3.5 -> 2.0
-    assert (result.mode_a.omega_hot, result.mode_a.omega_cold) == (4.5, 6.0)
-    assert (result.mode_b.omega_hot, result.mode_b.omega_cold) == (3.5, 2.0)
-    for mode in result.modes:
-        q_h, q_c, w = mode_heats(OSC, mode.omega_hot, mode.omega_cold, BATHS)
-        assert mode.q_h == q_h and mode.q_c == q_c and mode.w == w
-    assert result.mode_b.regime is Regime.ENGINE
-    assert result.w_total == result.mode_a.w + result.mode_b.w
+    assert c.omega_hot[:, 0].tolist() == [4.5, 3.5]
+    assert c.omega_cold[:, 0].tolist() == [6.0, 2.0]
+    for m in (0, 1):
+        q_h, q_c, w = mode_heats(OSC, c.omega_hot[m, 0], c.omega_cold[m, 0], BATHS)
+        assert c.q_h[m, 0] == q_h and c.q_c[m, 0] == q_c and c.w[m, 0] == w
+    assert REGIMES[c.regime[1, 0]] is Regime.ENGINE
+    assert c.w_total[0] == c.w[0, 0] + c.w[1, 0]
 
-    spec = CycleSpec(
-        kind=MediumKind.SPIN,
-        hot=CyclePoint(4.0, SpinCoupling(1.5, 1.5)),
-        cold=CyclePoint(4.0, SpinCoupling(0.25, 0.25)),
-        baths=BATHS,
-    )
-    result = evaluate_cycle(spec)
-    assert (result.mode_a.omega_hot, result.mode_a.omega_cold) == (5.5, 4.25)
-    assert (result.mode_b.omega_hot, result.mode_b.omega_cold) == (2.5, 3.75)
-    if result.bounds is not None:
-        lo, hi = result.bounds
-        assert lo - 1e-12 <= result.global_figure <= hi + 1e-12
+    c = evaluate_cycle(CycleSpec(SPIN, 4.0, 4.0, (1.5, 1.5), (0.25, 0.25), BATHS))
+    assert c.omega_hot[:, 0].tolist() == [5.5, 2.5]
+    assert c.omega_cold[:, 0].tolist() == [4.25, 3.75]
+    if c.shared[0]:
+        lo, hi = c.bounds[:, 0]
+        assert lo - 1e-12 <= c.global_figure[0] <= hi + 1e-12
 
 
 def test_global_figure_is_convex_combination():
@@ -247,16 +249,14 @@ def test_global_figure_is_convex_combination():
         omega_prime = omega * rng.uniform(0.2, 0.95)
         lam = rng.uniform(0.0, 0.8) * omega_prime
         kind = OSC if rng.uniform() < 0.5 else SPIN
-        result = evaluate_cycle(standard_cycle(kind, "xx", omega, omega_prime, lam, BATHS))
-        if result.weight is None:
+        c = _cycle(kind, "xx", omega, omega_prime, lam)
+        if not c.shared[0]:
             continue
         seen += 1
-        assert 0.0 <= result.weight <= 1.0
-        mixed = (
-            result.weight * result.mode_a.figure_of_merit
-            + (1.0 - result.weight) * result.mode_b.figure_of_merit
-        )
-        assert mixed == pytest.approx(result.global_figure, rel=1e-12)
+        weight = c.weight[0]
+        assert 0.0 <= weight <= 1.0
+        mixed = weight * c.figure_of_merit[0, 0] + (1.0 - weight) * c.figure_of_merit[1, 0]
+        assert mixed == pytest.approx(c.global_figure[0], rel=1e-12)
 
 
 def test_work_statistics_ordering():
@@ -277,48 +277,34 @@ def test_mixed_regime_global_efficiency_below_engine_mode():
     # past the critical coupling mode B pumps heat backwards and drags the
     # global efficiency below eta_A
     for kind in (OSC, SPIN):
-        result = evaluate_cycle(standard_cycle(kind, "xx", 4.0, 3.0, 2.2, BATHS))
-        assert result.mode_b.regime is Regime.REFRIGERATOR
-        assert result.bounds is None
-        if result.regime is Regime.ENGINE:
-            assert result.global_figure < result.mode_a.figure_of_merit
+        c = _cycle(kind, "xx", 4.0, 3.0, 2.2)
+        assert REGIMES[c.regime[1, 0]] is Regime.REFRIGERATOR
+        assert not c.shared[0] and np.isnan(c.bounds[:, 0]).all()
+        if REGIMES[c.global_regime[0]] is Regime.ENGINE:
+            assert c.global_figure[0] < c.figure_of_merit[0, 0]
 
 
 def test_xx_orderings_at_small_coupling():
-    for lam in (0.01, 0.05, 0.2, 0.5):
-        eta_os = evaluate_cycle(standard_cycle(OSC, "xx", 4.0, 3.0, lam, BATHS)).global_figure
-        eta_sp = evaluate_cycle(standard_cycle(SPIN, "xx", 4.0, 3.0, lam, BATHS)).global_figure
-        assert eta_os > eta_sp
-        zeta_os = evaluate_cycle(standard_cycle(OSC, "xx", 5.0, 2.0, lam, BATHS)).global_figure
-        zeta_sp = evaluate_cycle(standard_cycle(SPIN, "xx", 5.0, 2.0, lam, BATHS)).global_figure
-        assert zeta_sp > zeta_os
+    lam = [0.01, 0.05, 0.2, 0.5]
+    assert (_figures(OSC, "xx", 4.0, 3.0, lam) > _figures(SPIN, "xx", 4.0, 3.0, lam)).all()
+    assert (_figures(SPIN, "xx", 5.0, 2.0, lam) > _figures(OSC, "xx", 5.0, 2.0, lam)).all()
 
 
 def test_xy_orderings_hold_even_for_large_coupling():
-    for lam in (0.1, 0.5, 1.0, 2.0, 2.5):
-        eta_os = evaluate_cycle(standard_cycle(OSC, "xy", 4.0, 3.0, lam, BATHS)).global_figure
-        eta_sp = evaluate_cycle(standard_cycle(SPIN, "xy", 4.0, 3.0, lam, BATHS)).global_figure
-        assert eta_os >= eta_sp
-        assert eta_os == pytest.approx(
-            1.0 - math.sqrt((9.0 - lam * lam) / (16.0 - lam * lam)), rel=1e-12
-        )
-        assert eta_sp == pytest.approx(
-            1.0 - math.sqrt((9.0 + lam * lam) / (16.0 + lam * lam)), rel=1e-12
-        )
-    for lam in (0.1, 0.5, 1.0, 1.5):
-        zeta_os = evaluate_cycle(standard_cycle(OSC, "xy", 5.0, 2.0, lam, BATHS)).global_figure
-        zeta_sp = evaluate_cycle(standard_cycle(SPIN, "xy", 5.0, 2.0, lam, BATHS)).global_figure
-        assert zeta_sp >= zeta_os
+    lam = np.array([0.1, 0.5, 1.0, 2.0, 2.5])
+    eta_os, eta_sp = (_figures(kind, "xy", 4.0, 3.0, lam) for kind in (OSC, SPIN))
+    assert (eta_os >= eta_sp).all()
+    assert eta_os == pytest.approx(1.0 - np.sqrt((9.0 - lam * lam) / (16.0 - lam * lam)), rel=1e-12)
+    assert eta_sp == pytest.approx(1.0 - np.sqrt((9.0 + lam * lam) / (16.0 + lam * lam)), rel=1e-12)
+    lam = [0.1, 0.5, 1.0, 1.5]
+    assert (_figures(SPIN, "xy", 5.0, 2.0, lam) >= _figures(OSC, "xy", 5.0, 2.0, lam)).all()
 
 
 def test_xy_second_order_symmetry():
     # (eta_os - eta_uc) + (eta_sp - eta_uc) cancels at second order
     eta_uc = 0.25
-    sums = []
-    for lam in (0.01, 0.02):
-        eta_os = evaluate_cycle(standard_cycle(OSC, "xy", 4.0, 3.0, lam, BATHS)).global_figure
-        eta_sp = evaluate_cycle(standard_cycle(SPIN, "xy", 4.0, 3.0, lam, BATHS)).global_figure
-        sums.append((eta_os - eta_uc) + (eta_sp - eta_uc))
+    lam = [0.01, 0.02]
+    sums = (_figures(OSC, "xy", 4.0, 3.0, lam) - eta_uc) + (_figures(SPIN, "xy", 4.0, 3.0, lam) - eta_uc)
     ratio = sums[1] / sums[0]
     assert 16.0 * 0.8 < ratio < 16.0 * 1.2
 
@@ -370,12 +356,11 @@ def test_perturbative_prediction_quartic_convergence():
         ("xy-fridge-sp", SPIN, "xy", 5.0, 2.0),
     ]
     for tag, kind, model, omega, omega_prime in cases:
-        errs = []
-        for lam in (0.01, 0.02):
-            exact = evaluate_cycle(
-                standard_cycle(kind, model, omega, omega_prime, lam, BATHS)
-            ).global_figure
-            errs.append(abs(exact - perturbative_prediction(tag, omega, omega_prime, BATHS, lam)))
+        exact = _figures(kind, model, omega, omega_prime, [0.01, 0.02])
+        errs = [
+            abs(e - perturbative_prediction(tag, omega, omega_prime, BATHS, lam))
+            for e, lam in zip(exact, (0.01, 0.02))
+        ]
         ratio = errs[1] / errs[0]
         assert 16.0 * 0.8 < ratio < 16.0 * 1.2, (tag, ratio)
 
@@ -397,12 +382,13 @@ def test_extreme_parameter_corners():
     ]
     for baths, omega, omega_prime, lam in corners:
         for kind in (OSC, SPIN):
-            result = evaluate_cycle(standard_cycle(kind, "xx", omega, omega_prime, lam, baths))
-            for mode in result.modes:
-                assert math.isfinite(mode.q_h) and math.isfinite(mode.q_c)
-                assert mode.w == pytest.approx(mode.q_h + mode.q_c, abs=1e-300)
-            if result.regime is Regime.ENGINE:
-                assert result.global_figure <= baths.carnot_efficiency + 1e-12
+            c = _cycle(kind, "xx", omega, omega_prime, lam, baths)
+            for m in (0, 1):
+                q_h, q_c = c.q_h[m, 0], c.q_c[m, 0]
+                assert math.isfinite(q_h) and math.isfinite(q_c)
+                assert c.w[m, 0] == pytest.approx(q_h + q_c, abs=1e-300)
+            if REGIMES[c.global_regime[0]] is Regime.ENGINE:
+                assert c.global_figure[0] <= baths.carnot_efficiency + 1e-12
 
 
 def test_coth_stability():
@@ -431,7 +417,7 @@ def _scalar_modes(kind, omega, c1, c2):
     return (w_a, w_b) if w_a > 0.0 and w_b > 0.0 else None
 
 
-def _scalar_regime(q_h, q_c, w, eps):
+def _scalar_regime(q_h, q_c, w, eps=None):
     """(regime, at_boundary, figure of merit) by the module docstring's rules."""
     if eps is None:
         eps = 1e-12 * max(abs(q_h), abs(q_c), 1.0)
@@ -443,7 +429,7 @@ def _scalar_regime(q_h, q_c, w, eps):
     return Regime.DISSIPATOR, near, None
 
 
-def _scalar_row(kind, omega_h, omega_c, hot, cold, baths, eps):
+def _scalar_row(kind, omega_h, omega_c, hot, cold, baths):
     """One cycle from the scalar closed forms, None where they refuse it."""
     if not all(map(math.isfinite, (omega_h, omega_c, *hot, *cold))):
         return None
@@ -454,7 +440,7 @@ def _scalar_row(kind, omega_h, omega_c, hot, cold, baths, eps):
     modes = []
     for w_hot, w_cold in zip(pair_h, pair_c):
         q = mode_heats(kind, w_hot, w_cold, baths)
-        modes.append((w_hot, w_cold, *q, *_scalar_regime(*q, eps)))
+        modes.append((w_hot, w_cold, *q, *_scalar_regime(*q)))
     (_, _, qa_h, _, wa, ra, _, fa), (_, _, qb_h, _, wb, rb, _, fb) = modes
     totals = tuple(x + y for x, y in zip(modes[0][2:5], modes[1][2:5]))
     weight = bounds = None
@@ -464,7 +450,7 @@ def _scalar_row(kind, omega_h, omega_c, hot, cold, baths, eps):
         weight = abs(wa) / abs(wa + wb)
     if weight is not None:
         bounds = (min(fa, fb), max(fa, fb))
-    return (*modes, totals, *_scalar_regime(*totals, eps), weight, bounds)
+    return (*modes, totals, *_scalar_regime(*totals), weight, bounds)
 
 
 def _column_row(c, i):
@@ -508,10 +494,10 @@ def test_evaluate_cycles_matches_scalar_closed_forms_bit_for_bit(kind, model):
         other = -lam
     hot = np.stack([lam, other])
     cold = np.where(np.arange(n) % 2 == 0, hot, hot * rng.uniform(0.0, 1.5, n))
-    for baths, eps in ((BATHS, None), (BathPair(1.3, 0.4), None), (BATHS, 1e-3)):
-        c = evaluate_cycles(kind, omega_h, omega_c, hot, cold, baths, eps)
+    for baths in (BATHS, BathPair(1.3, 0.4)):
+        c = evaluate_cycles(kind, omega_h, omega_c, hot, cold, baths)
         expected = [
-            _scalar_row(kind, omega_h[i], omega_c[i], hot[:, i], cold[:, i], baths, eps)
+            _scalar_row(kind, omega_h[i], omega_c[i], hot[:, i], cold[:, i], baths)
             for i in range(n)
         ]
         assert c.valid.tolist() == [row is not None for row in expected]
@@ -520,7 +506,7 @@ def test_evaluate_cycles_matches_scalar_closed_forms_bit_for_bit(kind, model):
             assert _column_row(c, i) == expected[i], i
         assert np.isnan(c.figure_of_merit[c.valid & ~c.operating]).all()
         assert np.isnan(c.bounds[:, c.valid & ~c.shared]).all()
-        if model == "xx" and baths is BATHS and eps is None:
+        if model == "xx" and baths is BATHS:
             # the critical couplings put one mode on the Carnot line
             assert c.at_boundary[:, 4:10].any()
 

@@ -197,10 +197,9 @@ def _per_draw_spin_residuals(omega, omega_prime, j_x, j_y, t_h, t_c, beta_z, bet
 
     h = spin_pair_hamiltonian(omega, j_x, j_y)
     brute = np.sort(np.linalg.eigvalsh(h))
-    modes = medium.spin_normal_modes(omega, j_x, j_y)
-    modes_prime = medium.spin_normal_modes(omega_prime, j_x, j_y)
+    w_a, w_b = medium.spin_normal_modes(omega, j_x, j_y)
+    w_a_prime, w_b_prime = medium.spin_normal_modes(omega_prime, j_x, j_y)
     e0 = brute[0]
-    w_a, w_b = modes.omega_a, modes.omega_b
     ladder = np.sort([e0, e0 + w_b, e0 + w_a, e0 + w_a + w_b])
     spectrum = np.abs(brute - ladder).max() / max(1.0, abs(brute[-1]))
     z_exact = np.exp(-beta_z * (brute - 2.0 * omega)).sum()
@@ -212,8 +211,8 @@ def _per_draw_spin_residuals(omega, omega_prime, j_x, j_y, t_h, t_c, beta_z, bet
     energy = abs(float(levels @ weights(beta_e, levels)) - closed) / max(1.0, abs(closed))
 
     n = np.array([0.5, 1.5])
-    b_h, b_c = transport(n * modes.omega_a, n * modes_prime.omega_a)
-    q_h, q_c, w = cycle.mode_heats(SPIN, modes.omega_a, modes_prime.omega_a, baths)
+    b_h, b_c = transport(n * w_a, n * w_a_prime)
+    q_h, q_c, w = cycle.mode_heats(SPIN, w_a, w_a_prime, baths)
     heat = max(abs(q_h - b_h), abs(q_c - b_c), abs(w - b_h - b_c)) / max(1.0, abs(q_h), abs(q_c))
 
     def block_levels(h):
@@ -223,8 +222,8 @@ def _per_draw_spin_residuals(omega, omega_prime, j_x, j_y, t_h, t_c, beta_z, bet
 
     h_prime = spin_pair_hamiltonian(omega_prime, j_x, j_y)
     b_h, b_c = transport(block_levels(h), block_levels(h_prime))
-    qa = cycle.mode_heats(SPIN, modes.omega_a, modes_prime.omega_a, baths)
-    qb = cycle.mode_heats(SPIN, modes.omega_b, modes_prime.omega_b, baths)
+    qa = cycle.mode_heats(SPIN, w_a, w_a_prime, baths)
+    qb = cycle.mode_heats(SPIN, w_b, w_b_prime, baths)
     q_h, q_c = qa[0] + qb[0], qa[1] + qb[1]
     heats = max(abs(q_h - b_h), abs(q_c - b_c)) / max(1.0, abs(q_h), abs(q_c))
     return spectrum, partition, energy, heat, heats

@@ -11,8 +11,10 @@ Each line is ``<sha256>  <job argv>``.  A job runs ``python -m ottopair.cli``
 with PYTHONPATH set to ``<root>/src``, in a fresh temporary directory;
 its digest covers the exit code, stdout, stderr and the ``--out`` file if
 the job writes one.  The ``elapsed:`` line of ``verify`` is a wall time,
-so it is masked.  The jobs are the README examples, fig6/fig7a/fig7b, a
-spin general-model JSON sweep, ``optimize`` for the oscillator xx, xy and
+so it is masked.  The jobs are the README examples, ``cycle`` on both
+media and all three models (osc xx in mixed regimes, so with null weight
+and bounds) plus five refused cycles, fig6/fig7a/fig7b, a spin
+general-model JSON sweep, ``optimize`` for the oscillator xx, xy and
 general models (``--resolution 20``), the oscillator xx model at the
 default resolution 60 (the benchmark's slowest optimizer job, about 2 s)
 and the spin general model, and ``verify --level quick`` at three seeds;
@@ -40,6 +42,21 @@ JOBS = [
     "optimize --medium spin --model xx --th 2 --tc 1",
     "sample --th 2 --tc 1 --n 100000 --seed 0 --out samples.csv",
     "verify --level full",
+    # `cycle` on the other media and models, and its refusals: an unstable
+    # oscillator, a non-positive spin mode, a zero frequency, a nan coupling
+    # and heats that overflow
+    "cycle --medium osc --model xx --omega 4 --omega-prime 3 --lam 2.2 --th 2 --tc 1",
+    "cycle --medium osc --model xy --omega 5 --omega-prime 2 --lam 1.5 --th 2 --tc 1",
+    "cycle --medium osc --model general --lx 0.7 --lp -1.3 --omega 4 --omega-prime 2.5 "
+    "--th 2.1 --tc 0.9",
+    "cycle --medium spin --model xy --omega 5 --omega-prime 2 --lam 1 --th 2 --tc 1",
+    "cycle --medium spin --model general --jx 1.1 --jy -0.4 --omega 4 --omega-prime 2.8 "
+    "--th 2 --tc 1",
+    "cycle --medium osc --model xx --omega 3 --omega-prime 2 --lam 2.5 --th 2 --tc 1",
+    "cycle --medium spin --model xx --omega 4 --omega-prime 3 --lam 3.5 --th 2 --tc 1",
+    "cycle --medium spin --model xx --omega 0 --omega-prime 3 --lam 1 --th 2 --tc 1",
+    "cycle --medium osc --model xy --omega 4 --omega-prime 3 --lam nan --th 2 --tc 1",
+    "cycle --medium osc --model xx --omega 4 --omega-prime 3 --lam 0 --th 1e308 --tc 1e-308",
     # the other figures and a general-model sweep
     "figure fig6",
     "figure fig7a",
