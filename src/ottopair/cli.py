@@ -567,6 +567,35 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
+def _registered(command: str) -> set[str]:
+    """The options `command` registers: every option some dataset, model
+    or medium of it reads; `_merge_config` refuses the ones an invocation
+    does not read."""
+    figures = sorted(_FIGURE_DEFAULTS) if command == "figure" else [None]
+    return set().union(*(
+        _reads(command, figure, None, model)
+        for figure in figures for model in _OPTIONS["model"]["choices"]
+    ))
+
+
+def _unregistered(argv: list[str]) -> tuple[list[str], list[str]]:
+    """`argv` without the option flags its subcommand does not register,
+    and those flags, each with the value that follows it.  argparse would
+    leave such a value behind as a positional (`figure --lam 3 fig3` takes
+    3 for the dataset name)."""
+    if not argv or argv[0] not in _COMMANDS:
+        return argv, []
+    foreign = {_flag(name) for name in set(_OPTIONS) - _registered(argv[0])}
+    kept, dropped = argv[:1], []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in foreign:
+            dropped += [token, *itertools.islice(tokens, 1)]
+        else:
+            kept.append(token)
+    return kept, dropped
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ottopair",
@@ -581,22 +610,15 @@ def build_parser() -> argparse.ArgumentParser:
         ("sample", "Monte Carlo engine sampling with concurrences"),
         ("verify", "run the brute-force oracle suite"),
     ]:
-        figures = [None]
         p = sub.add_parser(command, help=help_text)
         p.set_defaults(subparser=p)  # `main` reports unknown options with its usage
         if command == "figure":
-            figures = sorted(_FIGURE_DEFAULTS)
-            p.add_argument("figure", choices=figures)
+            p.add_argument("figure", choices=sorted(_FIGURE_DEFAULTS))
             p.epilog = ("fig5 reads --seed, --n and --domain-max; "
                         "the others --omega, --omega-prime and --sweep")
-        # every option some dataset, model or medium of the command reads;
-        # `_merge_config` refuses the ones this invocation does not
-        accepted = set().union(*(
-            _reads(command, figure, None, model)
-            for figure in figures for model in _OPTIONS["model"]["choices"]
-        ))
+        registered = _registered(command)
         for name, spec in _OPTIONS.items():
-            if name in accepted:
+            if name in registered:
                 p.add_argument(_flag(name), **spec)
         p.add_argument("--config", help="JSON file of option values; flags override it")
     return parser
@@ -667,9 +689,10 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
+    argv, unregistered = _unregistered(sys.argv[1:] if argv is None else list(argv))
     args, unknown = build_parser().parse_known_args(argv)
-    if unknown:
-        args.subparser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    if unregistered or unknown:
+        args.subparser.error(f"unrecognized arguments: {' '.join(unregistered + unknown)}")
     try:
         cfg = _merge_config(args)
         code = _COMMANDS[args.command](cfg)

@@ -344,11 +344,16 @@ def evaluate_cycle(spec: CycleSpec) -> CycleColumns:
     Raises
     ------
     DomainError
-        Where ``valid`` is False: the decomposition's own error for an
-        invalid mode, otherwise "non-finite heats".
+        Where ``valid`` is False: the name of a non-finite input field,
+        else the decomposition's own error for an invalid mode, otherwise
+        "non-finite heats".
     """
     c = evaluate_cycles(**vars(spec))
     if not c.valid[0]:
+        for name in ("omega_hot", "omega_cold", "coupling_hot", "coupling_cold"):
+            value = getattr(spec, name)
+            if not np.isfinite(value).all():
+                raise DomainError(f"{name} must be finite, got {value}")
         mode_pairs_for_cycle(spec)  # raises the decomposition's own DomainError
         heats = np.stack([c.q_h, c.q_c, c.w], axis=-1)[:, 0].tolist()
         total = [float(x[0]) for x in (c.q_h_total, c.q_c_total, c.w_total)]

@@ -792,6 +792,25 @@ def test_unregistered_option_prints_the_subcommand_usage(capsys, argv):
     assert f"error: unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["figure", "--lam", "3", "fig3"], "--lam 3"),
+        (["figure", "--th", "2.5", "--jx", "0.5", "fig5"], "--jx 0.5"),
+        (["figure", "--level", "full", "--sweep", "0:1:0.5", "fig7a"], "--level full"),
+    ],
+    ids=["fig3", "fig5", "fig7a"],
+)
+def test_unregistered_option_before_the_dataset_name_is_named(capsys, argv, named):
+    # the flag's value is not taken for the dataset name
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (EXIT_CONFIG, "")
+    assert captured.err.startswith("usage: ottopair figure ")
+    assert f"error: unrecognized arguments: {named}\n" in captured.err
+
+
 def test_read_sets_hold_51_option_slots():
     # the 19 options in 6 subcommands were 114 slots; the help test ties
     # these read sets to the parser

@@ -146,6 +146,16 @@ def test_evaluate_cycle_refuses_invalid_points():
                 evaluate_cycle(CycleSpec(kind, 3.0, omega, ok, coupling, BATHS))
 
 
+@pytest.mark.parametrize("name", ["omega_hot", "omega_cold", "coupling_hot", "coupling_cold"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_evaluate_cycle_names_a_non_finite_input(name, bad):
+    fields = dict(omega_hot=4.0, omega_cold=3.0, coupling_hot=(1.0, 1.0), coupling_cold=(1.0, 1.0))
+    fields[name] = bad if name.startswith("omega") else (1.0, bad)
+    for kind in (OSC, SPIN):
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            evaluate_cycle(CycleSpec(kind, baths=BATHS, **fields))
+
+
 def test_sandwich_bounds_examples():
     c = _cycle(SPIN, "xx", 4.0, 3.0, 1.0)
     assert c.bounds[:, 0].tolist() == pytest.approx([0.2, 1.0 / 3.0], abs=1e-14)

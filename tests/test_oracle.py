@@ -260,9 +260,25 @@ def test_stacked_spin_checks_equal_per_draw_computation_bit_for_bit():
     assert stacked.max() < 1e-12
 
 
+@pytest.mark.parametrize("model", ["xx", "xy", "general"])
+@pytest.mark.parametrize("n_max", [1, 2, 3, 9, 16])
+def test_block_spectrum_matches_the_dense_eigensolve(model, n_max):
+    # the parity x exchange blocks hold the whole dense spectrum
+    rng = np.random.default_rng(n_max)
+    for _ in range(5):
+        omega = rng.uniform(2.0, 6.0)
+        values = rng.uniform(-0.4, 0.4, 2 if model == "general" else 1) * omega
+        coupling = medium.model_coupling(model, *values)
+        dense = np.linalg.eigvalsh(truncated_oscillator_matrix(omega, *coupling, n_max))
+        blocks = truncated_oscillator_spectrum(omega, *coupling, n_max)
+        assert blocks.shape == dense.shape == ((n_max + 1) ** 2,)
+        assert np.abs(blocks - dense).max() <= 1e-13 * max(1.0, np.abs(dense).max())
+
+
 @pytest.mark.parametrize("model", ["xx", "xy"])
-def test_fock_blocks_are_the_conserved_blocks_of_the_dense_matrix(model):
-    omega, lam, n_max = 3.7, 0.9, 9
+@pytest.mark.parametrize("n_max", [1, 9, 40])
+def test_fock_blocks_are_the_conserved_blocks_of_the_dense_matrix(model, n_max):
+    omega, lam = 3.7, 0.9
     h = truncated_oscillator_matrix(omega, *medium.model_coupling(model, lam), n_max)
     n1, n2 = np.divmod(np.arange(h.shape[0]), n_max + 1)
     label = n1 + n2 if model == "xx" else n1 - n2

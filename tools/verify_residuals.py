@@ -1,0 +1,94 @@
+"""Compare the oracle residuals of two ottopair checkouts, check by check.
+
+Runs ``ottopair.oracle.run_verification`` (the suite behind the CLI
+``verify`` command) at one level over a list of seeds, once with
+PYTHONPATH set to ``<base>/src`` and once with ``<root>/src``, and prints
+one line per check: the number of runs, how many of them moved (the
+residual is not bit-identical), the largest |delta residual| and the
+largest residual on each side.  The residuals are compared at full float
+precision, not as the 4 digits the ``verify`` table prints; a check whose
+draw count differs between the two sides is flagged, and then the exit
+code is 1.
+
+    python tools/verify_residuals.py --base path/to/parent --level quick --seeds 0-19
+    python tools/verify_residuals.py --base path/to/parent --level full --seeds 2024
+
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+_RUNNER = """
+import json, sys
+from ottopair.oracle import run_verification
+level = sys.argv[1]
+for seed in map(int, sys.argv[2:]):
+    report = run_verification(level, seed)
+    checks = [[c.name, c.draws, c.max_residual.hex()] for c in report.checks]
+    print(json.dumps({"seed": seed, "elapsed": report.elapsed, "checks": checks}), flush=True)
+"""
+
+
+def _seeds(text: str) -> list[int]:
+    """Seeds from a comma list of integers and inclusive ranges A-B."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def run(root: Path, level: str, seeds: list[int]) -> list[dict]:
+    """One record per seed: its elapsed time and (name, draws, residual) per check."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUNNER, level, *map(str, seeds)],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True, text=True, check=True,
+    )
+    records = [json.loads(line) for line in proc.stdout.splitlines()]
+    for record in records:
+        record["checks"] = [
+            (name, draws, float.fromhex(residual)) for name, draws, residual in record["checks"]
+        ]
+    return records
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", type=Path, required=True, help="checkout to compare against")
+    parser.add_argument(
+        "--root", type=Path, default=Path(__file__).resolve().parent.parent,
+        help="checkout under test (default: this one)",
+    )
+    parser.add_argument("--level", choices=("quick", "full"), default="quick")
+    parser.add_argument("--seeds", type=_seeds, default=[0], help="e.g. 0-19 or 2024 or 0,7,9")
+    args = parser.parse_args()
+    base = run(args.base.resolve(), args.level, args.seeds)
+    root = run(args.root.resolve(), args.level, args.seeds)
+    print(f"level {args.level}, seeds {args.seeds[0]}..{args.seeds[-1]} ({len(args.seeds)} runs)")
+    print(f"{'check':<28} {'runs':>5} {'moved':>6} {'max |delta|':>12} "
+          f"{'max base':>10} {'max root':>10}  draws")
+    same_draws = True
+    for k, (name, _, _) in enumerate(base[0]["checks"]):
+        pairs = [(b["checks"][k], r["checks"][k]) for b, r in zip(base, root)]
+        draws_equal = all(bc[:2] == rc[:2] for bc, rc in pairs)
+        same_draws &= draws_equal
+        moved = sum(bc[2] != rc[2] for bc, rc in pairs)
+        delta = max(abs(bc[2] - rc[2]) for bc, rc in pairs)
+        print(f"{name:<28} {len(pairs):>5} {moved:>6} {delta:>12.3e} "
+              f"{max(bc[2] for bc, _ in pairs):>10.3e} {max(rc[2] for _, rc in pairs):>10.3e}  "
+              f"{'equal' if draws_equal else 'DIFFER'}")
+    print(f"elapsed: base {sum(b['elapsed'] for b in base):.2f} s, "
+          f"root {sum(r['elapsed'] for r in root):.2f} s")
+    return 0 if same_draws else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
