@@ -30,6 +30,7 @@ import argparse
 import itertools
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -79,15 +80,14 @@ class RunConfig:
 
 # a batched grid is allocated at once, so its size is capped
 MAX_SWEEP_ROWS = 1_000_000
-# the sampler draws all its points at once
+# the sampler keeps its accepted draws (about a tenth at the preset baths)
+# in memory, so their count is capped; it draws and evaluates in chunks
 MAX_DRAWS = 10_000_000
-
-
-def _fmt(value) -> str:
-    """A row cell: a float, None (empty) or a Regime."""
-    if type(value) is float:
-        return format(value, ".17g")
-    return "" if value is None else value.value
+# rows formatted and written at a time; a larger chunk raises peak RSS
+# (an 8192-row chunk of a 22-column JSON sweep costs ~16 MB) without
+# saving time
+_ROW_CHUNK = 1024
+_REGIME_NAMES = np.array([r.value for r in REGIMES], dtype=object)
 
 
 def _write_text(cfg: RunConfig, chunks: Iterable[str]) -> None:
@@ -108,16 +108,65 @@ def _write_text(cfg: RunConfig, chunks: Iterable[str]) -> None:
         raise ConfigError(f"cannot write output: {exc}") from exc
 
 
-def _write_rows(cfg: RunConfig, header: list[str], rows: Iterable[Iterable]) -> None:
-    if cfg.format == "json":
-        doc = [
-            {k: (v.value if isinstance(v, Regime) else v) for k, v in zip(header, row)}
-            for row in rows
-        ]
-        _write_doc(cfg, doc)
+# a column of rows: float values, or int8 codes into REGIMES, and the
+# mask of the rows that hold a value (None: every row)
+Column = tuple[np.ndarray, Optional[np.ndarray]]
+
+
+def _write_rows(cfg: RunConfig, header: list[str], columns: list[Column]) -> None:
+    """Write one row per index of `columns` (one per `header` name) as CSV
+    or as a JSON list of objects, absent cells empty or null.
+
+    The present values are checked before anything is opened, so a
+    non-finite one writes nothing.  Rows are then formatted `_ROW_CHUNK`
+    at a time, each by the `%` template of its presence pattern."""
+    for values, present in columns:
+        if values.dtype.kind == "f":
+            bad = ~np.isfinite(values) if present is None else present & ~np.isfinite(values)
+            if bad.any():
+                raise NumericalError(
+                    f"non-finite number {values[np.argmax(bad)]} in the output document"
+                )
+    n = len(columns[0][0])
+    regime = [values.dtype.kind != "f" for values, _ in columns]
+    # a row's presence pattern: one bit per distinct mask
+    masks = list({id(m): m for _, m in columns if m is not None}.values())
+    bits = {id(m): 1 << i for i, m in enumerate(masks)}
+
+    def template(key: int) -> str:
+        # an absent cell takes its value with `%.0s`, which prints nothing
+        cells = [(r, m is None or bool(key & bits[id(m)])) for r, (_, m) in zip(regime, columns)]
+        if cfg.format == "json":
+            # the bytes of JSONEncoder(indent=2), which spells floats by repr
+            items = (
+                f"{json.dumps(k)}: " + (('"%s"' if r else "%r") if p else "null%.0s")
+                for k, (r, p) in zip(header, cells)
+            )
+            return "{\n    " + ",\n    ".join(items) + "\n  }"
+        return ",".join(("%s" if r else "%.17g") if p else "%.0s" for r, p in cells) + "\n"
+
+    def chunks(sep: str):
+        for start in range(0, n, _ROW_CHUNK):
+            rows = slice(start, start + _ROW_CHUNK)
+            key = np.zeros(min(_ROW_CHUNK, n - start), dtype=np.int64)
+            for m in masks:
+                key |= m[rows].astype(np.int64) * bits[id(m)]
+            keys, pattern = np.unique(key, return_inverse=True)
+            templates = np.array([template(k) for k in keys.tolist()], dtype=object)[pattern]
+            cells = (
+                (_REGIME_NAMES[v[rows]] if r else v[rows]).tolist()
+                for (v, _), r in zip(columns, regime)
+            )
+            if start:
+                yield sep
+            yield sep.join(map(operator.mod, templates.tolist(), zip(*cells)))
+
+    if cfg.format != "json":
+        _write_text(cfg, itertools.chain([",".join(header) + "\n"], chunks("")))
+    elif n:
+        _write_text(cfg, itertools.chain(["[\n  "], chunks(",\n  "), ["\n]\n"]))
     else:
-        lines = (",".join(map(_fmt, row)) + "\n" for row in rows)
-        _write_text(cfg, itertools.chain([",".join(header) + "\n"], lines))
+        _write_text(cfg, ["[]\n"])
 
 
 def _check_finite(doc) -> None:
@@ -248,46 +297,32 @@ _SWEEP_HEADER = [
 ]
 
 
-def _column(values: np.ndarray, present: Optional[np.ndarray] = None) -> list:
-    """`values` as Python floats, None where `present` is False."""
-    out = values.tolist()
-    if present is not None:
-        for i in np.flatnonzero(~present).tolist():
-            out[i] = None
-    return out
-
-
-def _regime_column(codes: np.ndarray, present: Optional[np.ndarray] = None) -> list:
-    return _column(np.array(REGIMES, dtype=object)[codes], present)
-
-
-def _sweep_rows(lam: np.ndarray, c: CycleColumns):
-    ok, operating, shared = c.valid, c.operating, c.shared
+def _sweep_columns(lam: np.ndarray, c: CycleColumns) -> list[Column]:
+    ok = c.valid
     mode_cols = []
     for m in (0, 1):
         mode_cols += [
-            _column(c.q_h[m], ok), _column(c.q_c[m], ok), _column(c.w[m], ok),
-            _regime_column(c.regime[m], ok), _column(c.figure_of_merit[m], operating[m]),
+            (c.q_h[m], ok), (c.q_c[m], ok), (c.w[m], ok),
+            (c.regime[m], ok), (c.figure_of_merit[m], c.operating[m]),
         ]
-    columns = [
-        lam.tolist(),
-        _column(c.omega_hot[0], ok), _column(c.omega_cold[0], ok),
-        _column(c.omega_hot[1], ok), _column(c.omega_cold[1], ok),
+    return [
+        (lam, None),
+        (c.omega_hot[0], ok), (c.omega_cold[0], ok),
+        (c.omega_hot[1], ok), (c.omega_cold[1], ok),
         *mode_cols,
-        _column(c.q_h_total, ok), _column(c.q_c_total, ok), _column(c.w_total, ok),
-        _regime_column(c.global_regime, ok),
-        _column(c.global_figure, c.global_operating),
-        _column(c.bounds[0], shared), _column(c.bounds[1], shared),
+        (c.q_h_total, ok), (c.q_c_total, ok), (c.w_total, ok),
+        (c.global_regime, ok),
+        (c.global_figure, c.global_operating),
+        (c.bounds[0], c.shared), (c.bounds[1], c.shared),
     ]
-    return zip(*columns)
 
 
 def _cycle_doc(c: CycleColumns) -> dict:
     """The `modes`, `totals` and `global` parts of the `cycle` document,
-    from length-1 columns by the rules of `_sweep_rows`."""
+    from length-1 columns by the rules of `_sweep_columns`."""
 
     def cell(values, present=None):
-        return _column(values, present)[0]
+        return values[0].tolist() if present is None or present[0] else None
 
     def regime(codes):
         return REGIMES[codes[0]].value
@@ -354,7 +389,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     coupling = model_coupling(cfg.model, *values)
     omega, omega_prime = _bare_frequencies(cfg)
     columns = evaluate_cycles(kind, omega, omega_prime, coupling, coupling, baths)
-    _write_rows(cfg, _SWEEP_HEADER, _sweep_rows(grid, columns))
+    _write_rows(cfg, _SWEEP_HEADER, _sweep_columns(grid, columns))
     return EXIT_OK
 
 
@@ -368,9 +403,9 @@ _FIGURE_DEFAULTS = {
 }
 
 
-def figure_rows(name: str, cfg: RunConfig) -> tuple[list[str], list[list]]:
-    """Dataset rows for one named figure (a `_FIGURE_DEFAULTS` key); shared
-    by the CLI and the tests."""
+def figure_rows(name: str, cfg: RunConfig) -> tuple[list[str], list[Column]]:
+    """Header and columns of one named figure dataset (a `_FIGURE_DEFAULTS`
+    key), in the form `_write_rows` takes; shared by the CLI and the tests."""
     # the preset fills every option left unset
     preset = _FIGURE_DEFAULTS[name]
     cfg = replace(cfg, **{k: v for k, v in preset.items() if getattr(cfg, k) is None})
@@ -382,7 +417,7 @@ def figure_rows(name: str, cfg: RunConfig) -> tuple[list[str], list[list]]:
         s = sample_engine_points(seed, n, domain, baths)
         header = ["W", "C_h", "C_c", "omega", "omega_prime", "lambda_J"]
         columns = (s.w_total, s.c_h, s.c_c, s.omega, s.omega_prime, s.lam)
-        return header, [list(row) for row in zip(*map(_column, columns))]
+        return header, [(values, None) for values in columns]
 
     grid = _parse_sweep(cfg.sweep)
     omega, omega_prime = _bare_frequencies(cfg)
@@ -419,7 +454,7 @@ def figure_rows(name: str, cfg: RunConfig) -> tuple[list[str], list[list]]:
     )
     # figure-of-merit columns are empty outside the figure's regime
     code = REGIMES.index(want)
-    columns = [grid.tolist()]
+    columns = [(grid, None)]
     if name in ("fig3", "fig6"):
         # per-mode columns of the spin pair, or of the oscillator pair
         # where the spin pair is unstable
@@ -427,16 +462,15 @@ def figure_rows(name: str, cfg: RunConfig) -> tuple[list[str], list[list]]:
         for m in (0, 1):
             fom = np.where(ref, spn.figure_of_merit[m], osc.figure_of_merit[m])
             regime = np.where(ref, spn.regime[m], osc.regime[m])
-            columns.append(_column(fom, (ref | osc.valid) & (regime == code)))
+            columns.append((fom, (ref | osc.valid) & (regime == code)))
     for c in (osc, spn):
-        columns.append(_column(c.global_figure, c.valid & (c.global_regime == code)))
-    columns.append([constant] * grid.size)
-    return header, [list(row) for row in zip(*columns)]
+        columns.append((c.global_figure, c.valid & (c.global_regime == code)))
+    columns.append((np.full(grid.size, constant), None))
+    return header, columns
 
 
 def cmd_figure(cfg: RunConfig) -> int:
-    header, rows = figure_rows(cfg.figure, cfg)
-    _write_rows(cfg, header, rows)
+    _write_rows(cfg, *figure_rows(cfg.figure, cfg))
     return EXIT_OK
 
 
@@ -486,8 +520,8 @@ def cmd_sample(cfg: RunConfig) -> int:
         "omega", "omega_prime", "lambda_J", "W_total", "C_h", "C_c",
         "regime_A", "regime_B",
     ]
-    columns = map(_column, (s.omega, s.omega_prime, s.lam, s.w_total, s.c_h, s.c_c))
-    _write_rows(cfg, header, zip(*columns, _regime_column(s.regime_a), _regime_column(s.regime_b)))
+    columns = (s.omega, s.omega_prime, s.lam, s.w_total, s.c_h, s.c_c, s.regime_a, s.regime_b)
+    _write_rows(cfg, header, [(values, None) for values in columns])
     return EXIT_OK
 
 
@@ -582,14 +616,22 @@ def _unregistered(argv: list[str]) -> tuple[list[str], list[str]]:
     """`argv` without the option flags its subcommand does not register,
     and those flags, each with the value that follows it.  argparse would
     leave such a value behind as a positional (`figure --lam 3 fig3` takes
-    3 for the dataset name)."""
+    3 for the dataset name).  A flag counts also as a prefix of such flags
+    only (`--la`, `--l`); a prefix of a registered flag is left for
+    argparse, which expands or refuses it."""
     if not argv or argv[0] not in _COMMANDS:
         return argv, []
+    flags = [_flag(name) for name in _OPTIONS] + ["--config", "--help"]
     foreign = {_flag(name) for name in set(_OPTIONS) - _registered(argv[0])}
+
+    def unregistered(token: str) -> bool:
+        matches = {f for f in flags if f.startswith(token)} if token.startswith("--") else set()
+        return token in foreign or bool(matches) and matches <= foreign
+
     kept, dropped = argv[:1], []
     tokens = iter(argv[1:])
     for token in tokens:
-        if token in foreign:
+        if unregistered(token):
             dropped += [token, *itertools.islice(tokens, 1)]
         else:
             kept.append(token)

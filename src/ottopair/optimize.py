@@ -7,8 +7,8 @@ of the objective over every point the sweep could visit, walked in move
 order, so the search takes the same first-improvement path as one call
 per move.  The objective is cheap and smooth, so robustness beats
 gradient machinery.  Everything is seeded and deterministic; the sampler
-draws all parameters up front from one generator so the output order
-never depends on evaluation order.
+takes its draws in fixed chunks from one generator, so the output never
+depends on the chunking.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 _REFINE_STEPS = 48  # step shrinks by 0.5 each sweep; 2^-48 of the grid cell
+_DRAW_CHUNK = 1 << 16  # sampler draws evaluated at a time
 
 
 @dataclass(frozen=True)
@@ -227,30 +228,10 @@ def max_coupled_work(
     return tuple(float(v) for v in x), float(best)
 
 
-def sample_engine_points(
-    seed: int,
-    n: int,
-    domain: SearchDomain,
-    baths: BathPair,
-) -> SampleColumns:
-    """Monte Carlo sweep of the coupled XX spin pair in engine mode.
-
-    Draws `n` i.i.d. uniform (omega, omega', lambda) triples from the
-    domain with a seeded generator, keeps the draws whose total system
-    works as an engine (W_total and Q_h_total positive beyond tolerance),
-    and attaches the concurrences of the two thermal states.  Output
-    order follows draw order, so a fixed seed gives identical output no
-    matter how evaluation is chunked.  The accepted count is typically
-    below `n`.
-    """
-    if n < 1:
-        raise EmptyDomain(f"need n >= 1 draws, got {n}")
-    rng = np.random.default_rng(seed)
-    lows = np.array([domain.omega[0], domain.omega_prime[0], domain.coupling[0]])
-    highs = np.array([domain.omega[1], domain.omega_prime[1], domain.coupling[1]])
-    draws = rng.uniform(lows, highs, size=(n, 3))
+def _engine_columns(draws: np.ndarray, baths: BathPair) -> tuple[np.ndarray, ...]:
+    """The `SampleColumns` fields of the engine draws among `draws`, one
+    (omega, omega', lambda) triple per row."""
     omega, omega_prime, lam = draws.T
-
     valid = (omega > lam) & (omega_prime > lam) & (omega > 0) & (omega_prime > 0)
     with np.errstate(over="ignore"):
         qa = heats_arrays(
@@ -269,4 +250,34 @@ def sample_engine_points(
         for om, beta in ((omega, baths.beta_h), (omega_prime, baths.beta_c))
     )
     regime_a, regime_b = (regime_codes(*(x[keep] for x in qs))[0] for qs in (qa, qb))
-    return SampleColumns(omega, omega_prime, lam, w[keep], c_h, c_c, regime_a, regime_b)
+    return omega, omega_prime, lam, w[keep], c_h, c_c, regime_a, regime_b
+
+
+def sample_engine_points(
+    seed: int,
+    n: int,
+    domain: SearchDomain,
+    baths: BathPair,
+) -> SampleColumns:
+    """Monte Carlo sweep of the coupled XX spin pair in engine mode.
+
+    Draws `n` i.i.d. uniform (omega, omega', lambda) triples from the
+    domain with a seeded generator, keeps the draws whose total system
+    works as an engine (W_total and Q_h_total positive beyond tolerance),
+    and attaches the concurrences of the two thermal states.  The draws
+    are taken and evaluated in chunks of `_DRAW_CHUNK` from the one
+    generator, which gives the same numbers as one draw of all `n`, and
+    the accepted rows of the chunks are joined in draw order; so memory
+    grows with the accepted count, not with `n`.  The accepted count is
+    typically below `n`.
+    """
+    if n < 1:
+        raise EmptyDomain(f"need n >= 1 draws, got {n}")
+    rng = np.random.default_rng(seed)
+    lows = np.array([domain.omega[0], domain.omega_prime[0], domain.coupling[0]])
+    highs = np.array([domain.omega[1], domain.omega_prime[1], domain.coupling[1]])
+    chunks = [
+        _engine_columns(rng.uniform(lows, highs, size=(min(_DRAW_CHUNK, n - start), 3)), baths)
+        for start in range(0, n, _DRAW_CHUNK)
+    ]
+    return SampleColumns(*map(np.concatenate, zip(*chunks)))

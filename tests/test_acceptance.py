@@ -76,8 +76,13 @@ def test_criterion_2_sandwich_bounds():
 
 
 def _figure_by_lambda(name):
-    header, rows = figure_rows(name, RunConfig(command="figure"))
-    return header, {round(row[0], 10): row[1:] for row in rows}
+    header, columns = figure_rows(name, RunConfig(command="figure"))
+    cells = [
+        values.tolist() if present is None
+        else [x if p else None for x, p in zip(values.tolist(), present)]
+        for values, present in columns
+    ]
+    return header, {round(row[0], 10): row[1:] for row in zip(*cells)}
 
 
 def test_criterion_3_fig3_reproduction():

@@ -12,6 +12,7 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -459,6 +460,99 @@ def test_non_finite_json_value_exits_3(tmp_path, capsys, monkeypatch):
     assert not target.exists()
 
 
+def _reference_rows(header, columns):
+    """The rows of `columns` as dicts, None where absent: what the per-cell
+    writer took."""
+    names = [r.value for r in cycle.REGIMES]
+    n = len(columns[0][0]) if columns else 0
+    return [
+        {
+            k: None if present is not None and not present[i]
+            else float(values[i]) if values.dtype.kind == "f" else names[values[i]]
+            for k, (values, present) in zip(header, columns)
+        }
+        for i in range(n)
+    ]
+
+
+def _reference_csv(header, rows):
+    def cell(value):
+        if value is None:
+            return ""
+        return value if isinstance(value, str) else format(value, ".17g")
+
+    return "".join([",".join(header) + "\n"] + [",".join(map(cell, r.values())) + "\n" for r in rows])
+
+
+def _writer_columns(case, n, seed=5):
+    """Seeded float and regime columns: some masked, with -0.0,
+    subnormals, 1e308 and non-finite values where absent."""
+    rng = np.random.default_rng(seed)
+    specials = np.array([-0.0, 0.0, 5e-324, -2.2e-310, 1e308, -1e308, 0.1, 1.0])
+
+    def floats(mask=None):
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        pick = rng.random(n) < 0.3
+        x[pick] = rng.choice(specials, int(pick.sum()))
+        if mask is not None:
+            x[~mask & (rng.random(n) < 0.5)] = rng.choice([np.nan, np.inf, -np.inf])
+        return x
+
+    codes = rng.integers(0, 3, n).astype(np.int8)
+    if case == "all-empty":
+        none = np.zeros(n, dtype=bool)
+        return ["a", "r", "b"], [(floats(none), none), (codes, none), (floats(none), none)]
+    a, b = rng.random(n) < 0.6, rng.random(n) < 0.4
+    if case == "unmasked":
+        return ["a", "r", "b"], [(floats(), None), (codes, None), (floats(), None)]
+    header = ["x", "y", "regime_y", "z", "regime", "t"]
+    return header, [
+        (floats(), None), (floats(a), a), (codes, a), (floats(b), b),
+        (codes[::-1].copy(), None), (floats(b), b),
+    ]
+
+
+@pytest.mark.parametrize("n", [0, 1, 57, 2 * cli._ROW_CHUNK + 3])
+@pytest.mark.parametrize("case", ["mixed", "all-empty", "unmasked"])
+def test_row_writer_equals_the_per_cell_writer(capsys, case, n):
+    header, columns = _writer_columns(case, n)
+    rows = _reference_rows(header, columns)
+    cli._write_rows(cli.RunConfig(command="sweep"), header, columns)
+    assert capsys.readouterr().out == _reference_csv(header, rows)
+    cli._write_rows(cli.RunConfig(command="sweep", format="json"), header, columns)
+    assert capsys.readouterr().out == json.JSONEncoder(indent=2).encode(rows) + "\n"
+
+
+def test_row_writer_leaves_absent_non_finite_values_empty(capsys):
+    columns = [
+        (np.array([np.nan, -0.0, -np.inf]), np.array([False, True, False])),
+        (np.array([0, 1, 2], dtype=np.int8), np.array([True, False, True])),
+    ]
+    cli._write_rows(cli.RunConfig(command="sweep"), ["w", "r"], columns)
+    assert capsys.readouterr().out == "w,r\n,engine\n-0,\n,dissipator\n"
+    cli._write_rows(cli.RunConfig(command="sweep", format="json"), ["w", "r"], columns)
+    assert json.loads(capsys.readouterr().out) == [
+        {"w": None, "r": "engine"}, {"w": -0.0, "r": None}, {"w": None, "r": "dissipator"},
+    ]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_row_value_exits_3(tmp_path, capsys, monkeypatch, fmt, bad):
+    # the last row is past a full chunk: nothing of the first is written
+    n = cli._ROW_CHUNK + 2
+    values = np.ones(n)
+    values[-1] = bad
+    columns = [(np.arange(n, dtype=float), None), (values, np.ones(n, dtype=bool))]
+    monkeypatch.setattr(cli, "figure_rows", lambda name, cfg: (["a", "b"], columns))
+    target = tmp_path / "rows.out"
+    for extra in ([], ["--out", str(target)]):
+        code, out, err = run_cli(capsys, "figure", "fig3", "--format", fmt, *extra)
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert "non-finite" in err
+    assert not target.exists()
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"medium": "spin", "omega": 4.0, "bogus": 1}))
@@ -798,8 +892,12 @@ def test_unregistered_option_prints_the_subcommand_usage(capsys, argv):
         (["figure", "--lam", "3", "fig3"], "--lam 3"),
         (["figure", "--th", "2.5", "--jx", "0.5", "fig5"], "--jx 0.5"),
         (["figure", "--level", "full", "--sweep", "0:1:0.5", "fig7a"], "--level full"),
+        (["figure", "--la", "3", "fig3"], "--la 3"),
+        (["figure", "--jx", "0.5", "fig5"], "--jx 0.5"),
+        (["figure", "--lev", "full", "fig5"], "--lev full"),
+        (["figure", "--l", "3", "fig3"], "--l 3"),
     ],
-    ids=["fig3", "fig5", "fig7a"],
+    ids=["fig3", "fig5", "fig7a", "fig3-prefix", "fig5-first", "fig5-prefix", "fig3-prefixes"],
 )
 def test_unregistered_option_before_the_dataset_name_is_named(capsys, argv, named):
     # the flag's value is not taken for the dataset name
@@ -809,6 +907,15 @@ def test_unregistered_option_before_the_dataset_name_is_named(capsys, argv, name
     assert (exc.value.code, captured.out) == (EXIT_CONFIG, "")
     assert captured.err.startswith("usage: ottopair figure ")
     assert f"error: unrecognized arguments: {named}\n" in captured.err
+
+
+def test_ambiguous_option_prefix_is_left_to_argparse(capsys):
+    # --om could be --omega or --omega-prime, which figure fig3 reads
+    with pytest.raises(SystemExit) as exc:
+        main(["figure", "--om", "4", "fig3"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (EXIT_CONFIG, "")
+    assert "error: ambiguous option: --om could match --omega, --omega-prime" in captured.err
 
 
 def test_read_sets_hold_51_option_slots():

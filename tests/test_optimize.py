@@ -6,7 +6,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ottopair.cycle import REGIMES, Regime, evaluate_cycle
+import ottopair.optimize as optimize
+from ottopair.cycle import REGIMES, Regime, evaluate_cycle, heats_arrays, regime_codes
+from ottopair.entanglement import (
+    concurrence_batch,
+    spin_pair_hamiltonian_batch,
+    thermal_state_batch,
+)
 from ottopair.errors import EmptyDomain, UnknownModel
 from ottopair.medium import BathPair, MediumKind, model_coupling, standard_cycle
 from ottopair.optimize import (
@@ -217,6 +223,63 @@ def test_sampler_with_no_accepted_draw_returns_empty_columns():
     assert len(cols) == 0
     for f in fields(SampleColumns):
         assert getattr(cols, f.name).shape == (0,)
+
+
+def _unchunked_sample(seed, n, domain, baths):
+    """The sampler's columns from one draw of all `n` triples, evaluated
+    in one pass."""
+    lows = np.array([domain.omega[0], domain.omega_prime[0], domain.coupling[0]])
+    highs = np.array([domain.omega[1], domain.omega_prime[1], domain.coupling[1]])
+    omega, omega_prime, lam = np.random.default_rng(seed).uniform(lows, highs, size=(n, 3)).T
+    valid = (omega > lam) & (omega_prime > lam) & (omega > 0) & (omega_prime > 0)
+    with np.errstate(over="ignore"):
+        qa = heats_arrays(SPIN, omega + lam, omega_prime + lam, baths.beta_h, baths.beta_c)
+    qb = heats_arrays(SPIN, omega - lam, omega_prime - lam, baths.beta_h, baths.beta_c)
+    w = qa[2] + qb[2]
+    engine = REGIMES.index(Regime.ENGINE)
+    keep = valid & (regime_codes(qa[0] + qb[0], qa[1] + qb[1], w)[0] == engine)
+    omega, omega_prime, lam = omega[keep], omega_prime[keep], lam[keep]
+    c_h, c_c = (
+        concurrence_batch(
+            thermal_state_batch(spin_pair_hamiltonian_batch(om, lam, lam), np.full(lam.size, beta))
+        )
+        for om, beta in ((omega, baths.beta_h), (omega_prime, baths.beta_c))
+    )
+    regime_a, regime_b = (regime_codes(*(x[keep] for x in qs))[0] for qs in (qa, qb))
+    columns = SampleColumns(omega, omega_prime, lam, w[keep], c_h, c_c, regime_a, regime_b)
+    return columns, keep
+
+
+def _assert_same_columns(cols, ref):
+    assert len(cols) == len(ref)
+    for f in fields(SampleColumns):
+        a, b = getattr(cols, f.name), getattr(ref, f.name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+
+
+def test_chunked_sampler_equals_one_unchunked_draw():
+    # three full chunks and a partial one
+    n = 3 * optimize._DRAW_CHUNK + 17
+    domain = SearchDomain()
+    ref, _ = _unchunked_sample(29, n, domain, BATHS)
+    _assert_same_columns(sample_engine_points(29, n, domain, BATHS), ref)
+    assert len(ref) > 0
+
+
+def test_chunked_sampler_skips_a_chunk_without_engines(monkeypatch):
+    monkeypatch.setattr(optimize, "_DRAW_CHUNK", 4)
+    domain = SearchDomain()
+    ref, keep = _unchunked_sample(3, 403, domain, BATHS)
+    accepted = np.add.reduceat(keep, np.arange(0, keep.size, 4))
+    assert (accepted == 0).any() and (accepted > 0).any()
+    _assert_same_columns(sample_engine_points(3, 403, domain, BATHS), ref)
+
+
+@pytest.mark.parametrize("seed, accepted", [(0, 0), (13, 1), (16, 1), (23, 1)])
+def test_sampler_single_draw_equals_the_unchunked_draw(seed, accepted):
+    ref, _ = _unchunked_sample(seed, 1, SearchDomain(), BATHS)
+    assert len(ref) == accepted
+    _assert_same_columns(sample_engine_points(seed, 1, SearchDomain(), BATHS), ref)
 
 
 def test_sampler_rejects_bad_count():

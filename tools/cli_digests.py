@@ -14,11 +14,14 @@ the job writes one.  The ``elapsed:`` line of ``verify`` is a wall time,
 so it is masked.  The jobs are the README examples, ``cycle`` on both
 media and all three models (osc xx in mixed regimes, so with null weight
 and bounds) plus five refused cycles, fig6/fig7a/fig7b, a spin
-general-model JSON sweep, ``optimize`` for the oscillator xx, xy and
-general models (``--resolution 20``), the oscillator xx model at the
+general-model JSON sweep, the JSON rows of ``sample``, fig5, fig3 and an
+oscillator sweep past its instability (null cells), a 100 001-row spin
+general sweep as CSV and as JSON, ``optimize`` for the oscillator xx, xy
+and general models (``--resolution 20``), the oscillator xx model at the
 default resolution 60 (the benchmark's slowest optimizer job, about 2 s)
 and the spin general model, and ``verify --level quick`` at three seeds;
-together they take about a minute on two cores.  Standard library only.
+together they take about a minute and a half on two cores.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -63,6 +66,18 @@ JOBS = [
     "figure fig7b",
     "sweep --medium spin --model general --jx 1.1 --jy -0.4 --omega 4 --omega-prime 2.8 "
     "--th 2 --tc 1 --sweep 0:1.2:0.001 --format json",
+    # JSON rows of every row command: sampler draws, figures and an
+    # oscillator sweep whose rows past the instability hold nulls
+    "sample --th 2 --tc 1 --n 100000 --seed 0 --format json --out samples.json",
+    "figure fig5 --seed 0 --n 100000 --format json --out fig5.json",
+    "figure fig3 --format json",
+    "sweep --medium osc --model xx --omega 4 --omega-prime 3 --th 2 --tc 1 "
+    "--sweep 0:3.5:0.01 --format json",
+    # 100 001 rows, past the row writer's chunk size many times over
+    "sweep --medium spin --model general --jx 1.1 --jy -0.4 --omega 4 --omega-prime 2.8 "
+    "--th 2 --tc 1 --sweep 0:1.2:0.000012 --out big.csv",
+    "sweep --medium spin --model general --jx 1.1 --jy -0.4 --omega 4 --omega-prime 2.8 "
+    "--th 2 --tc 1 --sweep 0:1.2:0.000012 --format json --out big.json",
     # the optimizer on every oscillator model and the 4-D spin general grid
     "optimize --medium osc --model xx --th 2 --tc 1 --resolution 20",
     "optimize --medium osc --model xy --th 2 --tc 1 --resolution 20",
