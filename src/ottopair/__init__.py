@@ -50,6 +50,7 @@ from .optimize import (
     SearchDomain,
     max_coupled_work,
     max_uncoupled_work,
+    oscillator_work_supremum,
     sample_engine_points,
 )
 from .oracle import (

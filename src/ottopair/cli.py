@@ -41,7 +41,13 @@ import numpy as np
 from .cycle import REGIMES, CycleColumns, Regime, evaluate_cycle, evaluate_cycles
 from .errors import ConfigError, DomainError, NumericalError, OttoPairError
 from .medium import BathPair, MediumKind, model_coupling, standard_cycle
-from .optimize import SearchDomain, max_coupled_work, max_uncoupled_work, sample_engine_points
+from .optimize import (
+    SearchDomain,
+    max_coupled_work,
+    max_uncoupled_work,
+    oscillator_work_supremum,
+    sample_engine_points,
+)
 from .oracle import run_verification
 
 EXIT_OK = 0
@@ -484,8 +490,9 @@ def cmd_optimize(cfg: RunConfig) -> int:
     resolution = _bounded(cfg, "resolution", 2, round(MAX_SWEEP_ROWS ** (1 / slice_axes)))
     w_star, wp_star, w_single = max_uncoupled_work(kind, baths, domain, max(resolution, 200))
     params, w_max = max_coupled_work(kind, cfg.model, baths, domain, resolution)
-    # both searches estimate their optima from below, so the better of the
-    # two is the tighter valid estimate of the uncoupled-pair optimum
+    # spin searches estimate their optima from below, so the better of the
+    # two is the tighter valid estimate of the uncoupled-pair optimum; the
+    # oscillator optima are the corner limit, where w_max is 2 * w_single
     w_pair = max(2.0 * w_single, w_max)
     doc = {
         "medium": kind.value,
@@ -507,6 +514,12 @@ def cmd_optimize(cfg: RunConfig) -> int:
             "bound_saturated": w_pair - w_max <= 1e-9,
         },
     }
+    if kind is MediumKind.OSCILLATOR:
+        # the box starts at the origin, so both optima meet the supremum
+        # of their search only in the limit the printed points approach
+        sup = oscillator_work_supremum(baths)
+        doc["uncoupled"].update(supremum=sup, attained=False)
+        doc["coupled"].update(supremum=2.0 * sup, attained=False)
     _write_doc(cfg, doc)
     return EXIT_OK
 

@@ -1,14 +1,21 @@
 """Work-extraction optimization and the work-vs-concurrence sampler.
 
-Every optimizer call is one derivative-free search, `_grid_refine`: the
-best point of a dense rectangular grid, then coordinate-descent
-refinement with step halving.  Each coordinate sweep is one array call
-of the objective over every point the sweep could visit, walked in move
-order, so the search takes the same first-improvement path as one call
-per move.  The objective is cheap and smooth, so robustness beats
-gradient machinery.  Everything is seeded and deterministic; the sampler
-takes its draws in fixed chunks from one generator, so the output never
-depends on the chunking.
+An oscillator's work has no maximum: its supremum, (√T_h − √T_c)² per
+mode, is approached only as omega, omega' -> 0 along
+omega'/omega = √(T_c/T_h) at zero coupling (Kosloff & Rezek, Entropy 19,
+136, 2017).  So over a box whose lower corner is the origin, an
+oscillator optimum is `_corner_limit`: the product grid is evaluated as
+a check that no point beats that closed-form ceiling, and the optimum is
+the point on the limiting ray that meets it to rounding.  Every other
+optimizer call (spins, or an oscillator box away from the origin) is one
+derivative-free search, `_grid_refine`: the best point of a dense
+rectangular grid, then coordinate-descent refinement with step halving.
+Each coordinate sweep is one array call of the objective over every
+point the sweep could visit, walked in move order, so the search takes
+the same first-improvement path as one call per move.  The objective is
+cheap and smooth, so robustness beats gradient machinery.  Everything is
+seeded and deterministic; the sampler takes its draws in fixed chunks
+from one generator, so the output never depends on the chunking.
 """
 
 from __future__ import annotations
@@ -31,11 +38,15 @@ __all__ = [
     "coupled_total_work",
     "max_uncoupled_work",
     "max_coupled_work",
+    "oscillator_work_supremum",
     "sample_engine_points",
 ]
 
 _REFINE_STEPS = 48  # step shrinks by 0.5 each sweep; 2^-48 of the grid cell
 _DRAW_CHUNK = 1 << 16  # sampler draws evaluated at a time
+# omega of the corner-limit point in units of T_h * sqrt(r): the work there
+# falls short of the supremum by omega^2 / (12 T_h^2 r) of it, 1e-16 / 12
+_LIMIT_SCALE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -123,6 +134,25 @@ def coupled_total_work(kind: MediumKind, omega, omega_prime, cx, cy, baths: Bath
     return np.where(ok, w, -np.inf)
 
 
+def _grid_best(work, box, resolution: int):
+    """The first maximum in C order of `work` over the `resolution`-per-axis
+    grid of the closed `box`, evaluated one slice of the first axis at a
+    time; returns (axes, W, index of the point)."""
+    if resolution < 2:
+        raise EmptyDomain(f"resolution must be >= 2, got {resolution}")
+    axes = [np.linspace(lo, hi, resolution) for lo, hi in box]
+    rest = np.ix_(*axes[1:])
+    grid_best, best_idx = -np.inf, None
+    for i, w in enumerate(axes[0]):
+        vals = work(w, *rest)
+        k = np.argmax(vals)
+        if vals.flat[k] > grid_best:
+            grid_best, best_idx = vals.flat[k], (i, *np.unravel_index(k, vals.shape))
+    if best_idx is None:
+        raise EmptyDomain(f"no valid point on the {resolution}-point grid over {box}")
+    return axes, grid_best, best_idx
+
+
 def _grid_refine(work, box, resolution: int):
     """Maximize `work` over the closed `box`, one (lo, hi) range per axis;
     returns (x*, W*).
@@ -137,18 +167,7 @@ def _grid_refine(work, box, resolution: int):
     One `work` call per sweep evaluates the sweep's whole decision tree,
     2^(2*dim) - 1 points, and walking it gives that path bit for bit.
     """
-    if resolution < 2:
-        raise EmptyDomain(f"resolution must be >= 2, got {resolution}")
-    axes = [np.linspace(lo, hi, resolution) for lo, hi in box]
-    rest = np.ix_(*axes[1:])
-    grid_best, best_idx = -np.inf, None
-    for i, w in enumerate(axes[0]):
-        vals = work(w, *rest)
-        k = np.argmax(vals)
-        if vals.flat[k] > grid_best:
-            grid_best, best_idx = vals.flat[k], (i, *np.unravel_index(k, vals.shape))
-    if best_idx is None:
-        raise EmptyDomain(f"no valid point on the {resolution}-point grid over {box}")
+    axes, grid_best, best_idx = _grid_best(work, box, resolution)
     # pattern search: coordinate sweeps at a fixed step, halving the step
     # only when a full sweep brings no improvement.  Move k of a sweep
     # (axis k // 2, + then -) tries a point that depends only on which of
@@ -188,6 +207,61 @@ def _grid_refine(work, box, resolution: int):
     return x, best
 
 
+def oscillator_work_supremum(baths: BathPair) -> float:
+    """(√T_h − √T_c)², the supremum of one oscillator mode's work per
+    cycle; twice it bounds the work of a coupled pair.
+
+    Formed from the betas the objective uses, as
+    ((beta_c - beta_h) / (√beta_h + √beta_c) / √beta_h / √beta_c)², which
+    takes no difference of near-equal square roots.
+    """
+    root_h, root_c = math.sqrt(baths.beta_h), math.sqrt(baths.beta_c)
+    return ((baths.beta_c - baths.beta_h) / (root_h + root_c) / root_h / root_c) ** 2
+
+
+def _corner_limit(work, box, resolution: int, baths: BathPair, ceiling: float):
+    """The oscillator optimum over a `box` whose lower corner is the
+    origin, where the work of the box's modes has the supremum `ceiling`;
+    returns (x*, W*) as `_grid_refine` does.
+
+    The grid of `_grid_refine` is evaluated as the numerical check of the
+    bound: a value above `ceiling` by more than the tolerance raises
+    NumericalError.  The optimum is the point (omega, omega * r, 0, ...)
+    on the limiting ray, r = √(T_c/T_h), at omega = `_LIMIT_SCALE`·T_h·√r
+    or where the ray leaves the box if that is nearer.  It must evaluate
+    to `ceiling` within the tolerance too, or NumericalError is raised,
+    as where omega * r is so small that its square underflows.
+    """
+    tol = 1e-9 * max(1.0, ceiling)
+    grid_best = _grid_best(work, box, resolution)[1]
+    if grid_best > ceiling + tol:
+        raise NumericalError(f"grid value {grid_best!r} beats the work supremum {ceiling!r}")
+    r = math.sqrt(baths.beta_h / baths.beta_c)
+    hi = [b for _, b in box]
+    omega = min(_LIMIT_SCALE * math.sqrt(r) / baths.beta_h, hi[0])
+    if omega * r > hi[1]:  # a box narrower in omega' than in omega
+        omega = hi[1] / r
+    x = np.minimum([omega, omega * r] + [0.0] * (len(box) - 2), hi)  # rounding of hi[1] / r
+    best = float(work(*x))
+    if not abs(best - ceiling) <= tol:
+        raise NumericalError(
+            f"the limit point {x.tolist()} gives work {best!r}, not the supremum {ceiling!r}"
+        )
+    return x, best
+
+
+def _maximize(kind: MediumKind, work, box, resolution: int, baths: BathPair, modes: int):
+    """`_corner_limit` for an oscillator box whose lower corner is the
+    origin, else `_grid_refine`.  A ceiling of `modes` modes that
+    overflows leaves the search to `_grid_refine` too: the limit point's
+    work would overflow with it."""
+    if kind is MediumKind.OSCILLATOR and all(lo == 0.0 for lo, _ in box):
+        ceiling = modes * oscillator_work_supremum(baths)
+        if math.isfinite(ceiling):
+            return _corner_limit(work, box, resolution, baths, ceiling)
+    return _grid_refine(work, box, resolution)
+
+
 def max_uncoupled_work(
     kind: MediumKind,
     baths: BathPair,
@@ -197,10 +271,12 @@ def max_uncoupled_work(
     """Maximize the single-system work over (omega, omega').
 
     Returns (omega*, omega'*, W_single_max); the uncoupled pair optimum is
-    twice the work value.
+    twice the work value.  For an oscillator over a box from the origin,
+    W_single_max is `oscillator_work_supremum`, met to rounding at a point
+    near the corner (see `_corner_limit`).
     """
     box = (domain.omega, domain.omega_prime)
-    x, best = _grid_refine(partial(_finite_work, kind, baths), box, resolution)
+    x, best = _maximize(kind, partial(_finite_work, kind, baths), box, resolution, baths, 1)
     return float(x[0]), float(x[1]), float(best)
 
 
@@ -215,7 +291,9 @@ def max_coupled_work(
 
     xx and xy search one coupling axis, general two (cx, cy).  Returns
     ((omega*, omega'*, coupling*...), W_max); raises UnknownModel for any
-    other model.
+    other model.  For an oscillator over a box from the origin, W_max is
+    twice `oscillator_work_supremum`, met to rounding at zero coupling
+    near the corner (see `_corner_limit`).
     """
     n_couplings = 2 if model == "general" else 1
 
@@ -224,7 +302,7 @@ def max_coupled_work(
         return coupled_total_work(kind, omega, omega_prime, cx, cy, baths)
 
     box = (domain.omega, domain.omega_prime) + (domain.coupling,) * n_couplings
-    x, best = _grid_refine(work, box, resolution)
+    x, best = _maximize(kind, work, box, resolution, baths, 2)
     return tuple(float(v) for v in x), float(best)
 
 

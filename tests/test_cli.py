@@ -273,6 +273,50 @@ def test_optimize_reports_saturated_bound(capsys):
     assert doc["coupled"]["params"][2] == pytest.approx(0.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("model", ["xx", "xy", "general"])
+def test_optimize_oscillator_saturates_the_bound(capsys, model):
+    # both optima are the corner limit of the closed-form supremum, which
+    # no printed point attains
+    code, out, _ = run_cli(capsys, "optimize", "--medium", "osc", "--model", model,
+                           "--th", "2", "--tc", "1", "--resolution", "6")
+    assert code == EXIT_OK
+    un, co = (json.loads(out)[k] for k in ("uncoupled", "coupled"))
+    sup = 2.0 * (math.sqrt(2.0) - 1.0) ** 2
+    assert (co["bound_saturated"], co["bound_margin"]) == (True, 0.0)
+    assert co["w_max"] == un["w_pair_max"] == 2.0 * un["w_single_max"]
+    assert co["w_max"] == pytest.approx(sup, rel=1e-12)
+    assert (un["supremum"], co["supremum"]) == pytest.approx((sup / 2.0, sup), rel=1e-15)
+    assert un["attained"] is co["attained"] is False
+    assert co["params"] == [un["omega"], un["omega_prime"]] + [0.0] * (len(co["params"]) - 2)
+
+
+def test_optimize_spin_documents_no_supremum(capsys):
+    code, out, _ = run_cli(capsys, "optimize", "--medium", "spin", "--model", "xx",
+                           "--th", "2", "--tc", "1", "--resolution", "4")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert list(doc["uncoupled"]) == ["omega", "omega_prime", "w_single_max", "w_pair_max"]
+    assert list(doc["coupled"]) == ["params", "w_max", "bound_margin", "bound_saturated"]
+
+
+def test_optimize_oscillator_point_lies_in_a_small_box(capsys):
+    code, out, _ = run_cli(capsys, "optimize", "--medium", "osc", "--model", "xx", "--th", "2",
+                           "--tc", "1", "--domain-max", "1e-9", "--resolution", "5")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    points = doc["coupled"]["params"] + [doc["uncoupled"]["omega"], doc["uncoupled"]["omega_prime"]]
+    assert all(0.0 <= v <= 1e-9 for v in points)
+    assert doc["coupled"]["bound_saturated"] is True
+
+
+def test_optimize_oscillator_unevaluable_limit_point_exits_3(capsys):
+    # at T_c/T_h = 1e-295 the limit point's cold frequency squares to zero
+    code, out, err = run_cli(capsys, "optimize", "--medium", "osc", "--model", "xx",
+                             "--th", "1e-5", "--tc", "1e-300", "--resolution", "5")
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err.startswith("domain error: the limit point [")
+
+
 def test_sample_command_schema(tmp_path, capsys):
     out = tmp_path / "samples.csv"
     code, _, _ = run_cli(

@@ -1,5 +1,6 @@
 import math
 from dataclasses import fields
+from decimal import Decimal, localcontext
 from functools import partial
 from types import SimpleNamespace
 
@@ -13,7 +14,7 @@ from ottopair.entanglement import (
     spin_pair_hamiltonian_batch,
     thermal_state_batch,
 )
-from ottopair.errors import EmptyDomain, UnknownModel
+from ottopair.errors import EmptyDomain, NumericalError, UnknownModel
 from ottopair.medium import BathPair, MediumKind, model_coupling, standard_cycle
 from ottopair.optimize import (
     SampleColumns,
@@ -23,6 +24,7 @@ from ottopair.optimize import (
     coupled_total_work,
     max_coupled_work,
     max_uncoupled_work,
+    oscillator_work_supremum,
     sample_engine_points,
     single_system_work,
 )
@@ -189,11 +191,108 @@ def test_grid_refine_follows_the_sequential_path(work, box, resolution, clamps):
 def test_max_coupled_work_oscillator_bound_holds():
     # the uncoupled oscillator pair's work supremum is 2(sqrt(T_h) - sqrt(T_c))^2,
     # approached only as omega, omega' -> 0 (Kosloff & Rezek, Entropy 19, 136,
-    # 2017); no coupling beats it, and every search gets within 1e-3 of it
+    # 2017); no coupling beats it, and every search gets within 1e-9 of it
     sup = 2.0 * (math.sqrt(BATHS.t_h) - math.sqrt(BATHS.t_c)) ** 2
     for model, res in (("xx", 40), ("xy", 40), ("general", 20)):
         _, w_max = max_coupled_work(OSC, model, BATHS, SearchDomain(), resolution=res)
-        assert sup - 1e-3 < w_max < sup, model
+        assert sup - 1e-9 < w_max < sup, model
+
+
+@pytest.mark.parametrize("model", ["xx", "xy", "general"])
+@pytest.mark.parametrize("t_h, t_c", [(2.0, 1.0), (3.7, 0.2), (1.0 + 1e-7, 1.0), (1e6, 1e-6)])
+def test_oscillator_optimum_is_the_corner_limit(monkeypatch, model, t_h, t_c):
+    # from the origin, both optima are the point on the ray
+    # omega'/omega = sqrt(T_c/T_h) at zero coupling, where the pair's work
+    # is exactly twice the single system's; one call per grid slice and one
+    # for the limit point, so no refinement sweep runs
+    baths = BathPair(t_h, t_c)
+    sup = oscillator_work_supremum(baths)
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return coupled_total_work(*args)
+
+    monkeypatch.setattr(optimize, "coupled_total_work", counted)
+    params, w_max = max_coupled_work(OSC, model, baths, SearchDomain(), resolution=7)
+    assert len(calls) == 7 + 1
+    omega, omega_prime, w_single = max_uncoupled_work(OSC, baths, SearchDomain(), resolution=7)
+    assert params == (omega, omega_prime) + (0.0,) * (len(params) - 2)
+    assert omega_prime == pytest.approx(omega * math.sqrt(t_c / t_h), rel=1e-15)
+    assert w_max == 2.0 * w_single
+    assert abs(w_single - sup) <= 1e-9 * max(1.0, sup)
+    if t_h / t_c > 1.01:
+        assert w_single == pytest.approx(sup, rel=1e-12)
+
+
+def test_oscillator_work_supremum_takes_no_difference_of_square_roots():
+    # against a 60-digit evaluation at the betas' own temperatures, also
+    # where sqrt(T_h) - sqrt(T_c) cancels nearly every digit
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for t_h, t_c in ((2.0, 1.0), (1.0 + 1e-7, 1.0), (1.0 + 2.0**-40, 1.0), (1e300, 1e-300),
+                         (1e-300, 1e-301), (1e308, 1.0)):
+            baths = BathPair(t_h, t_c)
+            exact = ((1 / Decimal(baths.beta_h)).sqrt() - (1 / Decimal(baths.beta_c)).sqrt()) ** 2
+            got = oscillator_work_supremum(baths)
+            assert abs(Decimal(got) - exact) <= Decimal(4e-16) * exact, (t_h, t_c)
+
+
+def test_oscillator_limit_point_stays_in_a_small_box():
+    # the limit point moves to the box edge when the box is smaller
+    box = SearchDomain(omega=(0.0, 1e-9), omega_prime=(0.0, 1e-9), coupling=(0.0, 1e-9))
+    params, w_max = max_coupled_work(OSC, "xy", BATHS, box, resolution=5)
+    omega, omega_prime, w_single = max_uncoupled_work(OSC, BATHS, box, resolution=5)
+    assert params == (1e-9, 1e-9 * math.sqrt(0.5), 0.0)
+    assert (omega, omega_prime) == params[:2]
+    assert w_max == 2.0 * w_single == pytest.approx(2.0 * oscillator_work_supremum(BATHS), rel=1e-12)
+    # a box narrower in omega' puts the point where the ray leaves it
+    box = SearchDomain(omega=(0.0, 10.0), omega_prime=(0.0, 1e-12))
+    omega, omega_prime, w_single = max_uncoupled_work(OSC, BATHS, box, resolution=5)
+    assert omega_prime <= 1e-12 and omega == pytest.approx(1e-12 * math.sqrt(2.0), rel=1e-15)
+    assert w_single == pytest.approx(oscillator_work_supremum(BATHS), rel=1e-12)
+
+
+def test_grid_value_above_the_supremum_raises(monkeypatch):
+    # the grid is the numerical check of the paper's bound: an objective
+    # that beats the closed-form ceiling is refused
+    true_pair, true_single = optimize.coupled_total_work, optimize._finite_work
+    monkeypatch.setattr(optimize, "coupled_total_work", lambda *a: true_pair(*a) + 1.0)
+    monkeypatch.setattr(optimize, "_finite_work", lambda *a: true_single(*a) + 1.0)
+    with pytest.raises(NumericalError, match="beats the work supremum"):
+        max_coupled_work(OSC, "xx", BATHS, SearchDomain(), resolution=5)
+    with pytest.raises(NumericalError, match="beats the work supremum"):
+        max_uncoupled_work(OSC, BATHS, SearchDomain(), resolution=5)
+    # an objective above the ceiling by less than the tolerance is accepted
+    sup = oscillator_work_supremum(BATHS)
+    monkeypatch.setattr(optimize, "_finite_work", lambda *a: np.minimum(true_single(*a), sup) + 5e-10)
+    assert sup < max_uncoupled_work(OSC, BATHS, SearchDomain(), resolution=5)[2] <= sup + 5e-10
+
+
+def test_limit_point_that_misses_the_supremum_raises(monkeypatch):
+    # omega * r so small that its square underflows leaves the mode invalid
+    with pytest.raises(NumericalError, match="limit point"):
+        max_coupled_work(OSC, "xx", BathPair(1e-5, 1e-300), SearchDomain(), resolution=5)
+    # an objective that falls short at the limit point is refused, not printed
+    true_single = optimize._finite_work
+    monkeypatch.setattr(optimize, "_finite_work", lambda *a: true_single(*a) - 1e-8)
+    with pytest.raises(NumericalError, match="limit point"):
+        max_uncoupled_work(OSC, BATHS, SearchDomain(), resolution=5)
+
+
+def test_oscillator_box_away_from_the_origin_is_the_grid_refine_search():
+    box = SearchDomain(omega=(1.0, 10.0))
+    for model, n_couplings in (("xx", 1), ("general", 2)):
+
+        def work(omega, omega_prime, *coupling):
+            return coupled_total_work(OSC, omega, omega_prime, *model_coupling(model, *coupling),
+                                      BATHS)
+
+        axes = (box.omega, box.omega_prime) + (box.coupling,) * n_couplings
+        x, w = _grid_refine(work, axes, 6)
+        assert max_coupled_work(OSC, model, BATHS, box, resolution=6) == (tuple(x.tolist()), w)
+    x, w = _grid_refine(partial(_finite_work, OSC, BATHS), (box.omega, box.omega_prime), 6)
+    assert max_uncoupled_work(OSC, BATHS, box, resolution=6) == (x[0], x[1], w)
 
 
 def test_sampler_determinism_and_filter():
