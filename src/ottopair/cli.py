@@ -191,11 +191,9 @@ def _check_finite(doc) -> None:
 
 
 def _write_doc(cfg: RunConfig, doc) -> None:
-    # checked before anything is opened, so a refused document writes
-    # nothing; then streamed, since one json.dumps string doubles peak RSS
+    # checked before anything is opened, so a refused document writes nothing
     _check_finite(doc)
-    chunks = json.JSONEncoder(indent=2, allow_nan=False).iterencode(doc)
-    _write_text(cfg, itertools.chain(chunks, ["\n"]))
+    _write_text(cfg, [json.dumps(doc, indent=2, allow_nan=False), "\n"])
 
 
 # ---------------------------------------------------------------------------

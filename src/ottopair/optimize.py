@@ -9,13 +9,12 @@ a check that no point beats that closed-form ceiling, and the optimum is
 the point on the limiting ray that meets it to rounding.  Every other
 optimizer call (spins, or an oscillator box away from the origin) is one
 derivative-free search, `_grid_refine`: the best point of a dense
-rectangular grid, then coordinate-descent refinement with step halving.
-Each coordinate sweep is one array call of the objective over every
-point the sweep could visit, walked in move order, so the search takes
-the same first-improvement path as one call per move.  The objective is
-cheap and smooth, so robustness beats gradient machinery.  Everything is
-seeded and deterministic; the sampler takes its draws in fixed chunks
-from one generator, so the output never depends on the chunking.
+rectangular grid, then a pattern search of coordinate moves, one
+objective call per move, with step halving; a search that reaches its
+sweep cap is refused, not returned.  The objective is cheap and smooth,
+so robustness beats gradient machinery.  Everything is seeded and
+deterministic; the sampler takes its draws in fixed chunks from one
+generator, so the output never depends on the chunking.
 """
 
 from __future__ import annotations
@@ -163,48 +162,37 @@ def _grid_refine(work, box, resolution: int):
     a pattern search whose first step is one grid cell, so the result is
     never worse than the grid's best.  The search is Hooke & Jeeves'
     exploratory move (J. ACM 8, 212, 1961): +step then -step on each axis
-    in turn, clamped to the box, each accepted at once if it improves.
-    One `work` call per sweep evaluates the sweep's whole decision tree,
-    2^(2*dim) - 1 points, and walking it gives that path bit for bit.
+    in turn, clamped to the box, one `work` call per move, each accepted
+    at once if it improves.  A sweep with no improvement halves the step;
+    a search that reaches its sweep cap before `_REFINE_STEPS` halvings
+    raises NumericalError rather than return a point that is not a maximum.
     """
     axes, grid_best, best_idx = _grid_best(work, box, resolution)
-    # pattern search: coordinate sweeps at a fixed step, halving the step
-    # only when a full sweep brings no improvement.  Move k of a sweep
-    # (axis k // 2, + then -) tries a point that depends only on which of
-    # moves 0..k-1 were accepted, so level k of the tree holds 2^k
-    # candidates; walking the levels in move order picks the ones the
-    # sequential search would have tried.
-    x = np.array([axis[k] for axis, k in zip(axes, best_idx)], dtype=float)
+    x = [float(axis[k]) for axis, k in zip(axes, best_idx)]
     best = float(work(*x))
-    step = np.array([axis[1] - axis[0] for axis in axes])
-    lo, hi = np.array(box, dtype=float).T
-    moves = [(i, sign) for i in range(len(box)) for sign in (1.0, -1.0)]
+    step = [float(axis[1] - axis[0]) for axis in axes]
     done = sweeps = 0
     while done < _REFINE_STEPS and sweeps < 200 * _REFINE_STEPS:
         sweeps += 1
-        # states: every point the sweep can stand on before the next move,
-        # rejected histories first, then the accepted ones
-        states, levels = x[None, :], []
-        for i, sign in moves:
-            cand = states.copy()
-            cand[:, i] = np.minimum(np.maximum(states[:, i] + sign * step[i], lo[i]), hi[i])
-            levels.append(cand)
-            states = np.concatenate((states, cand))
-        vals = work(*np.concatenate(levels).T)
-        # j: index of the current point among the states of this level
-        j = start = 0
         improved = False
-        for cand in levels:
-            if vals[start + j] > best:
-                best, j, improved = float(vals[start + j]), j + len(cand), True
-            start += len(cand)
-        x = states[j]
+        for i, (lo, hi) in enumerate(box):
+            for sign in (1.0, -1.0):
+                cand = x.copy()
+                cand[i] = min(max(x[i] + sign * step[i], lo), hi)
+                val = float(work(*cand))
+                if val > best:
+                    best, x, improved = val, cand, True
         if not improved:
-            step *= 0.5
+            step = [s * 0.5 for s in step]
             done += 1
+    if done < _REFINE_STEPS:
+        raise NumericalError(
+            f"pattern search hit its {sweeps}-sweep cap after {done} of {_REFINE_STEPS} "
+            f"step halvings, at {x} with work {best!r}"
+        )
     if not best >= grid_best:
         raise NumericalError(f"refinement lost ground: {best!r} < grid value {grid_best!r}")
-    return x, best
+    return np.array(x), best
 
 
 def oscillator_work_supremum(baths: BathPair) -> float:
@@ -230,13 +218,17 @@ def _corner_limit(work, box, resolution: int, baths: BathPair, ceiling: float):
     on the limiting ray, r = √(T_c/T_h), at omega = `_LIMIT_SCALE`·T_h·√r
     or where the ray leaves the box if that is nearer.  It must evaluate
     to `ceiling` within the tolerance too, or NumericalError is raised,
-    as where omega * r is so small that its square underflows.
+    as where omega * r is so small that its square underflows.  The
+    tolerance is relative to `ceiling`: 1e-9 of it, plus 4 eps/(1 - r) of
+    it for the heat bracket's cancellation between near-equal baths,
+    where the limit point was measured within 1.75 eps/(1 - r) of it.
     """
-    tol = 1e-9 * max(1.0, ceiling)
+    r = math.sqrt(baths.beta_h / baths.beta_c)
+    eps = np.finfo(float).eps
+    tol = ceiling * (1e-9 + 4.0 * eps / max(1.0 - r, eps))
     grid_best = _grid_best(work, box, resolution)[1]
     if grid_best > ceiling + tol:
         raise NumericalError(f"grid value {grid_best!r} beats the work supremum {ceiling!r}")
-    r = math.sqrt(baths.beta_h / baths.beta_c)
     hi = [b for _, b in box]
     omega = min(_LIMIT_SCALE * math.sqrt(r) / baths.beta_h, hi[0])
     if omega * r > hi[1]:  # a box narrower in omega' than in omega

@@ -158,22 +158,24 @@ def _coupled_objective(kind, model):
 
 
 @pytest.mark.parametrize(
-    "work, box, resolution, clamps",
+    "work, box, resolution, clamps, capped",
     [
         # runs to the sweep cap toward omega, omega' -> 0
-        (partial(_finite_work, OSC, BATHS), ((0.0, 10.0),) * 2, 40, set()),
+        (partial(_finite_work, OSC, BATHS), ((0.0, 10.0),) * 2, 40, set(), True),
         # omega >= 1 keeps the optimum on a face, so the search converges
-        (_coupled_objective(OSC, "xx"), ((1.0, 10.0), (0.0, 10.0), (0.0, 10.0)), 12, {"lo"}),
-        (_coupled_objective(SPIN, "general"), ((0.0, 10.0),) * 4, 8, {"lo"}),
+        (_coupled_objective(OSC, "xx"), ((1.0, 10.0), (0.0, 10.0), (0.0, 10.0)), 12, {"lo"},
+         False),
+        (_coupled_objective(SPIN, "general"), ((0.0, 10.0),) * 4, 8, {"lo"}, False),
         # the spin optimum has omega ~ 4 and zero coupling: clamped at hi and at 0
-        (_coupled_objective(SPIN, "xx"), ((0.0, 3.0), (0.0, 10.0), (0.0, 1.0)), 10, {"lo", "hi"}),
+        (_coupled_objective(SPIN, "xx"), ((0.0, 3.0), (0.0, 10.0), (0.0, 1.0)), 10, {"lo", "hi"},
+         False),
     ],
     ids=["osc-uncoupled", "osc-xx", "spin-general", "narrow-box"],
 )
-def test_grid_refine_follows_the_sequential_path(work, box, resolution, clamps):
-    # one `work` call per sweep must reproduce the one-call-per-move search
-    # bit for bit, and cost one call per grid slice, one for the seed point
-    # and one per sweep
+def test_grid_refine_follows_the_sequential_path(work, box, resolution, clamps, capped):
+    # the search must take the reference's path bit for bit, at one call
+    # per grid slice, one for the seed point and one per move; a search
+    # that runs to the sweep cap is refused instead
     x_ref, w_ref, sweeps, clamped = _sequential_grid_refine(work, box, resolution)
     assert clamps <= clamped
     calls = []
@@ -182,10 +184,15 @@ def test_grid_refine_follows_the_sequential_path(work, box, resolution, clamps):
         calls.append(None)
         return work(*args)
 
+    assert (sweeps == 200 * 48) is capped
+    if capped:
+        with pytest.raises(NumericalError, match="9600-sweep cap"):
+            _grid_refine(counted, box, resolution)
+        return
     x, w = _grid_refine(counted, box, resolution)
     assert w == w_ref
     assert x.tolist() == x_ref.tolist()
-    assert len(calls) == resolution + 1 + sweeps
+    assert len(calls) == resolution + 1 + 2 * len(box) * sweeps
 
 
 def test_max_coupled_work_oscillator_bound_holds():
@@ -263,10 +270,12 @@ def test_grid_value_above_the_supremum_raises(monkeypatch):
         max_coupled_work(OSC, "xx", BATHS, SearchDomain(), resolution=5)
     with pytest.raises(NumericalError, match="beats the work supremum"):
         max_uncoupled_work(OSC, BATHS, SearchDomain(), resolution=5)
-    # an objective above the ceiling by less than the tolerance is accepted
+    # an objective above the ceiling by less than the tolerance, 1e-9 of
+    # it here, is accepted
     sup = oscillator_work_supremum(BATHS)
-    monkeypatch.setattr(optimize, "_finite_work", lambda *a: np.minimum(true_single(*a), sup) + 5e-10)
-    assert sup < max_uncoupled_work(OSC, BATHS, SearchDomain(), resolution=5)[2] <= sup + 5e-10
+    over = 5e-10 * sup
+    monkeypatch.setattr(optimize, "_finite_work", lambda *a: np.minimum(true_single(*a), sup) + over)
+    assert sup < max_uncoupled_work(OSC, BATHS, SearchDomain(), resolution=5)[2] <= sup + over
 
 
 def test_limit_point_that_misses_the_supremum_raises(monkeypatch):
@@ -278,6 +287,27 @@ def test_limit_point_that_misses_the_supremum_raises(monkeypatch):
     monkeypatch.setattr(optimize, "_finite_work", lambda *a: true_single(*a) - 1e-8)
     with pytest.raises(NumericalError, match="limit point"):
         max_uncoupled_work(OSC, BATHS, SearchDomain(), resolution=5)
+
+
+@pytest.mark.parametrize("t_h, t_c", [(1e-10, 1e-12), (1.0 + 1e-7, 1.0)])
+def test_wrong_limit_point_below_any_absolute_tolerance_raises(monkeypatch, t_h, t_c):
+    # the tolerance is relative to the ceiling, so an objective that is 0
+    # everywhere is refused also where the ceiling itself is tiny (8.1e-11
+    # at the first pair, 2.5e-15 at the last)
+    def zero(kind, baths, *x):
+        return np.zeros(np.broadcast(*x).shape)
+
+    monkeypatch.setattr(optimize, "_finite_work", zero)
+    with pytest.raises(NumericalError, match="limit point"):
+        max_uncoupled_work(OSC, BathPair(t_h, t_c), SearchDomain(), resolution=5)
+
+
+def test_baths_whose_betas_round_equal_give_no_work():
+    # 1.9 and the next float have the same reciprocal, so r rounds to 1
+    # and the ceiling is 0: the tolerance must not divide by 1 - r
+    baths = BathPair(math.nextafter(1.9, 2.0), 1.9)
+    assert baths.beta_h == baths.beta_c
+    assert max_uncoupled_work(OSC, baths, SearchDomain(), resolution=5)[2] == 0.0
 
 
 def test_oscillator_box_away_from_the_origin_is_the_grid_refine_search():

@@ -20,9 +20,10 @@ general sweep as CSV and as JSON, ``optimize`` for the oscillator xx, xy
 and general models (``--resolution 20``), the oscillator xx model at the
 default resolution 60 (the benchmark's oscillator optimizer job), the
 oscillator limit point in a 1e-9 box and at nearly equal bath
-temperatures, and the spin general model (the 4-D grid, about 1 s), and
-``verify --level quick`` at three seeds; together they take about a
-minute on two cores.  Standard library only.
+temperatures, the spin pattern search for the xx (a README example), xy
+and general models (the 4-D grid, about 1 s) and for xx in a box of side
+1 that clamps it, and ``verify --level quick`` at three seeds; together
+they take about a minute on two cores.  Standard library only.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ JOBS = [
     "sweep --medium spin --model general --jx 1.1 --jy -0.4 --omega 4 --omega-prime 2.8 "
     "--th 2 --tc 1 --sweep 0:1.2:0.000012 --format json --out big.json",
     # the optimizer on every oscillator model, its limit point in a tiny box and
-    # at nearly equal bath temperatures, and the 4-D spin general grid
+    # at nearly equal bath temperatures, the 4-D spin general grid
     "optimize --medium osc --model xx --th 2 --tc 1 --resolution 20",
     "optimize --medium osc --model xy --th 2 --tc 1 --resolution 20",
     "optimize --medium osc --model general --th 2 --tc 1 --resolution 20",
@@ -88,6 +89,10 @@ JOBS = [
     "optimize --medium osc --model xx --th 2 --tc 1 --domain-max 1e-9 --resolution 5",
     "optimize --medium osc --model xx --th 1.0000001 --tc 1 --resolution 5",
     "optimize --medium spin --model general --th 2 --tc 1",
+    # the spin pattern search on the other one-coupling model, and in a box
+    # whose upper faces clamp it (xx at the default box is a README example)
+    "optimize --medium spin --model xy --th 2 --tc 1",
+    "optimize --medium spin --model xx --th 2 --tc 1 --domain-max 1",
     # oracle tables; 488576684 reaches the 200-level truncation cap
     "verify --level quick --seed 0",
     "verify --level quick --seed 7",
