@@ -482,8 +482,8 @@ def cmd_optimize(cfg: RunConfig) -> int:
     kind = _medium_kind(cfg)
     baths = _baths(cfg)
     domain = _domain(cfg)
-    # the coupled search evaluates resolution^2 (xx, xy) or resolution^3
-    # (general) points per omega-slice, at most MAX_SWEEP_ROWS
+    # the coupled search evaluates resolution^2 (xx, xy) or at most
+    # resolution^3 (general) points per slice, at most MAX_SWEEP_ROWS
     slice_axes = 3 if cfg.model == "general" else 2
     resolution = _bounded(cfg, "resolution", 2, round(MAX_SWEEP_ROWS ** (1 / slice_axes)))
     w_star, wp_star, w_single = max_uncoupled_work(kind, baths, domain, max(resolution, 200))

@@ -11,7 +11,13 @@ optimizer call (spins, or an oscillator box away from the origin) is one
 derivative-free search, `_grid_refine`: the best point of a dense
 rectangular grid, then a pattern search of coordinate moves, one
 objective call per move, with step halving; a search that reaches its
-sweep cap is refused, not returned.  The objective is cheap and smooth,
+sweep cap is refused, not returned, and so is an optimum of 0 from the
+origin, where T_h > T_c leaves positive work the grid missed.  Either
+way the grid (`_grid_best`) is evaluated one slice of its last axis at
+a time, so that neither half-cycle of a mode is computed over more
+points than its own frequency and couplings span; the general model's
+work is symmetric in its two couplings, so its grid is evaluated once
+per unordered coupling pair.  The objective is cheap and smooth,
 so robustness beats gradient machinery.  Everything is seeded and
 deterministic; the sampler takes its draws in fixed chunks from one
 generator, so the output never depends on the chunking.
@@ -133,41 +139,58 @@ def coupled_total_work(kind: MediumKind, omega, omega_prime, cx, cy, baths: Bath
     return np.where(ok, w, -np.inf)
 
 
-def _grid_best(work, box, resolution: int):
+def _grid_best(work, box, resolution: int, symmetric: bool = False):
     """The first maximum in C order of `work` over the `resolution`-per-axis
-    grid of the closed `box`, evaluated one slice of the first axis at a
-    time; returns (axes, W, index of the point)."""
+    grid of the closed `box`; returns (axes, W, index of the point).
+
+    The grid is evaluated one slice of the last axis at a time, one `work`
+    call per slice.  Each half-cycle of a coupled objective depends on one
+    frequency and the couplings, so over (omega, couplings) and
+    (omega', couplings) a slice costs `resolution`^(d - 2) points per side,
+    and only their sum covers the whole slice.  Slices arrive in
+    last-index order, so an equal value replaces the best only at an index
+    earlier in C order.  `symmetric` declares `work` exactly symmetric in
+    its last two axes, whose ranges must then be equal: slice l is
+    evaluated only up to index l on the penultimate axis, which holds the
+    first maximum, since a maximum at (..., k, l), k > l, has its mirror
+    (..., l, k) earlier in C order.
+    """
     if resolution < 2:
         raise EmptyDomain(f"resolution must be >= 2, got {resolution}")
     axes = [np.linspace(lo, hi, resolution) for lo, hi in box]
-    rest = np.ix_(*axes[1:])
+    head = np.ix_(*axes[:-1])
     grid_best, best_idx = -np.inf, None
-    for i, w in enumerate(axes[0]):
-        vals = work(w, *rest)
+    for l, c in enumerate(axes[-1]):
+        sub = (*head[:-1], head[-1][..., : l + 1]) if symmetric else head
+        vals = work(*sub, c)
         k = np.argmax(vals)
-        if vals.flat[k] > grid_best:
-            grid_best, best_idx = vals.flat[k], (i, *np.unravel_index(k, vals.shape))
+        idx = (*np.unravel_index(k, vals.shape), l)
+        if vals.flat[k] > grid_best or (
+            vals.flat[k] == grid_best and best_idx is not None and idx < best_idx
+        ):
+            grid_best, best_idx = vals.flat[k], idx
     if best_idx is None:
         raise EmptyDomain(f"no valid point on the {resolution}-point grid over {box}")
     return axes, grid_best, best_idx
 
 
-def _grid_refine(work, box, resolution: int):
+def _grid_refine(work, box, resolution: int, symmetric: bool = False):
     """Maximize `work` over the closed `box`, one (lo, hi) range per axis;
     returns (x*, W*).
 
     `work` takes one broadcastable array per axis and returns -inf where a
-    point is invalid.  The `resolution`-per-axis grid is evaluated one
-    slice of the first axis at a time; its first maximum in C order seeds
-    a pattern search whose first step is one grid cell, so the result is
-    never worse than the grid's best.  The search is Hooke & Jeeves'
-    exploratory move (J. ACM 8, 212, 1961): +step then -step on each axis
-    in turn, clamped to the box, one `work` call per move, each accepted
-    at once if it improves.  A sweep with no improvement halves the step;
-    a search that reaches its sweep cap before `_REFINE_STEPS` halvings
-    raises NumericalError rather than return a point that is not a maximum.
+    point is invalid.  The first maximum in C order of the
+    `resolution`-per-axis grid (`_grid_best`, which takes `symmetric`)
+    seeds a pattern search whose first step is one grid cell, so the
+    result is never worse than the grid's best.  The search is Hooke &
+    Jeeves' exploratory move (J. ACM 8, 212, 1961): +step then -step on
+    each axis in turn, clamped to the box, one `work` call per move, each
+    accepted at once if it improves.  A sweep with no improvement halves
+    the step; a search that reaches its sweep cap before `_REFINE_STEPS`
+    halvings raises NumericalError rather than return a point that is not
+    a maximum.
     """
-    axes, grid_best, best_idx = _grid_best(work, box, resolution)
+    axes, grid_best, best_idx = _grid_best(work, box, resolution, symmetric)
     x = [float(axis[k]) for axis, k in zip(axes, best_idx)]
     best = float(work(*x))
     step = [float(axis[1] - axis[0]) for axis in axes]
@@ -207,7 +230,9 @@ def oscillator_work_supremum(baths: BathPair) -> float:
     return ((baths.beta_c - baths.beta_h) / (root_h + root_c) / root_h / root_c) ** 2
 
 
-def _corner_limit(work, box, resolution: int, baths: BathPair, ceiling: float):
+def _corner_limit(
+    work, box, resolution: int, baths: BathPair, ceiling: float, symmetric: bool = False
+):
     """The oscillator optimum over a `box` whose lower corner is the
     origin, where the work of the box's modes has the supremum `ceiling`;
     returns (x*, W*) as `_grid_refine` does.
@@ -226,7 +251,7 @@ def _corner_limit(work, box, resolution: int, baths: BathPair, ceiling: float):
     r = math.sqrt(baths.beta_h / baths.beta_c)
     eps = np.finfo(float).eps
     tol = ceiling * (1e-9 + 4.0 * eps / max(1.0 - r, eps))
-    grid_best = _grid_best(work, box, resolution)[1]
+    grid_best = _grid_best(work, box, resolution, symmetric)[1]
     if grid_best > ceiling + tol:
         raise NumericalError(f"grid value {grid_best!r} beats the work supremum {ceiling!r}")
     hi = [b for _, b in box]
@@ -242,16 +267,36 @@ def _corner_limit(work, box, resolution: int, baths: BathPair, ceiling: float):
     return x, best
 
 
-def _maximize(kind: MediumKind, work, box, resolution: int, baths: BathPair, modes: int):
+def _maximize(
+    kind: MediumKind, work, box, resolution: int, baths: BathPair, modes: int,
+    symmetric: bool = False,
+):
     """`_corner_limit` for an oscillator box whose lower corner is the
-    origin, else `_grid_refine`.  A ceiling of `modes` modes that
-    overflows leaves the search to `_grid_refine` too: the limit point's
-    work would overflow with it."""
-    if kind is MediumKind.OSCILLATOR and all(lo == 0.0 for lo, _ in box):
+    origin, else `_grid_refine`; `symmetric` goes to `_grid_best`.  A
+    ceiling of `modes` modes that overflows leaves the search to
+    `_grid_refine` too: the limit point's work would overflow with it.
+
+    A box from the origin holds positive work whenever T_h > T_c (small
+    omega' between omega·T_c/T_h and omega), so an optimum there that is
+    not positive means the grid missed it, as where the grid cell is
+    coarse against T_h and every grid value is 0: NumericalError.
+    """
+    from_origin = all(lo == 0.0 for lo, _ in box)
+    ceiling = math.inf
+    if kind is MediumKind.OSCILLATOR and from_origin:
         ceiling = modes * oscillator_work_supremum(baths)
-        if math.isfinite(ceiling):
-            return _corner_limit(work, box, resolution, baths, ceiling)
-    return _grid_refine(work, box, resolution)
+    if math.isfinite(ceiling):
+        x, best = _corner_limit(work, box, resolution, baths, ceiling, symmetric)
+    else:
+        x, best = _grid_refine(work, box, resolution, symmetric)
+    if from_origin and baths.beta_h < baths.beta_c and not best > 0.0:
+        cell = (box[0][1] - box[0][0]) / (resolution - 1)
+        raise NumericalError(
+            f"the optimum found has work {best!r}, yet the box holds positive work: its grid "
+            f"cell {cell:.3g} in omega ({resolution} points per axis) is coarse against "
+            f"T_h = {baths.t_h!r}; try a smaller --domain-max"
+        )
+    return x, best
 
 
 def max_uncoupled_work(
@@ -294,7 +339,9 @@ def max_coupled_work(
         return coupled_total_work(kind, omega, omega_prime, cx, cy, baths)
 
     box = (domain.omega, domain.omega_prime) + (domain.coupling,) * n_couplings
-    x, best = _maximize(kind, work, box, resolution, baths, 2)
+    # the general model's mode frequencies are symmetric in (cx, cy) bit for
+    # bit, so its grid is evaluated once per unordered coupling pair
+    x, best = _maximize(kind, work, box, resolution, baths, 2, symmetric=model == "general")
     return tuple(float(v) for v in x), float(best)
 
 

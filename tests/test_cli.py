@@ -317,6 +317,21 @@ def test_optimize_oscillator_unevaluable_limit_point_exits_3(capsys):
     assert err.startswith("domain error: the limit point [")
 
 
+@pytest.mark.parametrize("th, tc", [("1e-10", "5e-11"), ("1e-3", "5e-4")])
+def test_optimize_zero_spin_optimum_exits_3(capsys, th, tc):
+    # every grid value is 0 where the grid cell is coarse against T_h; that
+    # is refused, not printed as the maximum, and a box on T_h's scale runs
+    code, out, err = run_cli(capsys, "optimize", "--medium", "spin", "--model", "xx",
+                             "--th", th, "--tc", tc)
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err.startswith("domain error: the optimum found has work 0.0")
+    assert f"T_h = {float(th)!r}" in err and "--domain-max" in err
+    code, out, _ = run_cli(capsys, "optimize", "--medium", "spin", "--model", "xx", "--th", th,
+                           "--tc", tc, "--domain-max", str(20 * float(th)), "--resolution", "20")
+    assert code == EXIT_OK
+    assert json.loads(out)["uncoupled"]["w_single_max"] > 0.0
+
+
 def test_sample_command_schema(tmp_path, capsys):
     out = tmp_path / "samples.csv"
     code, _, _ = run_cli(
@@ -717,17 +732,19 @@ def test_overflowing_sweep_coupling_is_an_unstable_row(capsys):
 
 def test_optimizer_overflow_raises_no_warning(capsys):
     # the objective maps overflowing points to -inf without numpy warnings;
-    # the huge bath refuses the inf optimum, the huge box still has one
+    # the huge bath refuses the inf optimum, and the huge box, whose grid
+    # values are all 0 or -inf, refuses its optimum of 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, "optimize", "--medium", "osc", "--model", "xx",
                                  "--th", "1e308", "--tc", "1", "--resolution", "5")
         assert (code, out) == (EXIT_DOMAIN, "")
         assert err == "domain error: non-finite number inf in the output document\n"
-        code, _, err = run_cli(capsys, "optimize", "--medium", "spin", "--model", "xx",
-                               "--th", "2", "--tc", "1", "--domain-max", "1e308",
-                               "--resolution", "5")
-    assert (code, err) == (EXIT_OK, "")
+        code, out, err = run_cli(capsys, "optimize", "--medium", "spin", "--model", "xx",
+                                 "--th", "2", "--tc", "1", "--domain-max", "1e308",
+                                 "--resolution", "5")
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err.startswith("domain error: the optimum found has work 0.0")
 
 
 def test_closed_stdout_pipe_exits_141():

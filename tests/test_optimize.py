@@ -20,6 +20,7 @@ from ottopair.optimize import (
     SampleColumns,
     SearchDomain,
     _finite_work,
+    _grid_best,
     _grid_refine,
     coupled_total_work,
     max_coupled_work,
@@ -110,7 +111,9 @@ def test_max_coupled_work_spin_xy_equality_case():
 def _sequential_grid_refine(work, box, resolution):
     """Reference pattern search with one scalar `work` call per move.
 
-    The same grid seed as `_grid_refine`, then coordinate sweeps that try
+    The grid seed is found by its own loop over slices of the first axis,
+    an independent reference for `_grid_best`, which slices the last axis
+    (and, for a symmetric objective, half of it); then coordinate sweeps that try
     +step and -step on each axis in turn, clamp the candidate to the box
     and accept it at once if it improves (first improvement).  Returns
     (x, W, sweeps, clamped), `clamped` holding "lo"/"hi" for every bound a
@@ -193,6 +196,144 @@ def test_grid_refine_follows_the_sequential_path(work, box, resolution, clamps, 
     assert w == w_ref
     assert x.tolist() == x_ref.tolist()
     assert len(calls) == resolution + 1 + 2 * len(box) * sweeps
+
+
+def _full_grid_best(work, box, resolution):
+    """(W, index) of the first maximum in C order of the whole grid,
+    evaluated one first-axis slice at a time and searched at once."""
+    axes = [np.linspace(lo, hi, resolution) for lo, hi in box]
+    grid = np.stack([work(w, *np.ix_(*axes[1:])) for w in axes[0]])
+    k = np.argmax(grid)
+    return grid.flat[k], tuple(int(i) for i in np.unravel_index(k, grid.shape)), grid
+
+
+def _objective(kind, model, baths):
+    if model == "uncoupled":
+        return partial(_finite_work, kind, baths), 2
+
+    def work(omega, omega_prime, *coupling):
+        return coupled_total_work(kind, omega, omega_prime, *model_coupling(model, *coupling), baths)
+
+    return work, 4 if model == "general" else 3
+
+
+@pytest.mark.parametrize("kind", [SPIN, OSC], ids=["spin", "osc"])
+@pytest.mark.parametrize("model", ["xx", "xy", "general", "uncoupled"])
+@pytest.mark.parametrize("t_h, t_c, hi", [(2.0, 1.0, 10.0), (3.7, 0.2, 10.0), (5.0, 4.9, 10.0),
+                                          (2.0, 1.0, 1.0)])
+def test_grid_best_is_the_first_maximum_of_the_full_grid(kind, model, t_h, t_c, hi):
+    # slices of the last axis, and for the general model half of them, give
+    # the value and index a whole first-axis evaluation gives; one call per slice
+    work, dim = _objective(kind, model, BathPair(t_h, t_c))
+    box, resolution = ((0.0, hi),) * dim, {2: 60, 3: 20, 4: 10}[dim]
+    calls = []
+
+    def counted(*args):
+        calls.append(np.broadcast(*args).size)
+        return work(*args)
+
+    _, w, idx = _grid_best(counted, box, resolution, symmetric=model == "general")
+    w_ref, idx_ref, grid = _full_grid_best(work, box, resolution)
+    assert (w, tuple(int(i) for i in idx)) == (w_ref, idx_ref)
+    assert len(calls) == resolution
+    if model == "general":
+        # one evaluation per unordered coupling pair
+        assert sum(calls) == resolution**3 * (resolution + 1) // 2
+        assert np.array_equal(grid, grid.swapaxes(2, 3))
+        if (kind, t_h, hi) == (SPIN, 2.0, 1.0):
+            # the exact tie W(0, 1) = W(1, 0): the first maximum has cx = 0
+            i, j, k, l = idx_ref
+            assert k == 0 < l and grid[i, j, l, k] == w
+
+
+@pytest.mark.parametrize("kind", [SPIN, OSC], ids=["spin", "osc"])
+def test_general_model_grid_is_evaluated_once_per_unordered_coupling_pair(monkeypatch, kind):
+    sizes = []
+
+    def counted(kind, *args):
+        sizes.append(np.broadcast(*args[:4]).size)
+        return coupled_total_work(kind, *args)
+
+    monkeypatch.setattr(optimize, "coupled_total_work", counted)
+    max_coupled_work(kind, "general", BATHS, SearchDomain(), resolution=8)
+    assert sum(sizes[:8]) == 8**3 * 9 // 2
+    sizes.clear()
+    max_coupled_work(kind, "xy", BATHS, SearchDomain(), resolution=8)
+    assert sum(sizes[:8]) == 8**3
+
+
+@pytest.mark.parametrize("kind", [SPIN, OSC], ids=["spin", "osc"])
+def test_coupled_total_work_is_symmetric_in_the_two_couplings(kind):
+    # the normal-mode frequencies do not change when (cx, cy) swap, bit for
+    # bit, also where a mode is invalid and near the stability edge
+    rng = np.random.default_rng(7)
+    n = 100_000
+    omega, omega_prime = rng.uniform(0.0, 10.0, (2, n))
+    a, b = rng.uniform(-10.0, 10.0, (2, n))
+    edge = np.maximum(np.abs(a), np.abs(b)) if kind is OSC else np.sqrt(np.abs(a * b))
+    near = rng.random(n) < 0.5
+    omega = np.where(near, edge * (1.0 + rng.uniform(-1e-9, 1e-9, n)), omega)
+    omega_prime = np.where(near & (rng.random(n) < 0.5), edge, omega_prime)
+    w = coupled_total_work(kind, omega, omega_prime, a, b, BATHS)
+    assert np.array_equal(w, coupled_total_work(kind, omega, omega_prime, b, a, BATHS))
+    valid = np.isfinite(w)
+    assert 0.1 * n < valid.sum() < 0.9 * n and (w[~valid] == -np.inf).all()
+    assert np.isfinite(w[near]).any() and (w[near] == -np.inf).any()
+
+
+def _planted(points):
+    """An objective on the integer grid, 1 at each of `points` and 0
+    elsewhere."""
+    def work(*x):
+        hit = np.zeros(np.broadcast(*x).shape, dtype=bool)
+        for p in points:
+            hit |= np.all(np.broadcast_arrays(*(xi == pi for xi, pi in zip(x, p))), axis=0)
+        return np.where(hit, 1.0, 0.0)
+
+    return work
+
+
+@pytest.mark.parametrize("points, symmetric, expected", [
+    # the first slice holds (1, 0, 0); the last holds (0, 3, 3), earlier in C order
+    ([(1, 0, 0), (0, 3, 3)], False, (0, 3, 3)),
+    ([(0, 3, 3), (1, 0, 0)], False, (0, 3, 3)),
+    ([(2, 1, 2), (2, 1, 3)], False, (2, 1, 2)),
+    # a mirrored pair: the half grid holds only (.., 0, 3)
+    ([(1, 2, 3, 0), (1, 2, 0, 3)], True, (1, 2, 0, 3)),
+    # two mirrored pairs in different slices of the half grid
+    ([(3, 0, 1, 1), (0, 3, 2, 3), (0, 3, 3, 2)], True, (0, 3, 2, 3)),
+])
+def test_grid_best_keeps_the_first_maximum_across_slices(points, symmetric, expected):
+    dim = len(points[0])
+    _, w, idx = _grid_best(_planted(points), ((0.0, 3.0),) * dim, 4, symmetric)
+    assert (w, tuple(int(i) for i in idx)) == (1.0, expected)
+    assert _full_grid_best(_planted(points), ((0.0, 3.0),) * dim, 4)[:2] == (1.0, expected)
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_grid_with_no_valid_point_raises(symmetric):
+    def invalid(*x):
+        return np.full(np.broadcast(*x).shape, -np.inf)
+
+    with pytest.raises(EmptyDomain):
+        _grid_best(invalid, ((0.0, 1.0),) * 4, 5, symmetric)
+
+
+@pytest.mark.parametrize("model", ["uncoupled", "xx", "general"])
+@pytest.mark.parametrize("t_h, t_c", [(1e-10, 5e-11), (1e-3, 5e-4), (1e-300, 1e-301)])
+def test_zero_spin_optimum_is_refused(model, t_h, t_c):
+    # T_h far below the grid cell: every grid value is 0, yet positive work
+    # exists near the origin, so a 0 optimum is refused, not printed
+    baths = BathPair(t_h, t_c)
+    with pytest.raises(NumericalError, match=r"grid cell .* T_h = .*--domain-max"):
+        if model == "uncoupled":
+            max_uncoupled_work(SPIN, baths, SearchDomain(), resolution=50)
+        else:
+            max_coupled_work(SPIN, model, baths, SearchDomain(), resolution=6)
+    if t_h > 1e-300:
+        # a box on the scale of T_h finds the positive optimum
+        side = (0.0, 20.0 * t_h)
+        assert max_uncoupled_work(SPIN, baths, SearchDomain(side, side, side), 50)[2] > 0.0
 
 
 def test_max_coupled_work_oscillator_bound_holds():

@@ -21,9 +21,13 @@ and general models (``--resolution 20``), the oscillator xx model at the
 default resolution 60 (the benchmark's oscillator optimizer job), the
 oscillator limit point in a 1e-9 box and at nearly equal bath
 temperatures, the spin pattern search for the xx (a README example), xy
-and general models (the 4-D grid, about 1 s) and for xx in a box of side
-1 that clamps it, and ``verify --level quick`` at three seeds; together
-they take about a minute on two cores.  Standard library only.
+and general models (the 4-D grid) and for xx in a box of side 1 that
+clamps it, the oscillator general check grid at the default resolution,
+the spin general seed in a box of side 1, where the first grid maximum
+is an exact tie between the two couplings swapped, a spin search whose
+grid is too coarse for T_h (refused with exit 3), and ``verify --level
+quick`` at three seeds; together they take about a minute on two
+cores.  Standard library only.
 """
 
 from __future__ import annotations
@@ -93,6 +97,12 @@ JOBS = [
     # whose upper faces clamp it (xx at the default box is a README example)
     "optimize --medium spin --model xy --th 2 --tc 1",
     "optimize --medium spin --model xx --th 2 --tc 1 --domain-max 1",
+    # the oscillator general check grid at the default resolution (60^4
+    # points); the spin general seed at the exact tie W(0, 1) = W(1, 0) of
+    # the two couplings; and a grid too coarse for T_h, refused (exit 3)
+    "optimize --medium osc --model general --th 2 --tc 1",
+    "optimize --medium spin --model general --th 2 --tc 1 --domain-max 1",
+    "optimize --medium spin --model xx --th 1e-10 --tc 5e-11",
     # oracle tables; 488576684 reaches the 200-level truncation cap
     "verify --level quick --seed 0",
     "verify --level quick --seed 7",
