@@ -482,16 +482,16 @@ def cmd_optimize(cfg: RunConfig) -> int:
     kind = _medium_kind(cfg)
     baths = _baths(cfg)
     domain = _domain(cfg)
-    # the coupled search evaluates resolution^2 (xx, xy) or at most
+    # the coupled grid evaluates resolution^2 (xx, xy) or at most
     # resolution^3 (general) points per slice, at most MAX_SWEEP_ROWS
     slice_axes = 3 if cfg.model == "general" else 2
     resolution = _bounded(cfg, "resolution", 2, round(MAX_SWEEP_ROWS ** (1 / slice_axes)))
-    w_star, wp_star, w_single = max_uncoupled_work(kind, baths, domain, max(resolution, 200))
-    params, w_max = max_coupled_work(kind, cfg.model, baths, domain, resolution)
-    # spin searches estimate their optima from below, so the better of the
-    # two is the tighter valid estimate of the uncoupled-pair optimum; the
-    # oscillator optima are the corner limit, where w_max is 2 * w_single
-    w_pair = max(2.0 * w_single, w_max)
+    # the uncoupled optimum is over all frequencies, so its point may lie
+    # outside the box; the coupled optimum is that point at zero coupling
+    # wherever the box holds it, and w_max never exceeds 2 * w_single
+    w_star, wp_star, w_single = uncoupled = max_uncoupled_work(kind, baths)
+    params, w_max = max_coupled_work(kind, cfg.model, baths, domain, resolution, uncoupled)
+    w_pair = 2.0 * w_single
     doc = {
         "medium": kind.value,
         "model": cfg.model,
@@ -513,8 +513,8 @@ def cmd_optimize(cfg: RunConfig) -> int:
         },
     }
     if kind is MediumKind.OSCILLATOR:
-        # the box starts at the origin, so both optima meet the supremum
-        # of their search only in the limit the printed points approach
+        # both optima meet their supremum only in the limit the printed
+        # points approach, omega, omega' -> 0 along the ray
         sup = oscillator_work_supremum(baths)
         doc["uncoupled"].update(supremum=sup, attained=False)
         doc["coupled"].update(supremum=2.0 * sup, attained=False)

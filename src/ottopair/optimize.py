@@ -1,33 +1,31 @@
 """Work-extraction optimization and the work-vs-concurrence sampler.
 
-An oscillator's work has no maximum: its supremum, (√T_h − √T_c)² per
-mode, is approached only as omega, omega' -> 0 along
-omega'/omega = √(T_c/T_h) at zero coupling (Kosloff & Rezek, Entropy 19,
-136, 2017).  So over a box whose lower corner is the origin, an
-oscillator optimum is `_corner_limit`: the product grid is evaluated as
-a check that no point beats that closed-form ceiling, and the optimum is
-the point on the limiting ray that meets it to rounding.  Every other
-optimizer call (spins, or an oscillator box away from the origin) is one
-derivative-free search, `_grid_refine`: the best point of a dense
-rectangular grid, then a pattern search of coordinate moves, one
-objective call per move, with step halving; a search that reaches its
-sweep cap is refused, not returned, and so is an optimum of 0 from the
-origin, where T_h > T_c leaves positive work the grid missed.  Either
-way the grid (`_grid_best`) is evaluated one slice of its last axis at
-a time, so that neither half-cycle of a mode is computed over more
-points than its own frequency and couplings span; the general model's
-work is symmetric in its two couplings, so its grid is evaluated once
-per unordered coupling pair.  The objective is cheap and smooth,
-so robustness beats gradient machinery.  Everything is seeded and
-deterministic; the sampler takes its draws in fixed chunks from one
-generator, so the output never depends on the chunking.
+The uncoupled optimum is a point computed from the baths alone.  An
+oscillator's work has no maximum: its supremum, (√T_h − √T_c)² per mode,
+is approached only as omega, omega' -> 0 along omega'/omega = √(T_c/T_h)
+(Kosloff & Rezek, Entropy 19, 136, 2017), and its point is on that ray
+where it meets the supremum to rounding.  A spin's point is the best of
+the curve on which the sum of its two stationarity equations holds, found
+by a golden-section search.  By the paper's bound, the coupled optimum is
+that point at zero coupling, twice the uncoupled work, over any box that
+holds it; the product grid (`_grid_best`) is then evaluated as the check
+that no point beats it.  Any other box is one derivative-free search,
+`_grid_refine`: the best point of the grid, then a pattern search of
+coordinate moves, one objective call per move, with step halving; a
+search that reaches its sweep cap is refused, not returned.  The grid is
+evaluated one slice of its last axis at a time, so that neither
+half-cycle of a mode is computed over more points than its own frequency
+and couplings span; the general model's work is symmetric in its two
+couplings, so its grid is evaluated once per unordered coupling pair.
+Everything is seeded and deterministic; the sampler takes its draws in
+fixed chunks from one generator, so the output never depends on the
+chunking.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -52,6 +50,11 @@ _DRAW_CHUNK = 1 << 16  # sampler draws evaluated at a time
 # omega of the corner-limit point in units of T_h * sqrt(r): the work there
 # falls short of the supremum by omega^2 / (12 T_h^2 r) of it, 1e-16 / 12
 _LIMIT_SCALE = 1e-8
+# the spin optimum's omega/T_h lies in [1.278, 2.400] for every T_c/T_h; the
+# golden-section bracket (0, 8] shrinks by _GOLDEN a step, below an ulp in 80
+_CURVE_MAX = 8.0
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_STEPS = 80
 
 
 @dataclass(frozen=True)
@@ -98,12 +101,6 @@ def single_system_work(kind: MediumKind, omega, omega_prime, baths: BathPair):
     """Work of one uncoupled system per cycle; array-friendly, nan/inf where
     a frequency vanishes (never the maximum)."""
     return heats_arrays(kind, omega, omega_prime, baths.beta_h, baths.beta_c)[2]
-
-
-def _finite_work(kind: MediumKind, baths: BathPair, omega, omega_prime):
-    """`single_system_work` with -inf wherever it is not finite."""
-    w = single_system_work(kind, omega, omega_prime, baths)
-    return np.where(np.isfinite(w), w, -np.inf)
 
 
 # np.hypot, not the math.hypot of medium.spin_mode_frequencies: ~4x faster on these grids
@@ -230,91 +227,77 @@ def oscillator_work_supremum(baths: BathPair) -> float:
     return ((baths.beta_c - baths.beta_h) / (root_h + root_c) / root_h / root_c) ** 2
 
 
-def _corner_limit(
-    work, box, resolution: int, baths: BathPair, ceiling: float, symmetric: bool = False
-):
-    """The oscillator optimum over a `box` whose lower corner is the
-    origin, where the work of the box's modes has the supremum `ceiling`;
-    returns (x*, W*) as `_grid_refine` does.
-
-    The grid of `_grid_refine` is evaluated as the numerical check of the
-    bound: a value above `ceiling` by more than the tolerance raises
-    NumericalError.  The optimum is the point (omega, omega * r, 0, ...)
-    on the limiting ray, r = √(T_c/T_h), at omega = `_LIMIT_SCALE`·T_h·√r
-    or where the ray leaves the box if that is nearer.  It must evaluate
-    to `ceiling` within the tolerance too, or NumericalError is raised,
-    as where omega * r is so small that its square underflows.  The
-    tolerance is relative to `ceiling`: 1e-9 of it, plus 4 eps/(1 - r) of
-    it for the heat bracket's cancellation between near-equal baths,
-    where the limit point was measured within 1.75 eps/(1 - r) of it.
-    """
+def _tolerance(baths: BathPair, ceiling: float) -> float:
+    """How far a work value may miss or pass the optimum `ceiling`: 1e-9
+    of it, plus 4 eps/(1 - r) of it, r = √(T_c/T_h), for the heat
+    bracket's cancellation between near-equal baths, where the oscillator
+    limit point was measured within 1.75 eps/(1 - r) of it."""
     r = math.sqrt(baths.beta_h / baths.beta_c)
     eps = np.finfo(float).eps
-    tol = ceiling * (1e-9 + 4.0 * eps / max(1.0 - r, eps))
-    grid_best = _grid_best(work, box, resolution, symmetric)[1]
-    if grid_best > ceiling + tol:
-        raise NumericalError(f"grid value {grid_best!r} beats the work supremum {ceiling!r}")
-    hi = [b for _, b in box]
-    omega = min(_LIMIT_SCALE * math.sqrt(r) / baths.beta_h, hi[0])
-    if omega * r > hi[1]:  # a box narrower in omega' than in omega
-        omega = hi[1] / r
-    x = np.minimum([omega, omega * r] + [0.0] * (len(box) - 2), hi)  # rounding of hi[1] / r
-    best = float(work(*x))
-    if not abs(best - ceiling) <= tol:
+    return abs(ceiling) * (1e-9 + 4.0 * eps / max(1.0 - r, eps))
+
+
+def _spin_curve_optimum(baths: BathPair) -> tuple[float, float, float]:
+    """The point (omega, omega') of the curve cosh(beta_c omega'/2) =
+    √(beta_c/beta_h) cosh(beta_h omega/2) where the spin work W is
+    largest, and W: a golden-section search of `_GOLDEN_STEPS` steps over
+    x = beta_h omega in (0, `_CURVE_MAX`], capped where omega would
+    overflow.  W is homogeneous of degree 1 in the frequencies and
+    temperatures, so the best x depends on T_c/T_h alone; the search takes
+    no ratio of the betas, which can overflow.  A W that is not positive
+    while T_h > T_c, or a search that ends at the cap, raises NumericalError."""
+    root = math.sqrt(baths.beta_c) / math.sqrt(baths.beta_h)
+
+    def point(x):
+        return x / baths.beta_h, 2.0 * math.acosh(root * math.cosh(0.5 * x)) / baths.beta_c
+
+    def work(x):
+        return float(single_system_work(MediumKind.SPIN, *point(x), baths))
+
+    top = min(_CURVE_MAX, float(np.finfo(float).max) * baths.beta_h)
+    lo, hi, c, d = 0.0, top, top - _GOLDEN * top, _GOLDEN * top
+    wc, wd = work(c), work(d)
+    for _ in range(_GOLDEN_STEPS):
+        if wc >= wd:
+            hi, d, wd = d, c, wc
+            c = hi - _GOLDEN * (hi - lo)
+            wc = work(c)
+        else:
+            lo, c, wc = c, d, wd
+            d = lo + _GOLDEN * (hi - lo)
+            wd = work(d)
+    omega, omega_prime = point(x := c if wc >= wd else d)
+    w = float(single_system_work(MediumKind.SPIN, omega, omega_prime, baths))
+    if x > top * (1.0 - 1e-6) or baths.beta_h < baths.beta_c and not w > 0.0:
         raise NumericalError(
-            f"the limit point {x.tolist()} gives work {best!r}, not the supremum {ceiling!r}"
+            f"the uncoupled optimum at omega = {omega!r}, omega' = {omega_prime!r} has work {w!r},"
+            f" with omega at most {top / baths.beta_h!r}"
         )
-    return x, best
+    return omega, omega_prime, w
 
 
-def _maximize(
-    kind: MediumKind, work, box, resolution: int, baths: BathPair, modes: int,
-    symmetric: bool = False,
-):
-    """`_corner_limit` for an oscillator box whose lower corner is the
-    origin, else `_grid_refine`; `symmetric` goes to `_grid_best`.  A
-    ceiling of `modes` modes that overflows leaves the search to
-    `_grid_refine` too: the limit point's work would overflow with it.
+def max_uncoupled_work(kind: MediumKind, baths: BathPair) -> tuple[float, float, float]:
+    """The single-system optimum over all frequencies, a point computed
+    from the baths alone: (omega*, omega'*, W_single_max), the work being
+    `single_system_work` there; the uncoupled pair optimum is twice it.
 
-    A box from the origin holds positive work whenever T_h > T_c (small
-    omega' between omega·T_c/T_h and omega), so an optimum there that is
-    not positive means the grid missed it, as where the grid cell is
-    coarse against T_h and every grid value is 0: NumericalError.
+    An oscillator's point lies on the limiting ray omega'/omega = r =
+    √(T_c/T_h) at omega = `_LIMIT_SCALE`·T_h·√r; a point whose work misses
+    `oscillator_work_supremum` by more than `_tolerance` raises
+    NumericalError.  A spin's optimum solves both stationarity equations,
+    whose sum is the curve of `_spin_curve_optimum`.
     """
-    from_origin = all(lo == 0.0 for lo, _ in box)
-    ceiling = math.inf
-    if kind is MediumKind.OSCILLATOR and from_origin:
-        ceiling = modes * oscillator_work_supremum(baths)
-    if math.isfinite(ceiling):
-        x, best = _corner_limit(work, box, resolution, baths, ceiling, symmetric)
-    else:
-        x, best = _grid_refine(work, box, resolution, symmetric)
-    if from_origin and baths.beta_h < baths.beta_c and not best > 0.0:
-        cell = (box[0][1] - box[0][0]) / (resolution - 1)
+    if kind is MediumKind.SPIN:
+        return _spin_curve_optimum(baths)
+    r = math.sqrt(baths.beta_h / baths.beta_c)
+    omega = _LIMIT_SCALE * math.sqrt(r) / baths.beta_h
+    w = float(single_system_work(kind, omega, omega * r, baths))
+    sup = oscillator_work_supremum(baths)
+    if not abs(w - sup) <= _tolerance(baths, sup):
         raise NumericalError(
-            f"the optimum found has work {best!r}, yet the box holds positive work: its grid "
-            f"cell {cell:.3g} in omega ({resolution} points per axis) is coarse against "
-            f"T_h = {baths.t_h!r}; try a smaller --domain-max"
+            f"the limit point {[omega, omega * r]} gives work {w!r}, not the supremum {sup!r}"
         )
-    return x, best
-
-
-def max_uncoupled_work(
-    kind: MediumKind,
-    baths: BathPair,
-    domain: SearchDomain = SearchDomain(),
-    resolution: int = 400,
-) -> tuple[float, float, float]:
-    """Maximize the single-system work over (omega, omega').
-
-    Returns (omega*, omega'*, W_single_max); the uncoupled pair optimum is
-    twice the work value.  For an oscillator over a box from the origin,
-    W_single_max is `oscillator_work_supremum`, met to rounding at a point
-    near the corner (see `_corner_limit`).
-    """
-    box = (domain.omega, domain.omega_prime)
-    x, best = _maximize(kind, partial(_finite_work, kind, baths), box, resolution, baths, 1)
-    return float(x[0]), float(x[1]), float(best)
+    return omega, omega * r, w
 
 
 def max_coupled_work(
@@ -323,14 +306,25 @@ def max_coupled_work(
     baths: BathPair,
     domain: SearchDomain = SearchDomain(),
     resolution: int = 60,
+    uncoupled: tuple[float, float, float] | None = None,
 ) -> tuple[tuple[float, ...], float]:
     """Maximize the coupled-pair total work over (omega, omega', coupling).
 
     xx and xy search one coupling axis, general two (cx, cy).  Returns
     ((omega*, omega'*, coupling*...), W_max); raises UnknownModel for any
-    other model.  For an oscillator over a box from the origin, W_max is
-    twice `oscillator_work_supremum`, met to rounding at zero coupling
-    near the corner (see `_corner_limit`).
+    other model.  By the paper's bound the ceiling is twice the work of
+    `max_uncoupled_work` (or of `uncoupled`, its result), met exactly at
+    its point at zero coupling, the anchor (an oscillator's first moves
+    along its ray into the box, where the work near the origin is the
+    supremum all along).  A box that holds the anchor returns it, and its
+    grid (`_grid_best`) is evaluated as the numerical check of the bound;
+    any other box is searched (`_grid_refine`).  A grid value or optimum
+    above the ceiling by more than `_tolerance` raises NumericalError; one
+    above it by less is rounding, and W_max is then the ceiling.  An
+    anchor whose work misses the ceiling by more raises too, and so does a
+    searched optimum that is not positive in a box from the origin while
+    T_h > T_c, where the box is so much smaller than the anchor that the
+    work in it underflows.
     """
     n_couplings = 2 if model == "general" else 1
 
@@ -341,8 +335,34 @@ def max_coupled_work(
     box = (domain.omega, domain.omega_prime) + (domain.coupling,) * n_couplings
     # the general model's mode frequencies are symmetric in (cx, cy) bit for
     # bit, so its grid is evaluated once per unordered coupling pair
-    x, best = _maximize(kind, work, box, resolution, baths, 2, symmetric=model == "general")
-    return tuple(float(v) for v in x), float(best)
+    symmetric = model == "general"
+    omega, omega_prime, w_single = uncoupled or max_uncoupled_work(kind, baths)
+    ceiling = 2.0 * w_single
+    tol = _tolerance(baths, ceiling)
+    if kind is MediumKind.OSCILLATOR:
+        r = math.sqrt(baths.beta_h / baths.beta_c)
+        omega = min(omega, box[0][1], box[1][1] / r)
+        omega_prime = min(omega * r, box[1][1])  # rounding of hi / r
+    anchor = np.array([omega, omega_prime] + [0.0] * n_couplings)
+    held = all(lo <= v <= hi for v, (lo, hi) in zip(anchor, box))
+    if held:
+        x, best = anchor, _grid_best(work, box, resolution, symmetric)[1]
+    else:
+        x, best = _grid_refine(work, box, resolution, symmetric)
+    if best > ceiling + tol:
+        raise NumericalError(f"the work {best!r} found beats the work supremum {ceiling!r}")
+    if held:
+        best = float(work(*anchor))
+        if not (math.isfinite(best) and abs(best - ceiling) <= tol):
+            raise NumericalError(
+                f"the anchor {anchor.tolist()} gives work {best!r}, not the supremum {ceiling!r}"
+            )
+    elif all(lo == 0.0 for lo, _ in box) and baths.beta_h < baths.beta_c and not best > 0.0:
+        raise NumericalError(
+            f"the optimum found has work {best!r}, yet the box holds positive work: it underflows "
+            f"in a box this small; a --domain-max of at least {omega!r} holds the optimum"
+        )
+    return tuple(float(v) for v in x), min(best, ceiling)
 
 
 def _engine_columns(draws: np.ndarray, baths: BathPair) -> tuple[np.ndarray, ...]:

@@ -216,7 +216,7 @@ def test_criterion_7_optimal_work_bound():
     w0_pair = 2.0 * w_single
 
     # the library optimizer must agree with the independent oracle
-    _, _, w_lib = max_uncoupled_work(SPIN, BATHS, SearchDomain(), resolution=400)
+    _, _, w_lib = max_uncoupled_work(SPIN, BATHS)
     assert w_lib == pytest.approx(w_single, abs=1e-8)
 
     # seed chosen so the near-optimal set is non-empty and the

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -21,6 +22,7 @@ import ottopair
 import ottopair.cli as cli
 import ottopair.cycle as cycle
 import ottopair.medium as medium
+import ottopair.optimize as optimize
 from ottopair.cli import EXIT_CONFIG, EXIT_DOMAIN, EXIT_OK, EXIT_PIPE, EXIT_VERIFY, main
 
 
@@ -304,32 +306,140 @@ def test_optimize_oscillator_point_lies_in_a_small_box(capsys):
                            "--tc", "1", "--domain-max", "1e-9", "--resolution", "5")
     assert code == EXIT_OK
     doc = json.loads(out)
-    points = doc["coupled"]["params"] + [doc["uncoupled"]["omega"], doc["uncoupled"]["omega_prime"]]
-    assert all(0.0 <= v <= 1e-9 for v in points)
+    # the coupled point moves along the ray into the box; the uncoupled
+    # point, over all frequencies, does not
+    assert all(0.0 <= v <= 1e-9 for v in doc["coupled"]["params"])
+    assert doc["uncoupled"]["omega"] > 1e-9
     assert doc["coupled"]["bound_saturated"] is True
+
+
+@pytest.mark.parametrize("medium_name", ["spin", "osc"])
+@pytest.mark.parametrize("model", ["xx", "xy", "general"])
+@pytest.mark.parametrize("th, tc", [("2", "1"), ("5", "4.9"), ("2", "1.9"), ("2", "1.9999")])
+def test_optimize_pair_optimum_is_twice_the_single_optimum(capsys, medium_name, model, th, tc):
+    # w_pair_max is 2 * w_single_max for both media; no coupled optimum
+    # beats it beyond the tolerance, and a box that holds the uncoupled
+    # point returns that point at zero coupling, where w_max meets it exactly
+    code, out, err = run_cli(capsys, "optimize", "--medium", medium_name, "--model", model,
+                             "--th", th, "--tc", tc)
+    assert (code, err) == (EXIT_OK, "")
+    un, co = (json.loads(out)[k] for k in ("uncoupled", "coupled"))
+    assert un["w_pair_max"] == 2.0 * un["w_single_max"] > 0.0
+    r = math.sqrt(float(tc) / float(th))
+    tol = un["w_pair_max"] * (1e-9 + 4.0 * sys.float_info.epsilon / (1.0 - r))
+    assert co["w_max"] <= un["w_pair_max"] + tol
+    if max(un["omega"], un["omega_prime"]) <= 10.0:
+        assert co["w_max"] == un["w_pair_max"]
+        assert co["params"] == [un["omega"], un["omega_prime"]] + [0.0] * (len(co["params"]) - 2)
+
+
+@pytest.mark.parametrize("model", ["xx", "xy", "general"])
+def test_optimize_spin_box_that_cuts_the_optimum_is_searched(capsys, model):
+    # at (5, 4.9) the optimum has omega ~ 11.9, outside the default box:
+    # xx and general stop at its omega = 10 face, while xy's modes
+    # hypot(omega, lambda) reach the optimum with omega inside the box
+    code, out, _ = run_cli(capsys, "optimize", "--medium", "spin", "--model", model,
+                           "--th", "5", "--tc", "4.9")
+    assert code == EXIT_OK
+    un, co = (json.loads(out)[k] for k in ("uncoupled", "coupled"))
+    assert un["omega"] > 10.0 and all(0.0 <= v <= 10.0 for v in co["params"])
+    if model == "xy":
+        assert 0.0 <= co["bound_margin"] < 1e-14 and co["bound_saturated"] is True
+    else:
+        assert co["bound_margin"] == pytest.approx(1.84e-5, rel=0.01)
+        assert co["bound_saturated"] is False
+
+
+def _load_bench_checks():
+    path = Path(__file__).resolve().parents[1] / "bench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("bench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("medium_name, model, th, tc, extra", [
+    # oscillator boxes that clip the anchor along its ray; in the 1e-10,
+    # 9e-12 and 5e-11 boxes its work rounds 2-6e-16 above 2 * w_single_max
+    ("osc", "xx", "2", "1", ("--domain-max", "1e-9", "--resolution", "5")),
+    ("osc", "xx", "2", "1", ("--domain-max", "1e-10", "--resolution", "5")),
+    ("osc", "xy", "2", "1", ("--domain-max", "9e-12", "--resolution", "5")),
+    ("osc", "general", "3.7", "0.2", ("--domain-max", "5e-11", "--resolution", "5")),
+    ("osc", "xx", "1.0000001", "1", ("--domain-max", "1e-6", "--resolution", "5")),
+    # spin boxes that cut the optimum, searched by the pattern search
+    ("spin", "xx", "5", "4.9", ()),
+    ("spin", "xy", "5", "4.9", ()),
+    ("spin", "general", "5", "4.9", ()),
+])
+def test_optimize_coupled_optimum_never_passes_the_pair_optimum(
+    capsys, medium_name, model, th, tc, extra
+):
+    # a coupled optimum above 2 * w_single_max by rounding is printed as it,
+    # so bound_margin is never negative and the benchmark's own check of
+    # the document, w_pair_max == max(2 * w_single_max, w_max), holds
+    code, out, err = run_cli(capsys, "optimize", "--medium", medium_name, "--model", model,
+                             "--th", th, "--tc", tc, *extra)
+    assert (code, err) == (EXIT_OK, "")
+    doc = json.loads(out)
+    co = doc["coupled"]
+    assert co["bound_margin"] >= 0.0 and co["w_max"] <= doc["uncoupled"]["w_pair_max"]
+    p = dict(medium=medium_name, model=model, th=float(th), tc=float(tc))
+    assert _load_bench_checks().check_optimize(doc, p) == 1
+
+
+def test_optimize_searches_the_uncoupled_optimum_once(capsys, monkeypatch):
+    # the coupled optimum takes the uncoupled point the command computed
+    calls = []
+    curve = optimize._spin_curve_optimum
+    monkeypatch.setattr(optimize, "_spin_curve_optimum", lambda b: calls.append(b) or curve(b))
+    code, _, _ = run_cli(capsys, "optimize", "--medium", "spin", "--model", "xx",
+                         "--th", "2", "--tc", "1", "--resolution", "5")
+    assert code == EXIT_OK and len(calls) == 1
+
+
+def test_optimize_spin_large_box_holds_the_optimum(capsys):
+    # a box of side 1000 holds the optimum, so no search runs to its cap
+    code, out, err = run_cli(capsys, "optimize", "--medium", "spin", "--model", "xx",
+                             "--th", "2", "--tc", "1", "--domain-max", "1000")
+    assert (code, err) == (EXIT_OK, "")
+    co = json.loads(out)["coupled"]
+    assert (co["bound_margin"], co["params"][2]) == (0.0, 0.0)
 
 
 def test_optimize_oscillator_unevaluable_limit_point_exits_3(capsys):
     # at T_c/T_h = 1e-295 the limit point's cold frequency squares to zero
+    # in the coupled modes at the anchor
     code, out, err = run_cli(capsys, "optimize", "--medium", "osc", "--model", "xx",
                              "--th", "1e-5", "--tc", "1e-300", "--resolution", "5")
     assert (code, out) == (EXIT_DOMAIN, "")
-    assert err.startswith("domain error: the limit point [")
+    assert err.startswith("domain error: the anchor [")
 
 
 @pytest.mark.parametrize("th, tc", [("1e-10", "5e-11"), ("1e-3", "5e-4")])
 def test_optimize_zero_spin_optimum_exits_3(capsys, th, tc):
-    # every grid value is 0 where the grid cell is coarse against T_h; that
-    # is refused, not printed as the maximum, and a box on T_h's scale runs
-    code, out, err = run_cli(capsys, "optimize", "--medium", "spin", "--model", "xx",
-                             "--th", th, "--tc", tc)
+    # the default box holds the optimum at omega ~ 2 T_h however small T_h
+    # is; a box so much smaller that the work in it underflows to 0 is
+    # refused, not printed as the maximum, with the box that holds it
+    code, out, _ = run_cli(capsys, "optimize", "--medium", "spin", "--model", "xx",
+                           "--th", th, "--tc", tc)
+    assert code == EXIT_OK
+    un = json.loads(out)["uncoupled"]
+    assert un["w_single_max"] > 0.0
+    code, out, err = run_cli(capsys, "optimize", "--medium", "spin", "--model", "xx", "--th", th,
+                             "--tc", tc, "--domain-max", repr(1e-170 * math.sqrt(float(th))))
     assert (code, out) == (EXIT_DOMAIN, "")
     assert err.startswith("domain error: the optimum found has work 0.0")
-    assert f"T_h = {float(th)!r}" in err and "--domain-max" in err
-    code, out, _ = run_cli(capsys, "optimize", "--medium", "spin", "--model", "xx", "--th", th,
-                           "--tc", tc, "--domain-max", str(20 * float(th)), "--resolution", "20")
-    assert code == EXIT_OK
-    assert json.loads(out)["uncoupled"]["w_single_max"] > 0.0
+    assert f"--domain-max of at least {un['omega']!r} holds the optimum" in err
+
+
+def test_optimize_box_far_below_the_optimum_names_the_box_that_holds_it(capsys):
+    # the work underflows in a box of side 1e-300; a smaller one cannot help
+    code, out, err = run_cli(capsys, "optimize", "--medium", "spin", "--th", "2", "--tc", "1",
+                             "--domain-max", "1e-300")
+    assert (code, out) == (EXIT_DOMAIN, "")
+    omega = optimize.max_uncoupled_work(medium.MediumKind.SPIN, medium.BathPair(2.0, 1.0))[0]
+    assert err.startswith("domain error: the optimum found has work 0.0")
+    assert err.endswith(f"a --domain-max of at least {omega!r} holds the optimum\n")
 
 
 def test_sample_command_schema(tmp_path, capsys):
@@ -732,19 +842,33 @@ def test_overflowing_sweep_coupling_is_an_unstable_row(capsys):
 
 def test_optimizer_overflow_raises_no_warning(capsys):
     # the objective maps overflowing points to -inf without numpy warnings;
-    # the huge bath refuses the inf optimum, and the huge box, whose grid
-    # values are all 0 or -inf, refuses its optimum of 0
+    # the huge bath refuses the pair optimum, whose supremum overflows, and
+    # the huge box, whose grid values are all 0 or -inf, certifies the anchor
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, "optimize", "--medium", "osc", "--model", "xx",
                                  "--th", "1e308", "--tc", "1", "--resolution", "5")
         assert (code, out) == (EXIT_DOMAIN, "")
-        assert err == "domain error: non-finite number inf in the output document\n"
-        code, out, err = run_cli(capsys, "optimize", "--medium", "spin", "--model", "xx",
-                                 "--th", "2", "--tc", "1", "--domain-max", "1e308",
-                                 "--resolution", "5")
-    assert (code, out) == (EXIT_DOMAIN, "")
-    assert err.startswith("domain error: the optimum found has work 0.0")
+        assert err.startswith("domain error: the anchor [")
+        assert err.endswith("gives work -inf, not the supremum inf\n")
+        for model in ("xx", "general"):
+            code, out, err = run_cli(capsys, "optimize", "--medium", "spin", "--model", model,
+                                     "--th", "2", "--tc", "1", "--domain-max", "1e308",
+                                     "--resolution", "5")
+            assert (code, err) == (EXIT_OK, "")
+            doc = json.loads(out)
+            assert doc["coupled"]["w_max"] == doc["uncoupled"]["w_pair_max"] > 0.0
+        # the spin optimum omega ~ 1.28 T_h is finite at T_h = 1e308, so the
+        # curve search's bracket stops at the largest finite omega; past
+        # about 1.4e308 the optimum itself lies beyond it and is refused
+        code, out, err = run_cli(capsys, "optimize", "--medium", "spin", "--th", "1e308",
+                                 "--tc", "1", "--resolution", "5")
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["uncoupled"]["omega"] == pytest.approx(1.2784645e308)
+        code, out, err = run_cli(capsys, "optimize", "--medium", "spin", "--th", "1.5e308",
+                                 "--tc", "1", "--resolution", "5")
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err.startswith("domain error: the uncoupled optimum at omega = 1.79769")
 
 
 def test_closed_stdout_pipe_exits_141():

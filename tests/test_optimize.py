@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields
 from decimal import Decimal, localcontext
 from functools import partial
@@ -19,7 +20,6 @@ from ottopair.medium import BathPair, MediumKind, model_coupling, standard_cycle
 from ottopair.optimize import (
     SampleColumns,
     SearchDomain,
-    _finite_work,
     _grid_best,
     _grid_refine,
     coupled_total_work,
@@ -33,6 +33,13 @@ from ottopair.optimize import (
 OSC = MediumKind.OSCILLATOR
 SPIN = MediumKind.SPIN
 BATHS = BathPair(2.0, 1.0)
+
+
+def _finite_work(kind, baths, omega, omega_prime):
+    """`single_system_work` as a search objective: -inf where it is not
+    finite."""
+    w = single_system_work(kind, omega, omega_prime, baths)
+    return np.where(np.isfinite(w), w, -np.inf)
 
 
 def _dense_grid_spin_max(n=2000):
@@ -55,7 +62,7 @@ def test_search_domain_validation():
         with pytest.raises(EmptyDomain):
             SearchDomain(omega_prime=(0.0, bad))
     with pytest.raises(EmptyDomain):
-        max_uncoupled_work(SPIN, BATHS, SearchDomain(), resolution=1)
+        max_coupled_work(SPIN, "xx", BATHS, SearchDomain(), resolution=1)
 
 
 def test_search_with_no_valid_grid_point_raises():
@@ -72,39 +79,38 @@ def test_max_coupled_work_rejects_unknown_model():
 
 def test_max_uncoupled_work_matches_dense_grid_oracle():
     gw, gwp, gval = _dense_grid_spin_max()
-    w_star, wp_star, w_max = max_uncoupled_work(SPIN, BATHS, SearchDomain(), resolution=400)
-    assert w_max >= gval  # refinement at least reaches the dense grid value
+    w_star, wp_star, w_max = max_uncoupled_work(SPIN, BATHS)
+    assert w_max >= gval  # the stationarity-curve point at least reaches the dense grid value
     assert w_max == pytest.approx(gval, abs=2e-6)
     assert w_star == pytest.approx(gw, abs=0.02)
     assert wp_star == pytest.approx(gwp, abs=0.02)
 
 
 def test_oscillator_beats_spin_work():
-    _, _, w_os = max_uncoupled_work(OSC, BATHS, SearchDomain(), resolution=300)
-    _, _, w_sp = max_uncoupled_work(SPIN, BATHS, SearchDomain(), resolution=300)
+    _, _, w_os = max_uncoupled_work(OSC, BATHS)
+    _, _, w_sp = max_uncoupled_work(SPIN, BATHS)
     assert w_os >= w_sp
 
 
 def test_degenerate_baths_give_no_work():
     # equal temperatures: engine region is empty, optimum collapses to ~0
     flat = SimpleNamespace(beta_h=1.0, beta_c=1.0)
-    _, _, w_max = max_uncoupled_work(SPIN, flat, SearchDomain(), resolution=100)
+    _, _, w_max = max_uncoupled_work(SPIN, flat)
     assert abs(w_max) < 1e-12
 
 
 def test_max_coupled_work_spin_xx_optimum_at_zero_coupling():
     params, w_max = max_coupled_work(SPIN, "xx", BATHS, SearchDomain(), resolution=50)
-    _, _, w_single = max_uncoupled_work(SPIN, BATHS, SearchDomain(), resolution=400)
-    assert params[2] == pytest.approx(0.0, abs=1e-6)
-    assert w_max <= 2.0 * w_single + 1e-9
-    assert w_max == pytest.approx(2.0 * w_single, rel=1e-6)
+    _, _, w_single = max_uncoupled_work(SPIN, BATHS)
+    assert params[2] == 0.0
+    assert w_max == 2.0 * w_single
 
 
 def test_max_coupled_work_spin_xy_equality_case():
     # both modes degenerate: tuning lambda can place them exactly at the
     # single-system optimum, so the bound is saturated
     params, w_max = max_coupled_work(SPIN, "xy", BATHS, SearchDomain(), resolution=50)
-    _, _, w_single = max_uncoupled_work(SPIN, BATHS, SearchDomain(), resolution=400)
+    _, _, w_single = max_uncoupled_work(SPIN, BATHS)
     assert w_max == pytest.approx(2.0 * w_single, rel=1e-7)
 
 
@@ -321,19 +327,117 @@ def test_grid_with_no_valid_point_raises(symmetric):
 
 @pytest.mark.parametrize("model", ["uncoupled", "xx", "general"])
 @pytest.mark.parametrize("t_h, t_c", [(1e-10, 5e-11), (1e-3, 5e-4), (1e-300, 1e-301)])
-def test_zero_spin_optimum_is_refused(model, t_h, t_c):
-    # T_h far below the grid cell: every grid value is 0, yet positive work
-    # exists near the origin, so a 0 optimum is refused, not printed
+def test_zero_spin_optimum_is_refused(monkeypatch, model, t_h, t_c):
+    # however small T_h, the optimum is a point at omega ~ 2 T_h, which the
+    # default box holds; an optimum of 0 is refused, not printed
     baths = BathPair(t_h, t_c)
-    with pytest.raises(NumericalError, match=r"grid cell .* T_h = .*--domain-max"):
-        if model == "uncoupled":
-            max_uncoupled_work(SPIN, baths, SearchDomain(), resolution=50)
-        else:
-            max_coupled_work(SPIN, model, baths, SearchDomain(), resolution=6)
-    if t_h > 1e-300:
-        # a box on the scale of T_h finds the positive optimum
-        side = (0.0, 20.0 * t_h)
-        assert max_uncoupled_work(SPIN, baths, SearchDomain(side, side, side), 50)[2] > 0.0
+    omega, _, w_single = max_uncoupled_work(SPIN, baths)
+    assert w_single > 0.0 and omega < 3.0 * t_h
+    if model == "uncoupled":
+        monkeypatch.setattr(optimize, "single_system_work", lambda kind, o, op, b: 0.0 * o)
+        with pytest.raises(NumericalError, match=r"uncoupled optimum .* has work 0\.0"):
+            max_uncoupled_work(SPIN, baths)
+        return
+    assert max_coupled_work(SPIN, model, baths, SearchDomain(), resolution=6)[1] == 2.0 * w_single
+    # in a box of side s << omega the work, ~ s^2 / T_h = 1e-340 here,
+    # underflows to 0 though T_h > T_c leaves positive work: the refusal
+    # names the box that holds the optimum
+    side = (0.0, 1e-170 * math.sqrt(t_h))
+    hint = rf"work 0\.0, .*--domain-max of at least {re.escape(repr(omega))} holds the optimum"
+    with pytest.raises(NumericalError, match=hint):
+        max_coupled_work(SPIN, model, baths, SearchDomain(side, side, side), resolution=6)
+
+
+@pytest.mark.parametrize("q", [1e-9, 1e-3, 0.3, 0.5, 0.9, 0.999, 1.0 - 1e-5, 1.0 - 1e-7])
+def test_spin_optimum_is_the_stationarity_curve_point(q):
+    # at T_h = 1 the optimum reaches the best point of a dense grid of the
+    # engine wedge T_c/T_h < omega'/omega < 1, its ratio spaced as q^t to
+    # resolve the wedge at any q, and solves both stationarity equations
+    # in long double
+    baths = BathPair(1.0, q)
+    omega, omega_prime, w = max_uncoupled_work(SPIN, baths)
+    x = np.linspace(0.0, 8.0, 801)[1:, None]
+    t = np.linspace(0.0, 1.0, 801)[None, 1:-1]
+    grid_best = single_system_work(SPIN, x, x * q**t, baths).max()
+    assert grid_best <= w + optimize._tolerance(baths, w)
+    assert w <= grid_best * (1.0 + 1e-4)
+    ld = np.longdouble
+    b_h, b_c, o, o_p = ld(baths.beta_h), ld(baths.beta_c), ld(omega), ld(omega_prime)
+    a, b = np.tanh(b_h * o / 2), np.tanh(b_c * o_p / 2)
+    half = (b - a) / 2
+    d_omega = half - (o - o_p) / 2 * b_h / 2 * (1 - a * a)
+    d_omega_prime = -half + (o - o_p) / 2 * b_c / 2 * (1 - b * b)
+    # the search fixes omega to the square root of the work's rounding, which
+    # grows as 1/(1 - q) between near-equal baths
+    tol = 2e-7 / math.sqrt(1.0 - q)
+    assert abs(float(d_omega / half)) < tol and abs(float(d_omega_prime / half)) < tol
+    # their sum, the curve, holds to rounding
+    curve = np.sqrt(b_c / b_h) * np.cosh(b_h * o / 2)
+    assert abs(float(np.cosh(b_c * o_p / 2) / curve - 1)) < 1e-12
+
+
+@pytest.mark.parametrize("t_h, t_c", [(1e308, 1.0), (1e308, 1e-300), (7e307, 6e307)])
+def test_spin_optimum_near_the_largest_float(t_h, t_c):
+    # omega* = x* T_h with x* in [1.278, 2.400] stays finite here; the curve
+    # search's bracket stops where omega would overflow
+    omega, omega_prime, w = max_uncoupled_work(SPIN, BathPair(t_h, t_c))
+    assert math.isfinite(omega) and 1.278 <= omega / t_h <= 2.4 and 0.0 < w < math.inf
+
+
+@pytest.mark.parametrize("t_h, t_c", [(1.5e308, 1.0), (1e308, 9e307)])
+def test_spin_optimum_beyond_the_largest_float_is_refused(t_h, t_c):
+    # omega* = x* T_h overflows: the search ends at the bracket's cap
+    with pytest.raises(NumericalError, match="with omega at most 1.79769"):
+        max_uncoupled_work(SPIN, BathPair(t_h, t_c))
+
+
+@pytest.mark.parametrize("kind", [SPIN, OSC], ids=["spin", "osc"])
+def test_max_coupled_work_takes_the_uncoupled_point(monkeypatch, kind):
+    uncoupled = max_uncoupled_work(kind, BATHS)
+    want = max_coupled_work(kind, "xy", BATHS, SearchDomain(), resolution=5)
+
+    def no_search(*_):
+        raise AssertionError("the uncoupled optimum was computed again")
+
+    monkeypatch.setattr(optimize, "max_uncoupled_work", no_search)
+    assert max_coupled_work(kind, "xy", BATHS, SearchDomain(), 5, uncoupled) == want
+
+
+@pytest.mark.parametrize("model", ["xx", "general"])
+def test_spin_optimum_at_the_benchmark_baths_runs_no_search(monkeypatch, model):
+    # over the benchmark's bath range the box holds the optimum: one work
+    # call per grid slice and one for the anchor, and no pattern search
+    def no_search(*_):
+        raise AssertionError("the pattern search ran")
+
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return coupled_total_work(*args)
+
+    monkeypatch.setattr(optimize, "_grid_refine", no_search)
+    monkeypatch.setattr(optimize, "coupled_total_work", counted)
+    for t_h in (1.8, 2.1, 2.4):
+        for t_c in (0.8, 0.95, 1.1):
+            baths = BathPair(t_h, t_c)
+            calls.clear()
+            params, w_max = max_coupled_work(SPIN, model, baths, SearchDomain(), resolution=12)
+            assert len(calls) == 12 + 1
+            omega, omega_prime, w_single = max_uncoupled_work(SPIN, baths)
+            assert params == (omega, omega_prime) + (0.0,) * (len(params) - 2)
+            assert w_max == 2.0 * w_single
+
+
+@pytest.mark.parametrize("kind", [SPIN, OSC], ids=["spin", "osc"])
+def test_search_result_above_the_bound_raises(monkeypatch, kind):
+    # a box that does not hold the anchor is searched; a result that beats
+    # twice the uncoupled optimum contradicts the paper's bound
+    true_pair = optimize.coupled_total_work
+    monkeypatch.setattr(optimize, "coupled_total_work", lambda *a: true_pair(*a) + 1.0)
+    box = SearchDomain(coupling=(1.0, 2.0))
+    with pytest.raises(NumericalError, match="beats the work supremum"):
+        max_coupled_work(kind, "xx", BATHS, box, resolution=5)
 
 
 def test_max_coupled_work_oscillator_bound_holds():
@@ -364,7 +468,7 @@ def test_oscillator_optimum_is_the_corner_limit(monkeypatch, model, t_h, t_c):
     monkeypatch.setattr(optimize, "coupled_total_work", counted)
     params, w_max = max_coupled_work(OSC, model, baths, SearchDomain(), resolution=7)
     assert len(calls) == 7 + 1
-    omega, omega_prime, w_single = max_uncoupled_work(OSC, baths, SearchDomain(), resolution=7)
+    omega, omega_prime, w_single = max_uncoupled_work(OSC, baths)
     assert params == (omega, omega_prime) + (0.0,) * (len(params) - 2)
     assert omega_prime == pytest.approx(omega * math.sqrt(t_c / t_h), rel=1e-15)
     assert w_max == 2.0 * w_single
@@ -387,47 +491,58 @@ def test_oscillator_work_supremum_takes_no_difference_of_square_roots():
 
 
 def test_oscillator_limit_point_stays_in_a_small_box():
-    # the limit point moves to the box edge when the box is smaller
+    # the coupled optimum moves along the ray to the box edge when the box
+    # is smaller; the uncoupled point, over all frequencies, does not
     box = SearchDomain(omega=(0.0, 1e-9), omega_prime=(0.0, 1e-9), coupling=(0.0, 1e-9))
     params, w_max = max_coupled_work(OSC, "xy", BATHS, box, resolution=5)
-    omega, omega_prime, w_single = max_uncoupled_work(OSC, BATHS, box, resolution=5)
+    omega, omega_prime, w_single = max_uncoupled_work(OSC, BATHS)
     assert params == (1e-9, 1e-9 * math.sqrt(0.5), 0.0)
-    assert (omega, omega_prime) == params[:2]
-    assert w_max == 2.0 * w_single == pytest.approx(2.0 * oscillator_work_supremum(BATHS), rel=1e-12)
+    assert omega > 1e-9 and omega_prime == omega * math.sqrt(0.5)
+    assert 2.0 * w_single * (1.0 - 1e-15) <= w_max <= 2.0 * w_single
+    assert w_max == pytest.approx(2.0 * oscillator_work_supremum(BATHS), rel=1e-12)
     # a box narrower in omega' puts the point where the ray leaves it
     box = SearchDomain(omega=(0.0, 10.0), omega_prime=(0.0, 1e-12))
-    omega, omega_prime, w_single = max_uncoupled_work(OSC, BATHS, box, resolution=5)
-    assert omega_prime <= 1e-12 and omega == pytest.approx(1e-12 * math.sqrt(2.0), rel=1e-15)
-    assert w_single == pytest.approx(oscillator_work_supremum(BATHS), rel=1e-12)
+    params, w_max = max_coupled_work(OSC, "xx", BATHS, box, resolution=5)
+    assert params[1] <= 1e-12 and params[0] == pytest.approx(1e-12 * math.sqrt(2.0), rel=1e-15)
+    assert w_max == pytest.approx(2.0 * oscillator_work_supremum(BATHS), rel=1e-12)
 
 
 def test_grid_value_above_the_supremum_raises(monkeypatch):
     # the grid is the numerical check of the paper's bound: an objective
-    # that beats the closed-form ceiling is refused
-    true_pair, true_single = optimize.coupled_total_work, optimize._finite_work
-    monkeypatch.setattr(optimize, "coupled_total_work", lambda *a: true_pair(*a) + 1.0)
-    monkeypatch.setattr(optimize, "_finite_work", lambda *a: true_single(*a) + 1.0)
-    with pytest.raises(NumericalError, match="beats the work supremum"):
-        max_coupled_work(OSC, "xx", BATHS, SearchDomain(), resolution=5)
-    with pytest.raises(NumericalError, match="beats the work supremum"):
-        max_uncoupled_work(OSC, BATHS, SearchDomain(), resolution=5)
-    # an objective above the ceiling by less than the tolerance, 1e-9 of
-    # it here, is accepted
-    sup = oscillator_work_supremum(BATHS)
-    over = 5e-10 * sup
-    monkeypatch.setattr(optimize, "_finite_work", lambda *a: np.minimum(true_single(*a), sup) + over)
-    assert sup < max_uncoupled_work(OSC, BATHS, SearchDomain(), resolution=5)[2] <= sup + over
+    # that beats twice the uncoupled optimum is refused
+    true_pair = optimize.coupled_total_work
+    for kind in (SPIN, OSC):
+        monkeypatch.setattr(optimize, "coupled_total_work", lambda *a: true_pair(*a) + 1.0)
+        with pytest.raises(NumericalError, match="beats the work supremum"):
+            max_coupled_work(kind, "xx", BATHS, SearchDomain(), resolution=5)
+        # an objective above the ceiling by less than the tolerance, 1e-9
+        # of it here, is accepted as the ceiling it rounds
+        ceiling = 2.0 * max_uncoupled_work(kind, BATHS)[2]
+        over = 5e-10 * ceiling
+        monkeypatch.setattr(optimize, "coupled_total_work",
+                            lambda *a: np.minimum(true_pair(*a), ceiling) + over)
+        w_max = max_coupled_work(kind, "xx", BATHS, SearchDomain(), resolution=5)[1]
+        assert w_max == ceiling
 
 
 def test_limit_point_that_misses_the_supremum_raises(monkeypatch):
-    # omega * r so small that its square underflows leaves the mode invalid
-    with pytest.raises(NumericalError, match="limit point"):
+    # omega * r so small that its square underflows leaves the coupled
+    # modes invalid at the anchor, the limit point at zero coupling
+    with pytest.raises(NumericalError, match="the anchor .* gives work -inf"):
         max_coupled_work(OSC, "xx", BathPair(1e-5, 1e-300), SearchDomain(), resolution=5)
     # an objective that falls short at the limit point is refused, not printed
-    true_single = optimize._finite_work
-    monkeypatch.setattr(optimize, "_finite_work", lambda *a: true_single(*a) - 1e-8)
+    true_single = optimize.single_system_work
+    monkeypatch.setattr(optimize, "single_system_work", lambda *a: true_single(*a) - 1e-8)
     with pytest.raises(NumericalError, match="limit point"):
-        max_uncoupled_work(OSC, BATHS, SearchDomain(), resolution=5)
+        max_uncoupled_work(OSC, BATHS)
+
+
+@pytest.mark.parametrize("kind", [SPIN, OSC], ids=["spin", "osc"])
+def test_anchor_that_misses_the_ceiling_raises(monkeypatch, kind):
+    true_pair = optimize.coupled_total_work
+    monkeypatch.setattr(optimize, "coupled_total_work", lambda *a: true_pair(*a) - 1e-8)
+    with pytest.raises(NumericalError, match="the anchor .* not the supremum"):
+        max_coupled_work(kind, "xx", BATHS, SearchDomain(), resolution=5)
 
 
 @pytest.mark.parametrize("t_h, t_c", [(1e-10, 1e-12), (1.0 + 1e-7, 1.0)])
@@ -435,12 +550,12 @@ def test_wrong_limit_point_below_any_absolute_tolerance_raises(monkeypatch, t_h,
     # the tolerance is relative to the ceiling, so an objective that is 0
     # everywhere is refused also where the ceiling itself is tiny (8.1e-11
     # at the first pair, 2.5e-15 at the last)
-    def zero(kind, baths, *x):
-        return np.zeros(np.broadcast(*x).shape)
+    def zero(kind, omega, omega_prime, baths):
+        return np.zeros(np.broadcast(omega, omega_prime).shape)
 
-    monkeypatch.setattr(optimize, "_finite_work", zero)
+    monkeypatch.setattr(optimize, "single_system_work", zero)
     with pytest.raises(NumericalError, match="limit point"):
-        max_uncoupled_work(OSC, BathPair(t_h, t_c), SearchDomain(), resolution=5)
+        max_uncoupled_work(OSC, BathPair(t_h, t_c))
 
 
 def test_baths_whose_betas_round_equal_give_no_work():
@@ -448,7 +563,7 @@ def test_baths_whose_betas_round_equal_give_no_work():
     # and the ceiling is 0: the tolerance must not divide by 1 - r
     baths = BathPair(math.nextafter(1.9, 2.0), 1.9)
     assert baths.beta_h == baths.beta_c
-    assert max_uncoupled_work(OSC, baths, SearchDomain(), resolution=5)[2] == 0.0
+    assert max_uncoupled_work(OSC, baths)[2] == 0.0
 
 
 def test_oscillator_box_away_from_the_origin_is_the_grid_refine_search():
@@ -462,8 +577,6 @@ def test_oscillator_box_away_from_the_origin_is_the_grid_refine_search():
         axes = (box.omega, box.omega_prime) + (box.coupling,) * n_couplings
         x, w = _grid_refine(work, axes, 6)
         assert max_coupled_work(OSC, model, BATHS, box, resolution=6) == (tuple(x.tolist()), w)
-    x, w = _grid_refine(partial(_finite_work, OSC, BATHS), (box.omega, box.omega_prime), 6)
-    assert max_uncoupled_work(OSC, BATHS, box, resolution=6) == (x[0], x[1], w)
 
 
 def test_sampler_determinism_and_filter():
@@ -558,7 +671,7 @@ def test_sampler_rejects_bad_count():
 
 
 def test_sampled_points_never_beat_uncoupled_bound():
-    _, _, w_single = max_uncoupled_work(SPIN, BATHS, SearchDomain(), resolution=400)
+    _, _, w_single = max_uncoupled_work(SPIN, BATHS)
     cols = sample_engine_points(23, 20000, SearchDomain(), BATHS)
     assert (cols.w_total <= 2.0 * w_single + 1e-9).all()
 

@@ -20,14 +20,15 @@ general sweep as CSV and as JSON, ``optimize`` for the oscillator xx, xy
 and general models (``--resolution 20``), the oscillator xx model at the
 default resolution 60 (the benchmark's oscillator optimizer job), the
 oscillator limit point in a 1e-9 box and at nearly equal bath
-temperatures, the spin pattern search for the xx (a README example), xy
-and general models (the 4-D grid) and for xx in a box of side 1 that
-clamps it, the oscillator general check grid at the default resolution,
-the spin general seed in a box of side 1, where the first grid maximum
-is an exact tie between the two couplings swapped, a spin search whose
-grid is too coarse for T_h (refused with exit 3), and ``verify --level
-quick`` at three seeds; together they take about a minute on two
-cores.  Standard library only.
+temperatures, the spin optimum for the xx (a README example), xy and
+general models (the 4-D check grid) and for xx in a box of side 1 that
+cuts it, the oscillator general check grid at the default resolution,
+the spin general grid in a box of side 1, where the first grid maximum
+is an exact tie between the two couplings swapped, the spin optimum at
+T_h = 1e-10, far below the grid cell, the spin xx/xy/general searches in
+the box that cuts the optimum at (5, 4.9), spin xx at (2, 1.9) and in a
+box of side 1000, and ``verify --level quick`` at three seeds; together
+they take about a minute on two cores.  Standard library only.
 """
 
 from __future__ import annotations
@@ -93,16 +94,26 @@ JOBS = [
     "optimize --medium osc --model xx --th 2 --tc 1 --domain-max 1e-9 --resolution 5",
     "optimize --medium osc --model xx --th 1.0000001 --tc 1 --resolution 5",
     "optimize --medium spin --model general --th 2 --tc 1",
-    # the spin pattern search on the other one-coupling model, and in a box
-    # whose upper faces clamp it (xx at the default box is a README example)
+    # the spin optimum of the other one-coupling model, and the pattern
+    # search in a box whose upper faces clamp it (xx at the default box is a
+    # README example)
     "optimize --medium spin --model xy --th 2 --tc 1",
     "optimize --medium spin --model xx --th 2 --tc 1 --domain-max 1",
     # the oscillator general check grid at the default resolution (60^4
     # points); the spin general seed at the exact tie W(0, 1) = W(1, 0) of
-    # the two couplings; and a grid too coarse for T_h, refused (exit 3)
+    # the two couplings; and a spin optimum far inside the first grid cell
     "optimize --medium osc --model general --th 2 --tc 1",
     "optimize --medium spin --model general --th 2 --tc 1 --domain-max 1",
     "optimize --medium spin --model xx --th 1e-10 --tc 5e-11",
+    # the spin box that cuts the optimum at (5, 4.9), searched by the
+    # pattern search; a spin optimum between nearly equal baths, where the
+    # engine wedge T_c/T_h < omega'/omega < 1 is 5% wide; and the optimum
+    # in a box of side 1000
+    "optimize --medium spin --model xx --th 5 --tc 4.9",
+    "optimize --medium spin --model xy --th 5 --tc 4.9",
+    "optimize --medium spin --model general --th 5 --tc 4.9",
+    "optimize --medium spin --model xx --th 2 --tc 1.9",
+    "optimize --medium spin --model xx --th 2 --tc 1 --domain-max 1000",
     # oracle tables; 488576684 reaches the 200-level truncation cap
     "verify --level quick --seed 0",
     "verify --level quick --seed 7",
