@@ -9,17 +9,19 @@ the curve on which the sum of its two stationarity equations holds, found
 by a golden-section search.  By the paper's bound, the coupled optimum is
 that point at zero coupling, twice the uncoupled work, over any box that
 holds it; the product grid (`_grid_best`) is then evaluated as the check
-that no point beats it.  Any other box is one derivative-free search,
-`_grid_refine`: the best point of the grid, then a pattern search of
-coordinate moves, one objective call per move, with step halving; a
-search that reaches its sweep cap is refused, not returned.  The grid is
+that no point beats it.  Any other box is searched without derivatives,
+`_grid_refine`: a pattern search of coordinate moves, one objective call
+per move, with step halving, from the best point of the grid and from
+the anchor scaled into the box; a search that reaches its sweep cap is
+discarded, and refused if every one does.  The grid is
 evaluated one slice of its last axis at a time, so that neither
 half-cycle of a mode is computed over more points than its own frequency
 and couplings span; the general model's work is symmetric in its two
 couplings, so its grid is evaluated once per unordered coupling pair.
 Everything is seeded and deterministic; the sampler takes its draws in
 fixed chunks from one generator, so the output never depends on the
-chunking.
+chunking, and attaches the closed-form concurrence of the XX Gibbs state
+(`entanglement.xx_thermal_concurrence`), with no eigensolve.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cycle import REGIMES, Regime, heats_arrays, regime_codes
-from .entanglement import concurrence_batch, spin_pair_hamiltonian_batch, thermal_state_batch
-from .errors import EmptyDomain, NumericalError
+from .entanglement import xx_thermal_concurrence
+from .errors import DomainError, EmptyDomain, NumericalError
 from .medium import BathPair, MediumKind, model_coupling, oscillator_mode_frequencies
 
 __all__ = [
@@ -46,6 +48,8 @@ __all__ = [
 ]
 
 _REFINE_STEPS = 48  # step shrinks by 0.5 each sweep; 2^-48 of the grid cell
+# two search ends within this much (relative) are the same maximum to rounding
+_SAME_END = 1e-12
 _DRAW_CHUNK = 1 << 16  # sampler draws evaluated at a time
 # omega of the corner-limit point in units of T_h * sqrt(r): the work there
 # falls short of the supremum by omega^2 / (12 T_h^2 r) of it, 1e-16 / 12
@@ -171,26 +175,14 @@ def _grid_best(work, box, resolution: int, symmetric: bool = False):
     return axes, grid_best, best_idx
 
 
-def _grid_refine(work, box, resolution: int, symmetric: bool = False):
-    """Maximize `work` over the closed `box`, one (lo, hi) range per axis;
-    returns (x*, W*).
-
-    `work` takes one broadcastable array per axis and returns -inf where a
-    point is invalid.  The first maximum in C order of the
-    `resolution`-per-axis grid (`_grid_best`, which takes `symmetric`)
-    seeds a pattern search whose first step is one grid cell, so the
-    result is never worse than the grid's best.  The search is Hooke &
-    Jeeves' exploratory move (J. ACM 8, 212, 1961): +step then -step on
-    each axis in turn, clamped to the box, one `work` call per move, each
-    accepted at once if it improves.  A sweep with no improvement halves
-    the step; a search that reaches its sweep cap before `_REFINE_STEPS`
-    halvings raises NumericalError rather than return a point that is not
-    a maximum.
-    """
-    axes, grid_best, best_idx = _grid_best(work, box, resolution, symmetric)
-    x = [float(axis[k]) for axis, k in zip(axes, best_idx)]
+def _pattern_search(work, box, x, step):
+    """Hooke & Jeeves' exploratory move (J. ACM 8, 212, 1961) from the
+    point `x` with first steps `step`: +step then -step on each axis in
+    turn, clamped to the box, one `work` call per move, each accepted at
+    once if it improves.  A sweep with no improvement halves the step.
+    Returns (x*, W*, halvings, sweeps); it stops after `_REFINE_STEPS`
+    halvings or at its cap of 200 sweeps per halving."""
     best = float(work(*x))
-    step = [float(axis[1] - axis[0]) for axis in axes]
     done = sweeps = 0
     while done < _REFINE_STEPS and sweeps < 200 * _REFINE_STEPS:
         sweeps += 1
@@ -205,11 +197,41 @@ def _grid_refine(work, box, resolution: int, symmetric: bool = False):
         if not improved:
             step = [s * 0.5 for s in step]
             done += 1
-    if done < _REFINE_STEPS:
+    return x, best, done, sweeps
+
+
+def _grid_refine(work, box, resolution: int, symmetric: bool = False, start=None):
+    """Maximize `work` over the closed `box`, one (lo, hi) range per axis;
+    returns (x*, W*).
+
+    `work` takes one broadcastable array per axis and returns -inf where a
+    point is invalid.  A `_pattern_search` whose first step is one grid
+    cell runs from the first maximum in C order of the
+    `resolution`-per-axis grid (`_grid_best`, which takes `symmetric`), so
+    the result is never worse than the grid's best, and from the point
+    `start` of the box if one is given; the higher end wins, the grid's
+    unless the other is higher by more than `_SAME_END` of it, as two ends
+    that close are the same maximum to rounding.  A search that reaches
+    its sweep cap is discarded, not returned as a maximum; if every search
+    does, NumericalError names the grid's.
+    """
+    axes, grid_best, best_idx = _grid_best(work, box, resolution, symmetric)
+    step = [float(axis[1] - axis[0]) for axis in axes]
+    seeds = [[float(axis[k]) for axis, k in zip(axes, best_idx)]]
+    if start is not None:
+        seeds.append([float(v) for v in start])
+    ends = [_pattern_search(work, box, x, step) for x in seeds]
+    converged = [end for end in ends if end[2] == _REFINE_STEPS]
+    if not converged:
+        x, best, done, sweeps = ends[0]
         raise NumericalError(
             f"pattern search hit its {sweeps}-sweep cap after {done} of {_REFINE_STEPS} "
             f"step halvings, at {x} with work {best!r}"
         )
+    x, best, _, _ = converged[0]
+    for end in converged[1:]:
+        if end[1] - best > _SAME_END * abs(best):
+            x, best, _, _ = end
     if not best >= grid_best:
         raise NumericalError(f"refinement lost ground: {best!r} < grid value {grid_best!r}")
     return np.array(x), best
@@ -318,7 +340,10 @@ def max_coupled_work(
     along its ray into the box, where the work near the origin is the
     supremum all along).  A box that holds the anchor returns it, and its
     grid (`_grid_best`) is evaluated as the numerical check of the bound;
-    any other box is searched (`_grid_refine`).  A grid value or optimum
+    any other box is searched (`_grid_refine`), also from the anchor
+    scaled toward the origin onto the box's upper faces where the box
+    holds that point, as the grid's best of a coarse grid can lie where
+    the search crawls to its cap.  A grid value or optimum
     above the ceiling by more than `_tolerance` raises NumericalError; one
     above it by less is rounding, and W_max is then the ceiling.  An
     anchor whose work misses the ceiling by more raises too, and so does a
@@ -348,7 +373,12 @@ def max_coupled_work(
     if held:
         x, best = anchor, _grid_best(work, box, resolution, symmetric)[1]
     else:
-        x, best = _grid_refine(work, box, resolution, symmetric)
+        # the anchor scaled toward the origin onto the upper faces keeps
+        # omega'/omega; min() absorbs the rounding of hi / v
+        scale = min([1.0] + [hi / v for v, (_, hi) in zip(anchor[:2], box[:2]) if v > hi])
+        start = [min(v * scale, hi) for v, (_, hi) in zip(anchor, box)]
+        held_scaled = all(lo <= v for v, (lo, _) in zip(start, box))
+        x, best = _grid_refine(work, box, resolution, symmetric, start if held_scaled else None)
     if best > ceiling + tol:
         raise NumericalError(f"the work {best!r} found beats the work supremum {ceiling!r}")
     if held:
@@ -380,12 +410,15 @@ def _engine_columns(draws: np.ndarray, baths: BathPair) -> tuple[np.ndarray, ...
     keep = valid & (regime_codes(qa[0] + qb[0], qa[1] + qb[1], w)[0] == engine)
 
     omega, omega_prime, lam = omega[keep], omega_prime[keep], lam[keep]
-    c_h, c_c = (
-        concurrence_batch(
-            thermal_state_batch(spin_pair_hamiltonian_batch(om, lam, lam), np.full(lam.size, beta))
+    # the closed form builds no Hamiltonian, but where the pair's top level
+    # 3 omega overflows, the heats have long lost their digits
+    top = float(max(omega.max(initial=0.0), omega_prime.max(initial=0.0)))
+    if not math.isfinite(3.0 * top):
+        raise DomainError(
+            f"sampled frequency {top!r} puts the top level 3*omega past the float range"
         )
-        for om, beta in ((omega, baths.beta_h), (omega_prime, baths.beta_c))
-    )
+    c_h = xx_thermal_concurrence(omega, lam, baths.beta_h)
+    c_c = xx_thermal_concurrence(omega_prime, lam, baths.beta_c)
     regime_a, regime_b = (regime_codes(*(x[keep] for x in qs))[0] for qs in (qa, qb))
     return omega, omega_prime, lam, w[keep], c_h, c_c, regime_a, regime_b
 
@@ -401,7 +434,9 @@ def sample_engine_points(
     Draws `n` i.i.d. uniform (omega, omega', lambda) triples from the
     domain with a seeded generator, keeps the draws whose total system
     works as an engine (W_total and Q_h_total positive beyond tolerance),
-    and attaches the concurrences of the two thermal states.  The draws
+    and attaches the concurrences of the two thermal states, in closed
+    form (`entanglement.xx_thermal_concurrence`).  A kept draw whose top
+    level 3 omega (or 3 omega') overflows raises DomainError.  The draws
     are taken and evaluated in chunks of `_DRAW_CHUNK` from the one
     generator, which gives the same numbers as one draw of all `n`, and
     the accepted rows of the chunks are joined in draw order; so memory

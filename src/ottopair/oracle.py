@@ -12,7 +12,9 @@ transport works on the finer blocks the xx and xy couplings conserve
 (n1 + n2 and n1 - n2), all of one point solved in one zero-padded stacked
 eigensolve.  The closed forms are read from the array kernels the CLI
 prints from: `medium.spin_mode_frequencies`,
-`medium.oscillator_mode_frequencies` and `cycle.heats_arrays`.
+`medium.oscillator_mode_frequencies`, `cycle.heats_arrays` and
+`entanglement.xx_thermal_concurrence`, which Wootters' concurrence of the
+Gibbs state of the exact 4x4 eigensolve checks.
 
 The check functions return relative residuals.  The spin checks take
 parameter arrays and return one residual per entry; the oscillator checks
@@ -37,7 +39,12 @@ import numpy as np
 
 from . import cycle as _cycle
 from . import medium as _medium
-from .entanglement import spin_pair_hamiltonian_batch
+from .entanglement import (
+    concurrence_batch,
+    spin_pair_hamiltonian_batch,
+    thermal_state_batch,
+    xx_thermal_concurrence,
+)
 from .errors import DomainError, NumericalError, UnknownModel
 from .medium import BathPair, MediumKind, model_coupling
 
@@ -52,6 +59,7 @@ __all__ = [
     "mode_heat_check",
     "spin_cycle_heat_check",
     "oscillator_cycle_heat_check",
+    "spin_concurrence_check",
     "CheckResult",
     "VerificationReport",
     "run_verification",
@@ -447,6 +455,15 @@ def spin_cycle_heat_check(omega, omega_prime, j_x, j_y, beta_h, beta_c):
     return _cycle_residual(SPIN, hot, cold, beta_h, beta_c, brute)
 
 
+def spin_concurrence_check(omega, lam, beta):
+    """Wootters' concurrence of the XX pair's Gibbs state, built from the
+    exact 4x4 eigensolve (`entanglement.thermal_state_batch`), vs the
+    closed form the sampler prints; parameter arrays give one absolute
+    residual per entry."""
+    gibbs = thermal_state_batch(spin_pair_hamiltonian_batch(omega, lam, lam), beta)
+    return abs(concurrence_batch(gibbs) - xx_thermal_concurrence(omega, lam, beta))
+
+
 # ---------------------------------------------------------------------------
 # randomized verification suite
 
@@ -505,9 +522,10 @@ def _draw_coupling(rng, model: str, cap: float) -> tuple[float, float]:
 def run_verification(level: str = "quick", seed: int = 0) -> VerificationReport:
     """Randomized oracle suite over all media and coupling models.
 
-    `quick` uses ~100 draws per check, `full` 1000 per medium/model.
-    Thresholds: 1e-12 for the exactly diagonalizable spin pair, 1e-10 for
-    the truncated oscillator pair.
+    `quick` uses ~100 draws per check, `full` 1000 per medium/model; the
+    spin concurrence check takes the xx spin draws at both of their
+    points.  Thresholds: 1e-12 for the exactly diagonalizable spin pair,
+    1e-10 for the truncated oscillator pair.
     """
     if level not in ("quick", "full"):
         raise UnknownModel(f"verification level must be 'quick' or 'full', got {level!r}")
@@ -546,6 +564,18 @@ def run_verification(level: str = "quick", seed: int = 0) -> VerificationReport:
         "spin cycle heats",
         SPIN_RESIDUAL,
         spin_cycle_heat_check(omega, omega_prime, j_x, j_y, beta_h, beta_c),
+    )
+    # the xx draws (every third) at both points of their cycle; on these
+    # warm states Wootters through sqrt(rho) was measured within 3e-16
+    xx = slice(0, None, 3)
+    add(
+        "spin concurrence",
+        SPIN_RESIDUAL,
+        spin_concurrence_check(
+            np.concatenate([omega[xx], omega_prime[xx]]),
+            np.tile(j_x[xx], 2),
+            np.concatenate([beta_h[xx], beta_c[xx]]),
+        ),
     )
 
     # oscillator checks: truncated Fock brute force; one eigensolve per draw

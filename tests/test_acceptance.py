@@ -26,8 +26,9 @@ def test_criterion_1_oracle_equivalence():
     assert report.elapsed < 60.0, f"oracle suite took {report.elapsed:.1f} s"
     for check in report.checks:
         # 1000 draws per medium/model; the sector-transport heat check
-        # covers the two models with a conserved quantum number
-        models = 2 if check.name == "oscillator cycle heats" else 3
+        # covers the two models with a conserved quantum number, and the
+        # concurrence check the xx draws at both points of their cycle
+        models = 2 if check.name in ("oscillator cycle heats", "spin concurrence") else 3
         assert check.draws >= 1000 * models
         assert check.max_residual < check.threshold, report.format_table()
     _report(

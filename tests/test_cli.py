@@ -457,6 +457,27 @@ def test_sample_command_schema(tmp_path, capsys):
     assert rows and rows[0][6] in ("engine", "refrigerator", "dissipator")
 
 
+def test_sample_at_a_cold_bath_whose_beta_overflows(tmp_path, capsys):
+    # 1 / 5e-324 is inf: every cold state is the ground state |dd>, as
+    # lambda < omega' in every engine draw, so no C_c is above 0
+    out = tmp_path / "samples.csv"
+    code, _, err = run_cli(capsys, "sample", "--th", "2", "--tc", "5e-324", "--out", str(out))
+    assert code == EXIT_OK and err == ""
+    header, rows = read_csv(out)
+    assert rows and {row[header.index("C_c")] for row in rows} == {"0"}
+    assert any(float(row[header.index("C_h")]) > 0.0 for row in rows)
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_sample_refuses_a_frequency_whose_top_level_overflows(tmp_path, capsys, to_file):
+    out = tmp_path / "samples.csv"
+    args = ("sample", "--th", "1e306", "--tc", "1e305", "--domain-max", "1e308")
+    code, stdout, err = run_cli(capsys, *args, *(("--out", str(out)) if to_file else ()))
+    assert code == EXIT_DOMAIN and stdout == "" and not out.exists()
+    assert err.startswith("domain error: sampled frequency ")
+    assert err.endswith(" puts the top level 3*omega past the float range\n")
+
+
 _SWEEP_ARGS = (
     "sweep", "--medium", "osc", "--model", "xx", "--th", "2", "--tc", "1",
 )

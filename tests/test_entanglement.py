@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from ottopair.entanglement import (
     thermal_state,
     thermal_state_batch,
     validate_density_matrix,
+    xx_thermal_concurrence,
 )
 from ottopair.errors import DomainError, NumericalError
 from ottopair.medium import BathPair
@@ -146,22 +148,85 @@ def test_concurrence_range_and_batch_consistency():
 def test_concurrence_matches_x_state_closed_form():
     # XX/XY/general thermal states are X-shaped, where the concurrence is
     # 2 max(0, |r23| - sqrt(r11 r44), |r14| - sqrt(r22 r33)) (Wang, PRA 64,
-    # 012313); Wootters through sqrt(rho) loses ~1e-8 for nearly pure states
+    # 012313), and the XX one has it in closed form; Wootters through
+    # sqrt(rho) loses ~1e-8 for nearly pure states
     rng = np.random.default_rng(7)
     n = 3000
     omega = rng.uniform(0.2, 6.0, n)
     j_x = rng.uniform(-4.0, 4.0, n)
     model = np.arange(n) % 3  # xx, xy, general
     j_y = np.where(model == 0, j_x, np.where(model == 1, -j_x, rng.uniform(-4.0, 4.0, n)))
-    rhos = thermal_state_batch(
-        spin_pair_hamiltonian_batch(omega, j_x, j_y), rng.uniform(0.02, 20.0, n)
-    )
+    beta = rng.uniform(0.02, 20.0, n)
+    rhos = thermal_state_batch(spin_pair_hamiltonian_batch(omega, j_x, j_y), beta)
     r = rhos.real
     d = np.sqrt(r[:, [0, 1], [0, 1]] * r[:, [3, 2], [3, 2]])
-    want = 2.0 * np.maximum(0.0, np.maximum(np.abs(r[:, 1, 2]) - d[:, 0],
-                                            np.abs(r[:, 0, 3]) - d[:, 1]))
+    entries = 2.0 * np.maximum(0.0, np.maximum(np.abs(r[:, 1, 2]) - d[:, 0],
+                                               np.abs(r[:, 0, 3]) - d[:, 1]))
+    want = np.where(model == 0, xx_thermal_concurrence(omega, j_x, beta), entries)
     assert (want > 0.5).any() and (want == 0.0).any()
     assert np.abs(concurrence_batch(rhos) - want).max() < 1e-7
+
+
+def _xx_kernel_draws(n=100_000, seed=8):
+    """(omega, lam, beta) draws over warm, cold (beta max(omega, |lam|) up
+    to 1e3), zero-coupling, negative-coupling, near-threshold
+    (sinh(beta |lam|) within 1e-9 of 1) and zero-temperature states."""
+    rng = np.random.default_rng(seed)
+    group = np.arange(n) % 5
+    omega = rng.uniform(0.05, 10.0, n)
+    lam = rng.uniform(-10.0, 10.0, n)
+    lam[rng.random(n) < 0.1] = 0.0
+    beta = rng.uniform(0.01, 5.0, n) / np.maximum(omega, np.abs(lam))
+    cold = group == 1
+    beta[cold] = rng.uniform(5.0, 1e3, cold.sum()) / np.maximum(omega, np.abs(lam))[cold]
+    edge = group == 2
+    lam[edge] = np.sign(lam[edge] - 0.5) * np.arcsinh(1.0) / beta[edge] * (
+        1.0 + rng.uniform(-1e-9, 1e-9, edge.sum())
+    )
+    beta[group == 3] = math.inf
+    return omega, lam, beta
+
+
+def test_xx_thermal_concurrence_matches_wootters():
+    omega, lam, beta = _xx_kernel_draws()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        closed = xx_thermal_concurrence(omega, lam, beta)
+    wootters = concurrence_batch(
+        thermal_state_batch(spin_pair_hamiltonian_batch(omega, lam, lam), beta)
+    )
+    assert (closed > 0.99).any() and (closed == 0.0).any()
+    assert np.abs(closed - wootters).max() < 1e-7
+
+
+def test_xx_thermal_concurrence_matches_longdouble_evaluation():
+    omega, lam, beta = _xx_kernel_draws()
+    finite = np.isfinite(beta)
+    one = np.longdouble(1.0)
+    a = beta[finite].astype(np.longdouble) * np.abs(omega[finite].astype(np.longdouble))
+    b = beta[finite].astype(np.longdouble) * np.abs(lam[finite].astype(np.longdouble))
+    want = np.maximum(0.0, np.sinh(b) - one) / (np.cosh(a) + np.cosh(b))
+    closed = xx_thermal_concurrence(omega, lam, beta)
+    assert np.abs(closed[finite] - want).max() < 1e-15
+    # beta = inf: the ground state, a product state unless |lam| > omega
+    assert (~finite).sum() == 20_000
+    assert np.array_equal(closed[~finite], np.where(np.abs(lam) > omega, 1.0, 0.0)[~finite])
+
+
+def test_xx_thermal_concurrence_limits():
+    # the degenerate ground level at |lam| = omega and beta = inf is the
+    # equal mixture of the singlet and |dd>; at beta = 0 the state is I/4
+    got = xx_thermal_concurrence([2.0, 2.0, 2.0, 0.0, 2.0], [2.0, -2.0, 0.0, 0.0, 3.0],
+                                 [math.inf, math.inf, math.inf, math.inf, 0.0])
+    assert got.tolist() == [0.5, 0.5, 0.0, 0.0, 0.0]
+    # sinh(beta lam) = 1 is the threshold, and the scaled terms never overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert xx_thermal_concurrence(1e308, 1e308, 1e-300) == 0.5
+        assert xx_thermal_concurrence(3.0, 1e3, 1.0) == 1.0
+    root = math.asinh(1.0)
+    assert xx_thermal_concurrence(0.1, root * (1.0 - 1e-12), 1.0) == 0.0
+    assert 0.0 < xx_thermal_concurrence(0.1, root * (1.0 + 1e-12), 1.0) < 1e-11
 
 
 def test_concurrence_rejects_broken_state():

@@ -10,11 +10,7 @@ import pytest
 
 import ottopair.optimize as optimize
 from ottopair.cycle import REGIMES, Regime, evaluate_cycle, heats_arrays, regime_codes
-from ottopair.entanglement import (
-    concurrence_batch,
-    spin_pair_hamiltonian_batch,
-    thermal_state_batch,
-)
+from ottopair.entanglement import xx_thermal_concurrence
 from ottopair.errors import EmptyDomain, NumericalError, UnknownModel
 from ottopair.medium import BathPair, MediumKind, model_coupling, standard_cycle
 from ottopair.optimize import (
@@ -403,6 +399,38 @@ def test_max_coupled_work_takes_the_uncoupled_point(monkeypatch, kind):
     assert max_coupled_work(kind, "xy", BATHS, SearchDomain(), 5, uncoupled) == want
 
 
+def _cut_box_search(monkeypatch, resolution):
+    """`max_coupled_work` for spin xx at (5, 4.9), whose optimum near
+    (11.9, 11.8) the box [0, 10] cuts, and the (W, halvings) of each
+    pattern search it ran: from the grid's best, then from the anchor
+    scaled onto the omega = 10 face."""
+    search, ends = optimize._pattern_search, []
+
+    def recorded(*args):
+        end = search(*args)
+        ends.append(end[1:3])
+        return end
+
+    monkeypatch.setattr(optimize, "_pattern_search", recorded)
+    return max_coupled_work(SPIN, "xx", BathPair(5.0, 4.9), SearchDomain(), resolution), ends
+
+
+def test_cut_box_search_on_a_coarse_grid_converges_from_the_scaled_anchor(monkeypatch):
+    # at resolution 12 the search from the grid's best crawls to its cap
+    (params, w), ends = _cut_box_search(monkeypatch, 12)
+    assert [halvings for _, halvings in ends] == [14, 48]
+    (fine_params, w_fine), _ = _cut_box_search(monkeypatch, 60)
+    assert params[0] == fine_params[0] == 10.0
+    assert w == ends[1][0] >= w_fine * (1.0 - 1e-9)
+
+
+def test_cut_box_search_keeps_the_grid_end_within_rounding(monkeypatch):
+    # at resolution 60 both searches converge to one maximum, to rounding
+    (_, w), ends = _cut_box_search(monkeypatch, 60)
+    assert [halvings for _, halvings in ends] == [48, 48]
+    assert w == ends[0][0] and abs(ends[1][0] - w) <= 1e-12 * w
+
+
 @pytest.mark.parametrize("model", ["xx", "general"])
 def test_spin_optimum_at_the_benchmark_baths_runs_no_search(monkeypatch, model):
     # over the benchmark's bath range the box holds the optimum: one work
@@ -622,12 +650,8 @@ def _unchunked_sample(seed, n, domain, baths):
     engine = REGIMES.index(Regime.ENGINE)
     keep = valid & (regime_codes(qa[0] + qb[0], qa[1] + qb[1], w)[0] == engine)
     omega, omega_prime, lam = omega[keep], omega_prime[keep], lam[keep]
-    c_h, c_c = (
-        concurrence_batch(
-            thermal_state_batch(spin_pair_hamiltonian_batch(om, lam, lam), np.full(lam.size, beta))
-        )
-        for om, beta in ((omega, baths.beta_h), (omega_prime, baths.beta_c))
-    )
+    c_h = xx_thermal_concurrence(omega, lam, baths.beta_h)
+    c_c = xx_thermal_concurrence(omega_prime, lam, baths.beta_c)
     regime_a, regime_b = (regime_codes(*(x[keep] for x in qs))[0] for qs in (qa, qb))
     columns = SampleColumns(omega, omega_prime, lam, w[keep], c_h, c_c, regime_a, regime_b)
     return columns, keep

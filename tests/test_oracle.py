@@ -159,7 +159,9 @@ def test_oscillator_cycle_heat_check():
 def test_run_verification_quick_passes():
     report = run_verification("quick", seed=123)
     assert report.ok
-    assert len(report.checks) == 10
+    assert len(report.checks) == 11
+    # the 34 xx spin draws, each at its hot and its cold point
+    assert [c.draws for c in report.checks if c.name == "spin concurrence"] == [68]
     table = report.format_table()
     assert "oscillator partition" in table and "pass" in table
     for check in report.checks:

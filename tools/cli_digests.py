@@ -27,8 +27,11 @@ the spin general grid in a box of side 1, where the first grid maximum
 is an exact tie between the two couplings swapped, the spin optimum at
 T_h = 1e-10, far below the grid cell, the spin xx/xy/general searches in
 the box that cuts the optimum at (5, 4.9), spin xx at (2, 1.9) and in a
-box of side 1000, and ``verify --level quick`` at three seeds; together
-they take about a minute on two cores.  Standard library only.
+box of side 1000, ``sample`` at a cold bath whose beta overflows, at
+T_c = 1e-3 and with a frequency whose top level overflows (refused), the
+spin xx search of the box that cuts the optimum at (5, 4.9) at
+resolutions 12 and 20, and ``verify --level quick`` at three seeds;
+together they take about a minute on two cores.  Standard library only.
 """
 
 from __future__ import annotations
@@ -114,6 +117,16 @@ JOBS = [
     "optimize --medium spin --model general --th 5 --tc 4.9",
     "optimize --medium spin --model xx --th 2 --tc 1.9",
     "optimize --medium spin --model xx --th 2 --tc 1 --domain-max 1000",
+    # the sampler at a cold bath whose beta overflows to inf, at a cold
+    # bath of beta 1000, and refusing a frequency whose top level 3 omega
+    # overflows
+    "sample --th 2 --tc 5e-324 --n 100000 --seed 0 --out cold.csv",
+    "sample --th 2 --tc 1e-3 --n 100000 --seed 0 --out cold.csv",
+    "sample --th 1e306 --tc 1e305 --domain-max 1e308 --out huge.csv",
+    # the spin box that cuts the optimum at (5, 4.9) on coarse grids, where
+    # the search from the grid's best crawls to its sweep cap
+    "optimize --medium spin --model xx --th 5 --tc 4.9 --resolution 12",
+    "optimize --medium spin --model xx --th 5 --tc 4.9 --resolution 20",
     # oracle tables; 488576684 reaches the 200-level truncation cap
     "verify --level quick --seed 0",
     "verify --level quick --seed 7",

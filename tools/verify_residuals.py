@@ -5,7 +5,9 @@ Runs ``ottopair.oracle.run_verification`` (the suite behind the CLI
 PYTHONPATH set to ``<base>/src`` and once with ``<root>/src``, and prints
 one line per check: the number of runs, how many of them moved (the
 residual is not bit-identical), the largest |delta residual| and the
-largest residual on each side.  The residuals are compared at full float
+largest residual on each side.  Checks are matched by name; a check that
+only one side runs is listed with its largest residual and marked
+``only base`` or ``only root``.  The residuals are compared at full float
 precision, not as the 4 digits the ``verify`` table prints; a check whose
 draw count differs between the two sides is flagged, and then the exit
 code is 1.
@@ -76,8 +78,20 @@ def main() -> int:
     print(f"{'check':<28} {'runs':>5} {'moved':>6} {'max |delta|':>12} "
           f"{'max base':>10} {'max root':>10}  draws")
     same_draws = True
-    for k, (name, _, _) in enumerate(base[0]["checks"]):
-        pairs = [(b["checks"][k], r["checks"][k]) for b, r in zip(base, root)]
+    names = [name for name, _, _ in root[0]["checks"]]
+    names += [name for name, _, _ in base[0]["checks"] if name not in names]
+    for name in names:
+        base_runs, root_runs = (
+            [{c[0]: c for c in record["checks"]}.get(name) for record in side]
+            for side in (base, root)
+        )
+        if None in base_runs or None in root_runs:
+            side, present = ("base", base_runs) if None in root_runs else ("root", root_runs)
+            worst = f"{max(c[2] for c in present):>10.3e}"
+            cells = f"{worst} {'':>10}" if side == "base" else f"{'':>10} {worst}"
+            print(f"{name:<28} {len(present):>5} {'':>6} {'':>12} {cells}  only {side}")
+            continue
+        pairs = list(zip(base_runs, root_runs))
         draws_equal = all(bc[:2] == rc[:2] for bc, rc in pairs)
         same_draws &= draws_equal
         moved = sum(bc[2] != rc[2] for bc, rc in pairs)
