@@ -4,17 +4,19 @@ Nothing here uses the normal-mode formulas as input to its own spectra:
 spin pairs are diagonalized exactly (the 4x4 matrix or its two 2x2
 blocks), oscillator pairs on a truncated two-mode Fock space, and thermal
 quantities come from explicit Boltzmann sums.  The Fock Hamiltonian is
-never diagonalized whole.  Its full spectrum comes from the four blocks
-of the symmetries every coupling keeps, the parity of n1 + n2 times the
-1 <-> 2 exchange (widths 81/64/72/72 at the default cutoff 16), built
-straight from its entry list by index maps cached per cutoff.  The heat
-transport works on the finer blocks the xx and xy couplings conserve
-(n1 + n2 and n1 - n2), all of one point solved in one zero-padded stacked
-eigensolve.  The closed forms are read from the array kernels the CLI
-prints from: `medium.spin_mode_frequencies`,
-`medium.oscillator_mode_frequencies`, `cycle.heats_arrays` and
-`entanglement.xx_thermal_concurrence`, which Wootters' concurrence of the
-Gibbs state of the exact 4x4 eigensolve checks.
+never diagonalized whole, but on the finest blocks its couplings
+conserve, built straight from its entry list.  The xx and xy couplings
+conserve n1 + n2 and n1 - n2; those sectors (at most 17 wide at the
+default cutoff 16) serve both the full spectrum and the heat transport,
+all sectors of one point solved in one zero-padded stacked eigensolve.
+Any other coupling keeps only the parity of n1 + n2 times the 1 <-> 2
+exchange, whose four blocks (widths 81/64/72/72 at cutoff 16, index maps
+cached per cutoff) give its spectrum.  The closed forms are read
+from the array kernels the CLI prints from:
+`medium.spin_mode_frequencies`, `medium.oscillator_mode_frequencies`,
+`cycle.heats_arrays` and `entanglement.xx_thermal_concurrence`, which
+Wootters' concurrence of the Gibbs state of the exact 4x4 eigensolve
+checks.
 
 The check functions return relative residuals.  The spin checks take
 parameter arrays and return one residual per entry; the oscillator checks
@@ -180,9 +182,19 @@ def _exchange_blocks(n_max: int):
 def truncated_oscillator_spectrum(
     omega: float, lambda_x: float, lambda_p: float, n_max: int
 ) -> np.ndarray:
-    """Sorted eigenvalues of `truncated_oscillator_matrix`, solved on its
-    four parity x exchange blocks (`_exchange_blocks`); the two odd blocks
-    share one stacked call."""
+    """Sorted eigenvalues of `truncated_oscillator_matrix`, solved on the
+    finest blocks its couplings conserve.
+
+    lambda_x == lambda_p (xx) conserves N = n1 + n2 and lambda_x == -lambda_p
+    (xy) conserves d = n1 - n2; their sectors, at most n_max + 1 wide, come
+    from `_fock_blocks` and are expanded by multiplicity.  Any other pair
+    keeps only the parity x exchange symmetry and is solved on those four
+    blocks (`_exchange_blocks`), the two odd ones in one stacked call.
+    """
+    if lambda_x == lambda_p or lambda_x == -lambda_p:
+        model = "xx" if lambda_x == lambda_p else "xy"
+        levels, mult = _fock_blocks(omega, lambda_x, model, n_max)
+        return np.sort(np.repeat(levels, mult))
     _, _, diagonal, _, _, values = _fock_entries(omega, lambda_x, lambda_p, n_max)
     entries = np.concatenate([diagonal, values])
     even_sym, even_anti, odd_sym, odd_anti = (
@@ -234,7 +246,7 @@ def _fock_blocks(omega: float, lam: float, model: str, n_max: int):
     block, r, c = label[rows], rank[rows], rank[cols]
     stack[block, r, c] = stack[block, c, r] = values
     levels = np.linalg.eigvalsh(stack)[~pad]
-    mult = np.where((model == "xy") & (np.arange(width.size) > 0), 2.0, 1.0)
+    mult = np.where((model == "xy") & (np.arange(width.size) > 0), 2, 1)
     return levels, np.repeat(mult, width)
 
 
@@ -306,7 +318,9 @@ def oscillator_spectrum_check(
     levels: int = 20,
 ) -> tuple[float, float]:
     """(spectrum, partition) residuals of the coupled oscillator pair from
-    one truncated Fock eigensolve.
+    one truncated Fock spectrum (`truncated_oscillator_spectrum`: the
+    conserved sectors for xx and xy pairs, the four parity x exchange
+    blocks for any other).
 
     Spectrum: relative mismatch between the lowest `levels` brute-force
     eigenvalues and the closed-form product spectrum
@@ -578,9 +592,11 @@ def run_verification(level: str = "quick", seed: int = 0) -> VerificationReport:
         ),
     )
 
-    # oscillator checks: truncated Fock brute force; one eigensolve per draw
-    # feeds both the low-lying spectrum check and the partition sum (depth 16
-    # keeps the Boltzmann tail below 1e-13 for beta * w_min >= 2.5)
+    # oscillator checks: truncated Fock brute force; one spectrum per draw,
+    # solved on the n1 + n2 or n1 - n2 sectors of the xx and xy draws and on
+    # the four parity x exchange blocks of the general ones, feeds both the
+    # low-lying spectrum check and the partition sum (depth 16 keeps the
+    # Boltzmann tail below 1e-13 for beta * w_min >= 2.5)
     res_spec, res_part, res_energy, res_heat = [], [], [], []
     for i in range(draws):
         omega = rng.uniform(2.0, 6.0)

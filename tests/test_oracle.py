@@ -263,9 +263,10 @@ def test_stacked_spin_checks_equal_per_draw_computation_bit_for_bit():
 
 
 @pytest.mark.parametrize("model", ["xx", "xy", "general"])
-@pytest.mark.parametrize("n_max", [1, 2, 3, 9, 16])
+@pytest.mark.parametrize("n_max", [1, 2, 3, 9, 16, 24])
 def test_block_spectrum_matches_the_dense_eigensolve(model, n_max):
-    # the parity x exchange blocks hold the whole dense spectrum
+    # the blocks solved (N or n1 - n2 sectors for xx and xy, parity x
+    # exchange otherwise) hold the whole dense spectrum
     rng = np.random.default_rng(n_max)
     for _ in range(5):
         omega = rng.uniform(2.0, 6.0)
@@ -298,3 +299,50 @@ def test_fock_blocks_are_the_conserved_blocks_of_the_dense_matrix(model, n_max):
     assert np.array_equal(mult, np.concatenate(expected_mult))
     # with multiplicities the blocks hold the whole dense spectrum
     assert np.allclose(np.sort(np.repeat(levels, mult.astype(int))), np.linalg.eigvalsh(h))
+
+
+def _eigensolve_widths(monkeypatch, omega, lambda_x, lambda_p, n_max):
+    """The shape of each matrix or stack `truncated_oscillator_spectrum`
+    hands to `np.linalg.eigvalsh`."""
+    shapes = []
+    solve = np.linalg.eigvalsh
+
+    def spy(a):
+        shapes.append(a.shape)
+        return solve(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    truncated_oscillator_spectrum(omega, lambda_x, lambda_p, n_max)
+    return shapes
+
+
+@pytest.mark.parametrize(
+    "lambda_x, lambda_p",
+    [(0.9, 0.9), (-1.3, -1.3), (0.9, -0.9), (-1.3, 1.3), (0.0, 0.0)],
+    ids=["xx", "xx-negative", "xy", "xy-negative", "uncoupled"],
+)
+def test_conserving_pairs_solve_only_their_sectors(monkeypatch, lambda_x, lambda_p):
+    # lambda_x == lambda_p conserves n1 + n2 and lambda_x == -lambda_p
+    # conserves n1 - n2: no solved block is wider than a sector's n_max + 1
+    # states
+    shapes = _eigensolve_widths(monkeypatch, 4.0, lambda_x, lambda_p, 16)
+    assert shapes
+    assert max(shape[-1] for shape in shapes) <= 17
+
+
+def test_general_pair_keeps_the_four_parity_exchange_blocks(monkeypatch):
+    shapes = _eigensolve_widths(monkeypatch, 4.0, 0.9, 0.3, 16)
+    assert shapes == [(81, 81), (64, 64), (2, 72, 72)]
+
+
+@pytest.mark.parametrize(
+    "lambda_x, lambda_p", [(2.0, 2.0), (2.0, -2.0), (2.0, 0.5)], ids=["xx", "xy", "general"]
+)
+@pytest.mark.parametrize(
+    "omega, n_max", [(2.0, 16), (1.5, 16), (4.0, 0), (4.0, -3)],
+    ids=["omega-at-edge", "omega-below-edge", "n_max-0", "n_max-negative"],
+)
+def test_every_spectrum_path_refuses_the_same_inputs(lambda_x, lambda_p, omega, n_max):
+    # the sector path (xx, xy) refuses what the four-block path refuses
+    with pytest.raises(DomainError):
+        truncated_oscillator_spectrum(omega, lambda_x, lambda_p, n_max)
