@@ -5,24 +5,22 @@ spin pairs are diagonalized exactly (the 4x4 matrix or its two 2x2
 blocks), oscillator pairs on a truncated two-mode Fock space, and thermal
 quantities come from explicit Boltzmann sums.  The Fock Hamiltonian is
 never diagonalized whole, but on the finest blocks its couplings
-conserve, built straight from its entry list.  The xx and xy couplings
-conserve n1 + n2 and n1 - n2; those sectors (at most 17 wide at the
-default cutoff 16) serve both the full spectrum and the heat transport,
-all sectors of one point solved in one zero-padded stacked eigensolve.
-Any other coupling keeps only the parity of n1 + n2 times the 1 <-> 2
-exchange, whose four blocks (widths 81/64/72/72 at cutoff 16, index maps
-cached per cutoff) give its spectrum.  The closed forms are read
-from the array kernels the CLI prints from:
+conserve, built straight from its entry list: n1 + n2 (xx) or n1 - n2
+(xy), at most 17 wide at the default cutoff 16, for both the spectrum
+and the heat transport; for any other coupling, the parity of n1 + n2
+times the 1 <-> 2 exchange (widths 81/64/72/72).  The closed forms are
+read from the array kernels the CLI prints from:
 `medium.spin_mode_frequencies`, `medium.oscillator_mode_frequencies`,
 `cycle.heats_arrays` and `entanglement.xx_thermal_concurrence`, which
 Wootters' concurrence of the Gibbs state of the exact 4x4 eigensolve
 checks.
 
-The check functions return relative residuals.  The spin checks take
-parameter arrays and return one residual per entry; the oscillator checks
-take one draw, because their ladder depth varies per draw.
-`run_verification` bundles them into the randomized suite behind the CLI
-`verify` command.
+The check functions take parameter arrays and return one relative
+residual per entry.  `run_verification` bundles them into the randomized
+suite behind the CLI `verify` command: it draws every parameter first,
+then evaluates each check over arrays of draws, grouped by the blocks or
+ladder depth they need, in chunks whose stacked eigensolve input (or
+ladder arrays) stay within 512 KiB: a larger cap raised the peak RSS.
 
 Random-draw protocol (documented because the truncated diagonalization
 must stay clear of the instability edge): bare frequencies in [2, 6],
@@ -68,6 +66,7 @@ __all__ = [
 ]
 
 TRUNCATION_CAP = 200
+_STACK_DOUBLES = 1 << 16  # float64 entries (512 KiB) per chunk of draws
 
 SPIN = MediumKind.SPIN
 OSC = MediumKind.OSCILLATOR
@@ -79,17 +78,14 @@ def exact_spin_spectrum(omega, j_x, j_y) -> np.ndarray:
     return np.sort(np.linalg.eigvalsh(spin_pair_hamiltonian_batch(omega, j_x, j_y)), axis=-1)
 
 
-def _fock_entries(omega: float, lambda_x: float, lambda_p: float, n_max: int):
-    """Entries of the coupled-oscillator Hamiltonian on the truncated
-    two-mode Fock space, state |n1, n2> at index n1 (n_max + 1) + n2.
-
-    Omega (c1+ c1 + c2+ c2 + 1) is the diagonal; the upper off-diagonal
-    entries are the flip-flop term with strength (lambda_x + lambda_p)/2
-    and the double-(de)excitation term with strength (lambda_x - lambda_p)/2,
-    each mode cut at `n_max` excitations.  Returns (n1, n2, diagonal, rows,
-    cols, values).
+def _fock_entries(omega, lambda_x, lambda_p, n_max: int):
+    """Entries of `truncated_oscillator_matrix`, state |n1, n2> at index
+    n1 (n_max + 1) + n2: (n1, n2, diagonal, rows, cols, values), the
+    off-diagonal ones of the upper triangle only.  Parameter arrays give
+    the diagonal and the values along a new last axis, one index pattern.
     """
-    if not omega > max(abs(lambda_x), abs(lambda_p)):
+    omega, lambda_x, lambda_p = np.broadcast_arrays(omega, lambda_x, lambda_p)
+    if not np.all(omega > np.maximum(abs(lambda_x), abs(lambda_p))):
         raise DomainError(
             f"need omega > max(|lambda_x|, |lambda_p|), got omega={omega}, "
             f"lambda_x={lambda_x}, lambda_p={lambda_p}"
@@ -103,20 +99,12 @@ def _fock_entries(omega: float, lambda_x: float, lambda_p: float, n_max: int):
     # pair creation c1+ c2+: |n1, n2> -> |n1+1, n2+1> with sqrt((n1+1)(n2+1))
     pair = np.flatnonzero((n1 < n_max) & (n2 < n_max))
     values = np.concatenate([
-        0.5 * (lambda_x + lambda_p) * np.sqrt((n1[flip] + 1.0) * n2[flip]),
-        0.5 * (lambda_x - lambda_p) * np.sqrt((n1[pair] + 1.0) * (n2[pair] + 1.0)),
-    ])
+        (0.5 * (lambda_x + lambda_p))[..., None] * np.sqrt((n1[flip] + 1.0) * n2[flip]),
+        (0.5 * (lambda_x - lambda_p))[..., None] * np.sqrt((n1[pair] + 1.0) * (n2[pair] + 1.0)),
+    ], axis=-1)
     rows = np.concatenate([flip, pair])
     cols = np.concatenate([flip + d - 1, pair + d + 1])
-    return n1, n2, omega * (n1 + n2 + 1.0), rows, cols, values
-
-
-def _symmetric(diagonal, rows, cols, values) -> np.ndarray:
-    """The symmetric matrix with `diagonal` and the off-diagonal entries
-    h[rows, cols] = h[cols, rows] = values."""
-    h = np.diag(diagonal)
-    h[rows, cols] = h[cols, rows] = values
-    return h
+    return n1, n2, omega[..., None] * (n1 + n2 + 1.0), rows, cols, values
 
 
 def truncated_oscillator_matrix(
@@ -130,7 +118,9 @@ def truncated_oscillator_matrix(
     excitations.  Real symmetric, dimension (n_max + 1)^2.
     """
     _, _, diagonal, rows, cols, values = _fock_entries(omega, lambda_x, lambda_p, n_max)
-    return _symmetric(diagonal, rows, cols, values)
+    h = np.diag(diagonal)
+    h[rows, cols] = h[cols, rows] = values
+    return h
 
 
 @functools.lru_cache(maxsize=8)
@@ -164,7 +154,8 @@ def _exchange_blocks(n_max: int):
     for parity in (0, 1):
         for antisymmetric in (False, True):
             member = ((n1 + n2) % 2 == parity) & (paired | (not antisymmetric))
-            keys = np.unique(key[member])
+            # the sorted keys present; bincount, since np.unique imports numpy.ma
+            keys = np.flatnonzero(np.bincount(key[member], minlength=d * d))
             position = np.searchsorted(keys, key)
             inside = member[i] & member[j]
             coef = scale * (sign[i] * sign[j] if antisymmetric else 1.0)
@@ -182,44 +173,44 @@ def _exchange_blocks(n_max: int):
 def truncated_oscillator_spectrum(
     omega: float, lambda_x: float, lambda_p: float, n_max: int
 ) -> np.ndarray:
-    """Sorted eigenvalues of `truncated_oscillator_matrix`, solved on the
-    finest blocks its couplings conserve.
+    """Sorted eigenvalues of `truncated_oscillator_matrix` along a last
+    axis, solved on the finest blocks its couplings conserve.
 
     lambda_x == lambda_p (xx) conserves N = n1 + n2 and lambda_x == -lambda_p
-    (xy) conserves d = n1 - n2; their sectors, at most n_max + 1 wide, come
-    from `_fock_blocks` and are expanded by multiplicity.  Any other pair
-    keeps only the parity x exchange symmetry and is solved on those four
-    blocks (`_exchange_blocks`), the two odd ones in one stacked call.
+    (xy) conserves d = n1 - n2: their sectors come from `_fock_blocks`,
+    expanded by multiplicity.  Any other pair, or parameter arrays that do
+    not all conserve the same one, is solved on the four parity x exchange
+    blocks (`_exchange_blocks`), each block in its own stacked call.
     """
-    if lambda_x == lambda_p or lambda_x == -lambda_p:
-        model = "xx" if lambda_x == lambda_p else "xy"
-        levels, mult = _fock_blocks(omega, lambda_x, model, n_max)
-        return np.sort(np.repeat(levels, mult))
+    for model, conserved in (("xx", lambda_x == lambda_p), ("xy", lambda_x == -lambda_p)):
+        if np.all(conserved):
+            levels, mult = _fock_blocks(omega, lambda_x, model, n_max)
+            return np.sort(np.repeat(levels, mult, axis=-1), axis=-1)
     _, _, diagonal, _, _, values = _fock_entries(omega, lambda_x, lambda_p, n_max)
-    entries = np.concatenate([diagonal, values])
-    even_sym, even_anti, odd_sym, odd_anti = (
-        np.bincount(target, coef * entries[source], width * width).reshape(width, width)
-        for width, target, source, coef in _exchange_blocks(n_max)
+    entries = np.concatenate([diagonal, values], axis=-1)
+    lead = entries.shape[:-1]
+    # each draw's entries land in its own width x width slab of one bincount
+    draw = np.arange(int(np.prod(lead))).reshape(lead + (1,))
+    blocks = (
+        np.bincount((target + w * w * draw).ravel(), (coef * entries[..., source]).ravel(),
+                    draw.size * w * w).reshape(lead + (w, w))
+        for w, target, source, coef in _exchange_blocks(n_max)
     )
-    return np.sort(np.concatenate([
-        np.linalg.eigvalsh(even_sym),
-        np.linalg.eigvalsh(even_anti),
-        np.linalg.eigvalsh(np.stack([odd_sym, odd_anti])).ravel(),
-    ]))
+    return np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks], axis=-1), axis=-1)
 
 
-def _fock_blocks(omega: float, lam: float, model: str, n_max: int):
-    """Levels of the xx or xy truncated Fock Hamiltonian, solved block by
-    conserved block, and the multiplicity of each level.
+def _fock_blocks(omega, lam, model: str, n_max: int):
+    """Levels of the xx or xy truncated Fock Hamiltonian along a last axis,
+    solved block by conserved block, and the multiplicity of each level.
 
     xx conserves N = n1 + n2 and xy conserves d = n1 - n2.  The xy blocks
     with d < 0 mirror those with d > 0, so only d >= 0 is solved and each
     d > 0 block counts twice.  Each block is an omega-diagonal plus lam
     times a matrix independent of omega, so the within-block order never
     changes as omega is driven: (block, rank) is the exact adiabatic label.
-    The blocks are solved in one `eigvalsh` call on a zero-padded stack:
-    the pad entries sit on the diagonal above every level, so they sort
-    last in their block and are dropped by count.
+    The blocks of all entries are solved in one `eigvalsh` call on a
+    zero-padded stack: the pad entries sit on the diagonal above every
+    level, so they sort last in their block and are dropped by count.
     """
     if model not in ("xx", "xy"):
         raise UnknownModel(f"sector transport covers 'xx' and 'xy', got {model!r}")
@@ -230,7 +221,7 @@ def _fock_blocks(omega: float, lam: float, model: str, n_max: int):
     # entries between blocks belong to the term that vanishes for this
     # model, and the xy blocks with d < 0 are not solved
     inside = (label[rows] == label[cols]) & (label[rows] >= 0)
-    rows, cols, values = rows[inside], cols[inside], values[inside]
+    rows, cols, values = rows[inside], cols[inside], values[..., inside]
     # each state's rank in its block, which holds its states in index
     # order: n1 from max(0, N - n_max) up for xx, n2 from 0 up for xy
     rank = np.minimum(n1, n_max - n2) if model == "xx" else n2
@@ -238,47 +229,80 @@ def _fock_blocks(omega: float, lam: float, model: str, n_max: int):
     width = np.bincount(label[states])
     m = width.max()
     pad = np.arange(m) >= width[:, None]
-    stack = np.zeros((width.size, m, m))
-    stack[label[states], rank[states], rank[states]] = diagonal[states]
+    stack = np.zeros(diagonal.shape[:-1] + (width.size, m, m))
+    stack[..., label[states], rank[states], rank[states]] = diagonal[..., states]
     block, slot = np.nonzero(pad)
     # Gershgorin: no level exceeds diagonal.max() + sum |values|
-    stack[block, slot, slot] = 2.0 * (diagonal.max() + np.abs(values).sum()) + 1.0
+    top = 2.0 * (diagonal.max(axis=-1) + np.abs(values).sum(axis=-1)) + 1.0
+    stack[..., block, slot, slot] = top[..., None]
     block, r, c = label[rows], rank[rows], rank[cols]
-    stack[block, r, c] = stack[block, c, r] = values
-    levels = np.linalg.eigvalsh(stack)[~pad]
+    stack[..., block, r, c] = stack[..., block, c, r] = values
+    # C order, so that each entry's levels are summed as one contiguous run
+    levels = np.ascontiguousarray(np.linalg.eigvalsh(stack)[..., ~pad])
     mult = np.where((model == "xy") & (np.arange(width.size) > 0), 2, 1)
     return levels, np.repeat(mult, width)
 
 
-def suggest_truncation(
-    beta: float, omega: float, tol: float = 1e-12, cap: int = TRUNCATION_CAP
-) -> int:
-    """Ladder depth for Boltzmann sums on a mode of frequency `omega`.
+def _stack_size(model: str, n_max: int) -> int:
+    """Float64 entries of one draw's largest stacked eigensolve input at
+    cutoff `n_max`: all xx or xy sectors, or the widest exchange block."""
+    d = n_max + 1
+    if model == "general":
+        return max(width for width, *_ in _exchange_blocks(n_max)) ** 2
+    return (2 * d - 1 if model == "xx" else d) * d * d
+
+
+def _grouped(check, key, *columns, size=lambda n: 8 * (n + 1)):
+    """`check(*columns, n)` over the draws grouped by their value n of the
+    integer array `key`, in chunks of at most _STACK_DOUBLES // size(n)
+    draws (at least one), with the results put back in draw order.  The
+    default size is that of a ladder check of depth n, which holds about
+    eight arrays of the ladder's length at once."""
+    key = np.asarray(key)
+    columns = [np.broadcast_to(c, key.shape).ravel() for c in columns]
+    chunks, parts = [], []
+    for n in set(key.ravel().tolist()):
+        draws = np.flatnonzero(key == n)
+        step = max(1, _STACK_DOUBLES // size(n))
+        for i in range(0, draws.size, step):
+            chunks.append(draws[i:i + step])
+            parts.append(np.asarray(check(*(c[chunks[-1]] for c in columns), n)))
+    out = np.empty(parts[0].shape[:-1] + (key.size,))
+    out[..., np.concatenate(chunks)] = np.concatenate(parts, axis=-1)
+    return out.reshape(out.shape[:-1] + key.shape)[()]
+
+
+def suggest_truncation(beta, omega, tol: float = 1e-12, cap: int = TRUNCATION_CAP):
+    """Ladder depth for Boltzmann sums on a mode of frequency `omega`, an
+    int, or one per entry of parameter arrays.
 
     Doubles the depth until successive partition-sum estimates agree to
     `tol` (relative).  At the cap the depth is accepted if the terms
     beyond it sum below `tol` (relative); otherwise NumericalError, which
     happens for very shallow beta*omega where the thermal tail never fits.
     """
-    if not (beta > 0.0 and omega > 0.0):
+    beta, omega = np.broadcast_arrays(beta, omega)
+    if not np.all((beta > 0.0) & (omega > 0.0)):
         raise DomainError(f"need beta > 0 and omega > 0, got beta={beta}, omega={omega}")
-
-    def z_at(depth):
-        return np.exp(-beta * omega * np.arange(depth + 1)).sum()
-
+    x = (beta * omega).ravel()
+    depth = np.full(x.size, cap)
+    left = np.arange(x.size)  # the entries still doubling
     n = 8
-    z_prev = z_at(n)
-    while n < cap:
+    z_prev = np.exp(-x[:, None] * np.arange(n + 1)).sum(axis=-1)
+    while n < cap and left.size:
         n = min(2 * n, cap)
-        z = z_at(n)
-        if abs(z - z_prev) <= tol * z:
-            return n
-        z_prev = z
+        terms = -x[left, None] * np.arange(n + 1)
+        z = np.exp(terms, out=terms).sum(axis=-1)
+        del terms  # before the next depth's terms are allocated
+        done = abs(z - z_prev) <= tol * z
+        depth[left[done]] = n
+        left, z_prev = left[~done], z[~done]
     # geometric tail: sum over k > cap of exp(-beta omega k)
-    tail = np.exp(-beta * omega * (cap + 1)) / -np.expm1(-beta * omega)
-    if tail <= tol * z_prev:
-        return cap
-    raise NumericalError(f"truncation cap {cap} exceeded for beta*omega = {beta * omega:.3g}")
+    tail = np.exp(-x[left] * (cap + 1)) / -np.expm1(-x[left])
+    bad = left[~(tail <= tol * z_prev)]
+    if bad.size:
+        raise NumericalError(f"truncation cap {cap} exceeded for beta*omega = {x[bad[0]]:.3g}")
+    return int(depth[0]) if beta.ndim == 0 else depth.reshape(beta.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -310,17 +334,12 @@ def spin_spectrum_check(omega, j_x, j_y, beta):
 
 
 def oscillator_spectrum_check(
-    omega: float,
-    lambda_x: float,
-    lambda_p: float,
-    beta: float,
-    n_max: int = 16,
-    levels: int = 20,
+    omega: float, lambda_x: float, lambda_p: float, beta: float, n_max: int = 16, levels: int = 20
 ) -> tuple[float, float]:
     """(spectrum, partition) residuals of the coupled oscillator pair from
     one truncated Fock spectrum (`truncated_oscillator_spectrum`: the
     conserved sectors for xx and xy pairs, the four parity x exchange
-    blocks for any other).
+    blocks for any other); parameter arrays give one residual per entry.
 
     Spectrum: relative mismatch between the lowest `levels` brute-force
     eigenvalues and the closed-form product spectrum
@@ -331,12 +350,14 @@ def oscillator_spectrum_check(
     brute = truncated_oscillator_spectrum(omega, lambda_x, lambda_p, n_max)
     w_a, w_b = _medium.oscillator_mode_frequencies(omega, lambda_x, lambda_p)
     n = np.arange(levels + 1) + 0.5
-    predicted = np.sort((n[:, None] * w_a + n[None, :] * w_b).ravel())[:levels]
-    spectrum = np.abs(brute[:levels] - predicted).max() / max(1.0, abs(predicted[-1]))
+    ladder = n[:, None] * w_a[..., None, None] + n[None, :] * w_b[..., None, None]
+    predicted = np.sort(ladder.reshape(w_a.shape + (-1,)), axis=-1)[..., :levels]
+    spectrum = np.abs(brute[..., :levels] - predicted).max(axis=-1)
+    spectrum /= np.maximum(1.0, abs(predicted[..., -1]))
     q_a, q_b = np.exp(-beta * w_a), np.exp(-beta * w_b)
     z_closed = np.sqrt(q_a) / (1.0 - q_a) * (np.sqrt(q_b) / (1.0 - q_b))
-    z_exact = np.exp(-beta * brute).sum()
-    return float(spectrum), float(abs(z_exact - z_closed) / z_exact)
+    z_exact = np.exp(-np.asarray(beta)[..., None] * brute).sum(axis=-1)
+    return spectrum, abs(z_exact - z_closed) / z_exact
 
 
 # ---------------------------------------------------------------------------
@@ -368,16 +389,18 @@ def _transport(e_hot, e_cold, beta_h, beta_c, mult=1.0):
 
 
 def thermal_energy_check(kind: MediumKind, omega, beta, n_max: int | None = None):
-    """Closed-form single-mode thermal energy vs a brute Boltzmann average.
+    """Closed-form single-mode thermal energy vs a brute Boltzmann average;
+    parameter arrays give one residual per entry.
 
     Oscillator closed form: (omega/2) coth(beta omega / 2) over the ladder
-    (n + 1/2) omega, one draw per call.  Spin closed form:
-    omega - (omega/2) tanh(beta omega/2) over the two levels omega/2 and
-    3 omega/2; parameter arrays give one residual per entry.
+    (n + 1/2) omega, each entry to its own `suggest_truncation` depth
+    unless `n_max` is given.  Spin closed form: omega - (omega/2)
+    tanh(beta omega/2) over the two levels omega/2 and 3 omega/2.
     """
+    if kind is OSC and n_max is None:
+        depth = suggest_truncation(beta, omega)
+        return _grouped(lambda *draws: thermal_energy_check(kind, *draws), depth, omega, beta)
     if kind is OSC:
-        if n_max is None:
-            n_max = suggest_truncation(beta, omega)
         closed = 0.5 * omega * _cycle.coth(0.5 * beta * omega)
     else:
         closed = omega - 0.5 * omega * np.tanh(0.5 * beta * omega)
@@ -389,18 +412,19 @@ def thermal_energy_check(kind: MediumKind, omega, beta, n_max: int | None = None
 def mode_heat_check(
     kind: MediumKind, omega_hot, omega_cold, beta_h, beta_c, n_max: int | None = None
 ):
-    """Closed-form per-mode heats vs explicit population bookkeeping.
+    """Closed-form per-mode heats vs explicit population bookkeeping;
+    parameter arrays give one residual per entry.
 
     The brute side thermalizes on the hot ladder, carries the populations
     over by excitation number (the adiabatic invariant), and reads the
     heats off the two Boltzmann sums; no coth/tanh identities involved.
-    Oscillators take one draw per call; spin parameter arrays give one
-    residual per entry.
+    Oscillator ladders go as deep as the deeper `suggest_truncation` depth
+    of the two points of each entry unless `n_max` is given.
     """
     if kind is OSC and n_max is None:
-        n_max = max(
-            suggest_truncation(beta_h, omega_hot), suggest_truncation(beta_c, omega_cold)
-        )
+        depth = np.maximum(*map(suggest_truncation, (beta_h, beta_c), (omega_hot, omega_cold)))
+        return _grouped(lambda *draws: mode_heat_check(kind, *draws), depth,
+                        omega_hot, omega_cold, beta_h, beta_c)
     b_h, b_c = _transport(
         _ladder(kind, omega_hot, n_max), _ladder(kind, omega_cold, n_max), beta_h, beta_c
     )
@@ -423,16 +447,12 @@ def _cycle_residual(kind: MediumKind, hot, cold, beta_h, beta_c, brute):
 
 
 def oscillator_cycle_heat_check(
-    omega: float,
-    omega_prime: float,
-    lam: float,
-    model: str,
-    beta_h: float,
-    beta_c: float,
+    omega: float, omega_prime: float, lam: float, model: str, beta_h: float, beta_c: float,
     n_max: int = 24,
 ) -> float:
     """End-to-end heats of the coupled oscillator cycle from block-resolved
-    brute force vs the sum of closed-form mode heats (xx and xy models).
+    brute force vs the sum of closed-form mode heats (xx and xy models);
+    parameter arrays give one residual per entry.
 
     Thermal populations are computed over the full truncated spectrum and
     transported between the hot and cold points by (conserved block,
@@ -445,7 +465,7 @@ def oscillator_cycle_heat_check(
     hot = _medium.oscillator_mode_frequencies(omega, *coupling)
     cold = _medium.oscillator_mode_frequencies(omega_prime, *coupling)
     brute = _transport(e_hot, e_cold, beta_h, beta_c, mult)
-    return float(_cycle_residual(OSC, hot, cold, beta_h, beta_c, brute))
+    return _cycle_residual(OSC, hot, cold, beta_h, beta_c, brute)
 
 
 def spin_cycle_heat_check(omega, omega_prime, j_x, j_y, beta_h, beta_c):
@@ -592,49 +612,60 @@ def run_verification(level: str = "quick", seed: int = 0) -> VerificationReport:
         ),
     )
 
-    # oscillator checks: truncated Fock brute force; one spectrum per draw,
-    # solved on the n1 + n2 or n1 - n2 sectors of the xx and xy draws and on
-    # the four parity x exchange blocks of the general ones, feeds both the
-    # low-lying spectrum check and the partition sum (depth 16 keeps the
-    # Boltzmann tail below 1e-13 for beta * w_min >= 2.5)
-    res_spec, res_part, res_energy, res_heat = [], [], [], []
-    for i in range(draws):
+    # oscillator checks, truncated Fock brute force
+    def osc_draw(i):
         omega = rng.uniform(2.0, 6.0)
         lx, lp = _draw_coupling(rng, _MODELS[i % 3], 0.4 * omega)
-        w_min = min(_medium.oscillator_mode_frequencies(omega, lx, lp))
         x = rng.uniform(2.5, 6.0)
-        spectrum, partition = oscillator_spectrum_check(omega, lx, lp, x / w_min)
-        res_spec.append(spectrum)
-        res_part.append(partition)
         w = rng.uniform(1.5, 8.0)
-        res_energy.append(thermal_energy_check(OSC, w, rng.uniform(0.25, 4.0) / w))
+        beta_e = rng.uniform(0.25, 4.0) / w
         baths = _draw_baths(rng)
         w_hot = rng.uniform(1.5, 8.0)
         w_cold = w_hot * rng.uniform(0.3, 1.4)
-        res_heat.append(mode_heat_check(OSC, w_hot, w_cold, baths.beta_h, baths.beta_c))
-    add("oscillator spectrum", OSC_RESIDUAL, res_spec)
-    add("oscillator partition", OSC_RESIDUAL, res_part)
-    add("oscillator thermal energy", OSC_RESIDUAL, res_energy)
-    add("oscillator mode heats", OSC_RESIDUAL, res_heat)
+        return omega, lx, lp, x, w, beta_e, w_hot, w_cold, baths.beta_h, baths.beta_c
 
-    # end-to-end composite heats via block-resolved transport (xx/xy only;
-    # the general coupling conserves nothing finer than parity)
-    res_cycle = []
-    for i in range(2 * per_model):
-        model = ("xx", "xy")[i % 2]
+    # filled draw by draw: a list of every draw's floats at once raised the
+    # peak RSS of `verify --level full` by about 0.8 MB
+    columns = np.empty((10, draws))
+    for i in range(draws):
+        columns[:, i] = osc_draw(i)
+    omega, lx, lp, x, w, beta_e, w_hot, w_cold, beta_h, beta_c = columns
+    # one spectrum per draw feeds both the low-lying spectrum check and the
+    # partition sum (depth 16 keeps the Boltzmann tail below 1e-13 for
+    # beta * w_min >= 2.5); the draws are grouped by the blocks they solve
+    w_min = np.minimum(*_medium.oscillator_mode_frequencies(omega, lx, lp))
+    branch = np.where(lx == lp, 0, np.where(lx == -lp, 1, 2))  # index into _MODELS
+    spectrum, partition = _grouped(
+        lambda *draws: oscillator_spectrum_check(*draws[:-1]), branch, omega, lx, lp, x / w_min,
+        size=lambda b: _stack_size(_MODELS[b], 16),
+    )
+    add("oscillator spectrum", OSC_RESIDUAL, spectrum)
+    add("oscillator partition", OSC_RESIDUAL, partition)
+    add("oscillator thermal energy", OSC_RESIDUAL, thermal_energy_check(OSC, w, beta_e))
+    add("oscillator mode heats", OSC_RESIDUAL, mode_heat_check(OSC, w_hot, w_cold, beta_h, beta_c))
+
+    # end-to-end composite heats via block-resolved transport (xx/xy in
+    # turn; the general coupling conserves nothing finer than parity)
+    def cycle_draw():
         omega = rng.uniform(2.0, 6.0)
         omega_prime = omega * rng.uniform(0.55, 0.95)
         lam = rng.uniform(-0.4, 0.4) * omega_prime
-        coupling = model_coupling(model, lam)
-        x_c = rng.uniform(2.5, 4.0)
-        t_c = min(_medium.oscillator_mode_frequencies(omega_prime, *coupling)) / x_c
-        baths = BathPair(t_h=t_c * rng.uniform(1.5, 2.0), t_c=t_c)
-        x_h = baths.beta_h * min(_medium.oscillator_mode_frequencies(omega, *coupling))
-        n_max = int(np.ceil(34.0 / min(x_h, x_c))) + 4
-        res_cycle.append(
-            oscillator_cycle_heat_check(
-                omega, omega_prime, lam, model, baths.beta_h, baths.beta_c, n_max
-            )
+        return omega, omega_prime, lam, rng.uniform(2.5, 4.0), rng.uniform(1.5, 2.0)
+
+    columns = map(np.array, zip(*(cycle_draw() for _ in range(2 * per_model))))
+    omega, omega_prime, lam, x_c, t_ratio = columns
+    lp = np.where(np.arange(lam.size) % 2, -lam, lam)
+    t_c = np.minimum(*_medium.oscillator_mode_frequencies(omega_prime, lam, lp)) / x_c
+    beta_h, beta_c = 1.0 / (t_c * t_ratio), 1.0 / t_c
+    x_h = beta_h * np.minimum(*_medium.oscillator_mode_frequencies(omega, lam, lp))
+    n_max = np.ceil(34.0 / np.minimum(x_h, x_c)).astype(int) + 4
+    res_cycle = np.empty(lam.size)
+    for first, model in enumerate(("xx", "xy")):
+        of_model = slice(first, None, 2)
+        res_cycle[of_model] = _grouped(
+            lambda *draws: oscillator_cycle_heat_check(*draws[:3], model, *draws[3:]),
+            n_max[of_model], *(a[of_model] for a in (omega, omega_prime, lam, beta_h, beta_c)),
+            size=lambda n: _stack_size(model, n),
         )
     add("oscillator cycle heats", OSC_RESIDUAL, res_cycle)
 

@@ -1,14 +1,21 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ottopair import cycle, medium
+from ottopair import cycle, medium, oracle
 from ottopair.entanglement import spin_pair_hamiltonian
 from ottopair.errors import DomainError, NumericalError, UnknownModel
 from ottopair.medium import BathPair, MediumKind
 from ottopair.oracle import (
+    _MODELS,
     _fock_blocks,
+    _grouped,
+    _stack_size,
     exact_spin_spectrum,
     mode_heat_check,
     oscillator_cycle_heat_check,
@@ -332,7 +339,7 @@ def test_conserving_pairs_solve_only_their_sectors(monkeypatch, lambda_x, lambda
 
 def test_general_pair_keeps_the_four_parity_exchange_blocks(monkeypatch):
     shapes = _eigensolve_widths(monkeypatch, 4.0, 0.9, 0.3, 16)
-    assert shapes == [(81, 81), (64, 64), (2, 72, 72)]
+    assert [shape[-2:] for shape in shapes] == [(81, 81), (64, 64), (72, 72), (72, 72)]
 
 
 @pytest.mark.parametrize(
@@ -346,3 +353,93 @@ def test_every_spectrum_path_refuses_the_same_inputs(lambda_x, lambda_p, omega, 
     # the sector path (xx, xy) refuses what the four-block path refuses
     with pytest.raises(DomainError):
         truncated_oscillator_spectrum(omega, lambda_x, lambda_p, n_max)
+
+
+def test_stacked_oscillator_checks_equal_per_draw_computation_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(12)
+    # 40 draws per model: more than one chunk of the xx (6 draws), xy (13)
+    # and general (9) spectrum stacks at cutoff 16
+    n = 120
+    omega = rng.uniform(2.0, 6.0, n)
+    values = rng.uniform(-0.4, 0.4, (2, n)) * omega
+    model = np.arange(n) % 3
+    lx = values[0]
+    lp = np.select([model == 0, model == 1], [lx, -lx], values[1])
+    assert (lx[model == 1] > 0).any() and (lx[model == 1] < 0).any()
+    beta = rng.uniform(2.5, 6.0, n) / np.minimum(*medium.oscillator_mode_frequencies(omega, lx, lp))
+    # beta * w from 0.21 (the 200-level cap) up, so the ladders differ in depth
+    w = rng.uniform(1.5, 8.0, n)
+    beta_e = rng.uniform(0.21, 4.0, n) / w
+    w_hot = rng.uniform(1.5, 8.0, n)
+    w_cold = w_hot * rng.uniform(0.3, 1.4, n)
+    beta_c = rng.uniform(0.5, 2.0, n)
+    beta_h = beta_c / rng.uniform(1.5, 4.0, n)
+    # cycle draws at mixed cutoffs, each deep enough for its baths (as in
+    # `run_verification`); one xx draw at cutoff 29 fills a chunk
+    cycle_n_max = np.array([13, 24, 20, 24, 13, 17, 29, 20, 24, 29, 24, 13])
+    lam = values[0, :12] * 0.6
+    x = 36.0 / (cycle_n_max - 4) / (omega[:12] - 0.4 * omega[:12])
+    cycle_betas = (x, x / 0.7)
+
+    widths = []
+    solve = np.linalg.eigvalsh
+
+    def spy(a):
+        widths.append(a.shape)
+        return solve(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    spectrum, partition = _grouped(
+        lambda *draws: oscillator_spectrum_check(*draws[:-1]), model, omega, lx, lp, beta,
+        size=lambda branch: _stack_size(_MODELS[branch], 16),
+    )
+    heats = {
+        name: _grouped(
+            lambda *draws: oscillator_cycle_heat_check(*draws[:3], name, *draws[3:]),
+            cycle_n_max, omega[:12], 0.7 * omega[:12], lam, *cycle_betas,
+            size=lambda n_max: _stack_size(name, n_max),
+        )
+        for name in ("xx", "xy")
+    }
+    stacked = [
+        spectrum, partition,
+        thermal_energy_check(OSC, w, beta_e),
+        mode_heat_check(OSC, w_hot, w_cold, beta_h, beta_c),
+    ]
+    monkeypatch.setattr(np.linalg, "eigvalsh", solve)
+    # the draws share their stacks (55 eigensolve calls here, against 288
+    # one draw at a time), and no stack holds more than the cap
+    assert len(widths) <= 55
+    assert max(math.prod(shape) for shape in widths) <= oracle._STACK_DOUBLES
+
+    per_draw = [
+        *zip(*(oscillator_spectrum_check(*map(float, draw)) for draw in zip(omega, lx, lp, beta))),
+        [thermal_energy_check(OSC, *map(float, draw)) for draw in zip(w, beta_e)],
+        [mode_heat_check(OSC, *map(float, draw)) for draw in zip(w_hot, w_cold, beta_h, beta_c)],
+    ]
+    for got, expected in zip(stacked, per_draw):
+        assert np.array_equal(got, expected)
+    for name, got in heats.items():
+        expected = [
+            oscillator_cycle_heat_check(o, 0.7 * o, l, name, b_h, b_c, int(n_max))
+            for o, l, b_h, b_c, n_max in zip(omega, lam, *cycle_betas, cycle_n_max)
+        ]
+        assert np.array_equal(got, expected)
+        assert got.max() < 1e-10
+    assert max(r.max() for r in stacked) < 1e-10
+
+
+def test_verify_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma, which costs every verify process its import
+    code = (
+        "import sys\n"
+        "from ottopair.oracle import run_verification\n"
+        "run_verification('quick', 0)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(oracle.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

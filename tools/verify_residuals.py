@@ -10,10 +10,11 @@ only one side runs is listed with its largest residual and marked
 ``only base`` or ``only root``.  The residuals are compared at full float
 precision, not as the 4 digits the ``verify`` table prints; a check whose
 draw count differs between the two sides is flagged, and then the exit
-code is 1.
+code is 1.  With ``--identical`` the exit code is also 1 if any residual
+moved on any seed, or a check runs on one side only.
 
     python tools/verify_residuals.py --base path/to/parent --level quick --seeds 0-19
-    python tools/verify_residuals.py --base path/to/parent --level full --seeds 2024
+    python tools/verify_residuals.py --base path/to/parent --level full --seeds 2024 --identical
 
 Standard library only.
 """
@@ -71,13 +72,17 @@ def main() -> int:
     )
     parser.add_argument("--level", choices=("quick", "full"), default="quick")
     parser.add_argument("--seeds", type=_seeds, default=[0], help="e.g. 0-19 or 2024 or 0,7,9")
+    parser.add_argument(
+        "--identical", action="store_true",
+        help="exit 1 unless every residual is bit-identical on every seed",
+    )
     args = parser.parse_args()
     base = run(args.base.resolve(), args.level, args.seeds)
     root = run(args.root.resolve(), args.level, args.seeds)
     print(f"level {args.level}, seeds {args.seeds[0]}..{args.seeds[-1]} ({len(args.seeds)} runs)")
     print(f"{'check':<28} {'runs':>5} {'moved':>6} {'max |delta|':>12} "
           f"{'max base':>10} {'max root':>10}  draws")
-    same_draws = True
+    same_draws, identical = True, True
     names = [name for name, _, _ in root[0]["checks"]]
     names += [name for name, _, _ in base[0]["checks"] if name not in names]
     for name in names:
@@ -90,18 +95,22 @@ def main() -> int:
             worst = f"{max(c[2] for c in present):>10.3e}"
             cells = f"{worst} {'':>10}" if side == "base" else f"{'':>10} {worst}"
             print(f"{name:<28} {len(present):>5} {'':>6} {'':>12} {cells}  only {side}")
+            identical = False
             continue
         pairs = list(zip(base_runs, root_runs))
         draws_equal = all(bc[:2] == rc[:2] for bc, rc in pairs)
         same_draws &= draws_equal
         moved = sum(bc[2] != rc[2] for bc, rc in pairs)
+        identical &= moved == 0
         delta = max(abs(bc[2] - rc[2]) for bc, rc in pairs)
         print(f"{name:<28} {len(pairs):>5} {moved:>6} {delta:>12.3e} "
               f"{max(bc[2] for bc, _ in pairs):>10.3e} {max(rc[2] for _, rc in pairs):>10.3e}  "
               f"{'equal' if draws_equal else 'DIFFER'}")
     print(f"elapsed: base {sum(b['elapsed'] for b in base):.2f} s, "
           f"root {sum(r['elapsed'] for r in root):.2f} s")
-    return 0 if same_draws else 1
+    if args.identical:
+        print("residuals: " + ("identical" if identical else "MOVED"))
+    return 0 if same_draws and (identical or not args.identical) else 1
 
 
 if __name__ == "__main__":
