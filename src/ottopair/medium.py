@@ -214,18 +214,23 @@ def oscillator_mode_frequencies(omega, lambda_x, lambda_p):
     return np.where(bad, np.nan, w_a), np.where(bad, np.nan, w_b)
 
 
-# math.hypot, not np.hypot: the two differ in the last bit for some inputs,
-# and the printed rows carry math.hypot's bits
+# math.hypot, not numpy's hypot, which differs from it in the last bit for
+# some inputs: rows, the optimizer's objective and the sampler all carry
+# math.hypot's bits.  xx entries (l_minus == 0) take |omega| instead, which
+# is math.hypot(omega, +-0) bit for bit, so they make no Python call.
 _hypot = np.frompyfunc(math.hypot, 2, 1)
 
 
 def spin_mode_frequencies(omega, j_x, j_y):
     """Spin decomposition over broadcast arrays; returns (w_a, w_b) with
-    nan where ``omega <= 0`` or a mode frequency would be non-positive."""
+    nan where ``omega <= 0`` or a mode frequency would be non-positive.
+    The only one: `evaluate_cycles`, the optimizer and the sampler call it."""
     omega = np.asarray(omega, dtype=float)
     with np.errstate(invalid="ignore", over="ignore"):
         l_plus = 0.5 * (np.asarray(j_x, dtype=float) + j_y)
         l_minus = 0.5 * (np.asarray(j_x, dtype=float) - j_y)
-        s = np.asarray(_hypot(omega, l_minus), dtype=float)
-        ok = (omega > 0.0) & (s > np.abs(l_plus))
-        return np.where(ok, s + l_plus, np.nan), np.where(ok, s - l_plus, np.nan)
+        omega, l_minus = np.broadcast_arrays(omega, l_minus)
+        s, hyp = np.asarray(np.abs(omega)), l_minus != 0.0  # asarray: a 0-d abs is a scalar
+        s[hyp] = _hypot(omega[hyp], l_minus[hyp])
+        s[~((omega > 0.0) & (s > np.abs(l_plus)))] = np.nan
+        return s + l_plus, s - l_plus

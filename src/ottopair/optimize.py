@@ -34,7 +34,13 @@ import numpy as np
 from .cycle import REGIMES, Regime, heats_arrays, regime_codes
 from .entanglement import xx_thermal_concurrence
 from .errors import DomainError, EmptyDomain, NumericalError
-from .medium import BathPair, MediumKind, model_coupling, oscillator_mode_frequencies
+from .medium import (
+    BathPair,
+    MediumKind,
+    model_coupling,
+    oscillator_mode_frequencies,
+    spin_mode_frequencies,
+)
 
 __all__ = [
     "SearchDomain",
@@ -107,27 +113,13 @@ def single_system_work(kind: MediumKind, omega, omega_prime, baths: BathPair):
     return heats_arrays(kind, omega, omega_prime, baths.beta_h, baths.beta_c)[2]
 
 
-# np.hypot, not the math.hypot of medium.spin_mode_frequencies: ~4x faster on these grids
-def _spin_grid_frequencies(omega, j_x, j_y):
-    """Spin mode frequencies (w_a, w_b) over grids, nan where invalid."""
-    omega = np.asarray(omega, dtype=float)
-    with np.errstate(invalid="ignore", over="ignore"):
-        l_plus = 0.5 * (np.asarray(j_x, dtype=float) + j_y)
-        l_minus = 0.5 * (np.asarray(j_x, dtype=float) - j_y)
-        s = np.hypot(omega, l_minus)
-        w_a = s + l_plus
-        w_b = s - l_plus
-    bad = ~((omega > 0) & (w_a > 0) & (w_b > 0))
-    return np.where(bad, np.nan, w_a), np.where(bad, np.nan, w_b)
-
-
 def coupled_total_work(kind: MediumKind, omega, omega_prime, cx, cy, baths: BathPair):
     """Total work of a coupled pair, -inf where the decomposition is invalid.
 
     `cx`, `cy` are (j_x, j_y) for spins and (lambda_x, lambda_p) for
     oscillators; `medium.model_coupling` maps a named model onto them.
     """
-    freqs = _spin_grid_frequencies if kind is MediumKind.SPIN else oscillator_mode_frequencies
+    freqs = spin_mode_frequencies if kind is MediumKind.SPIN else oscillator_mode_frequencies
     wa_h, wb_h = freqs(omega, cx, cy)
     wa_c, wb_c = freqs(omega_prime, cx, cy)
     with np.errstate(invalid="ignore", over="ignore"):
@@ -397,17 +389,16 @@ def max_coupled_work(
 
 def _engine_columns(draws: np.ndarray, baths: BathPair) -> tuple[np.ndarray, ...]:
     """The `SampleColumns` fields of the engine draws among `draws`, one
-    (omega, omega', lambda) triple per row."""
+    (omega, omega', lambda) triple per row.  Both points decouple by
+    `spin_mode_frequencies` at j_x = j_y = lambda, whose nan marks an
+    invalid draw: its heats are nan, so it is never an engine."""
     omega, omega_prime, lam = draws.T
-    valid = (omega > lam) & (omega_prime > lam) & (omega > 0) & (omega_prime > 0)
-    with np.errstate(over="ignore"):
-        qa = heats_arrays(
-            MediumKind.SPIN, omega + lam, omega_prime + lam, baths.beta_h, baths.beta_c
-        )
-    qb = heats_arrays(MediumKind.SPIN, omega - lam, omega_prime - lam, baths.beta_h, baths.beta_c)
+    hot, cold = (spin_mode_frequencies(x, lam, lam) for x in (omega, omega_prime))
+    qa, qb = (heats_arrays(MediumKind.SPIN, *f, baths.beta_h, baths.beta_c) for f in zip(hot, cold))
+    del hot, cold  # four frequency arrays a chunk; only their heats are kept
     w = qa[2] + qb[2]
     engine = REGIMES.index(Regime.ENGINE)
-    keep = valid & (regime_codes(qa[0] + qb[0], qa[1] + qb[1], w)[0] == engine)
+    keep = regime_codes(qa[0] + qb[0], qa[1] + qb[1], w)[0] == engine
 
     omega, omega_prime, lam = omega[keep], omega_prime[keep], lam[keep]
     # the closed form builds no Hamiltonian, but where the pair's top level

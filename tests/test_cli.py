@@ -350,6 +350,25 @@ def test_optimize_spin_box_that_cuts_the_optimum_is_searched(capsys, model):
         assert co["bound_saturated"] is False
 
 
+@pytest.mark.parametrize("argv, flags", [
+    (["--model", "xy", "--th", "12", "--tc", "11.76", "--resolution", "20"], ["--lam"]),
+    (["--model", "general", "--th", "5", "--tc", "4.9", "--resolution", "12",
+      "--domain-max", "1"], ["--jx", "--jy"]),
+])
+def test_optimize_prints_the_work_cycle_prints_at_its_params(capsys, argv, flags):
+    # two cut-box searches whose objective once decomposed the spins with
+    # numpy's hypot, one ulp off the rows: w_max is the totals.w of `cycle`
+    code, out, _ = run_cli(capsys, "optimize", "--medium", "spin", *argv)
+    assert code == EXIT_OK
+    co = json.loads(out)["coupled"]
+    omega, omega_prime, *coupling = map(repr, co["params"])
+    code, out, _ = run_cli(capsys, "cycle", "--medium", "spin", *argv[:6], "--omega", omega,
+                           "--omega-prime", omega_prime,
+                           *(x for pair in zip(flags, coupling) for x in pair))
+    assert code == EXIT_OK
+    assert json.loads(out)["totals"]["w"] == co["w_max"]
+
+
 def _load_bench_checks():
     path = Path(__file__).resolve().parents[1] / "bench" / "checks.py"
     spec = importlib.util.spec_from_file_location("bench_checks", path)

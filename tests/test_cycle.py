@@ -499,6 +499,13 @@ def test_evaluate_cycles_matches_scalar_closed_forms_bit_for_bit(kind, model):
     lam[4:10] = [critical_coupling("engine", 4.0, 3.0, BATHS), 0.0, 1.0, 2.0,
                  critical_coupling("refrigerator", 5.0, 3.0, BATHS), 0.0]
     omega_h[10], lam[11] = math.inf, math.inf  # non-finite input is refused
+    if kind is SPIN:
+        # the spin kernel's |omega| (l_minus == 0) holds math.hypot's bits at
+        # the edges: -0.0 couplings, the least subnormal and the float maximum
+        big = np.finfo(float).max
+        omega_h[12:18] = [4.0, 5e-324, 4.0, big, big, np.nextafter(big, 0.0)]
+        omega_c[12:18] = [3.0, 3.0, 5e-324, 3.0, 1e308, 2.0]
+        lam[12:18] = [-0.0, 0.0, -0.0, 0.0, -0.0, 1.0]
     other = lam * rng.uniform(-1.0, 1.0, n) if model == "general" else lam
     if model == "xy":
         other = -lam

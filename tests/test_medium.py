@@ -144,6 +144,23 @@ def test_array_kernels_flag_invalid_points_as_nan():
     assert w_b[1] < 0 or np.isnan(w_b[1])
     assert np.isnan(w_b[1])
     assert w_a[0] == 7.0 and w_b[0] == 1.0
+    # a 0-d call, as the pattern search makes, of the xx and general forms
+    for j_y, want in ((1.0, (5.0, 3.0)), (-1.0, (math.hypot(4.0, 1.0),) * 2)):
+        w_a, w_b = spin_mode_frequencies(4.0, 1.0, j_y)
+        assert w_a.shape == w_b.shape == () and (w_a, w_b) == want
+    # a broadcast call mixing xx (|omega|) and general couplings, as the grid
+    # slices make; every entry is the closed form with math.hypot, or nan
+    omega = np.array([[4.0], [0.5], [-1.0], [5e-324]])
+    j_x = np.array([1.0, 1.5, -0.0, 3.0, 0.2])
+    j_y = np.array([[1.0, -0.5, 0.0, 3.0, -0.2]])
+    w_a, w_b = spin_mode_frequencies(omega, j_x, j_y)
+    assert w_a.shape == w_b.shape == (4, 5)
+    for i, j in np.ndindex(w_a.shape):
+        o, l_plus, l_minus = omega[i, 0], 0.5 * (j_x[j] + j_y[0, j]), 0.5 * (j_x[j] - j_y[0, j])
+        s = math.hypot(o, l_minus)
+        want = (s + l_plus, s - l_plus) if o > 0.0 and s > abs(l_plus) else (math.nan,) * 2
+        assert np.array_equal([w_a[i, j], w_b[i, j]], want, equal_nan=True), (i, j)
+    assert np.isnan(w_a).any() and not np.isnan(w_a).all()
 
 
 def test_model_coupling_maps_named_models():

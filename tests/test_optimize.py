@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 import ottopair.optimize as optimize
-from ottopair.cycle import REGIMES, Regime, evaluate_cycle, heats_arrays, regime_codes
+from ottopair.cycle import (
+    REGIMES,
+    Regime,
+    evaluate_cycle,
+    evaluate_cycles,
+    heats_arrays,
+    regime_codes,
+)
 from ottopair.entanglement import xx_thermal_concurrence
 from ottopair.errors import EmptyDomain, NumericalError, UnknownModel
 from ottopair.medium import BathPair, MediumKind, model_coupling, standard_cycle
@@ -607,6 +614,27 @@ def test_oscillator_box_away_from_the_origin_is_the_grid_refine_search():
         assert max_coupled_work(OSC, model, BATHS, box, resolution=6) == (tuple(x.tolist()), w)
 
 
+@pytest.mark.parametrize("model", ["xy", "general"])
+def test_spin_objective_equals_the_rows_total_work_bit_for_bit(model):
+    # the objective decomposes the pair as the rows do, so the w_max of an
+    # optimum is the W_total a row prints at its params, to the bit
+    rng = np.random.default_rng([11, len(model)])
+    n = 20000
+    omega, omega_prime = rng.uniform(-0.5, 10.0, (2, n))
+    lam = rng.uniform(0.0, 10.0, n)
+    cx, cy = model_coupling(model, lam) if model == "xy" else (lam, rng.uniform(-10.0, 10.0, n))
+    w = coupled_total_work(SPIN, omega, omega_prime, cx, cy, BATHS)
+    c = evaluate_cycles(SPIN, omega, omega_prime, (cx, cy), (cx, cy), BATHS)
+    assert n // 2 < c.valid.sum() < n
+    assert np.array_equal(w[c.valid], c.w_total[c.valid])
+    assert (w[~c.valid] == -np.inf).all()
+    # numpy's hypot is one ulp off math.hypot at some of the valid draws
+    l_minus = 0.5 * (cx - cy)
+    off = [np.hypot(x, l_minus) != [math.hypot(*v) for v in zip(x, l_minus)]
+           for x in (omega, omega_prime)]
+    assert (c.valid & (off[0] | off[1])).sum() >= 10
+
+
 def test_sampler_determinism_and_filter():
     domain = SearchDomain()
     cols = sample_engine_points(17, 4000, domain, BATHS)
@@ -624,7 +652,7 @@ def test_sampler_determinism_and_filter():
         # the engine filter must agree with a from-scratch evaluation
         c = evaluate_cycle(standard_cycle(SPIN, "xx", omega, omega_prime, lam, BATHS))
         assert REGIMES[c.global_regime[0]] is Regime.ENGINE
-        assert c.w_total[0] == pytest.approx(cols.w_total[i], rel=1e-12)
+        assert c.w_total[0] == cols.w_total[i]
         assert c.regime[:, 0].tolist() == [cols.regime_a[i], cols.regime_b[i]]
 
 

@@ -30,7 +30,10 @@ the box that cuts the optimum at (5, 4.9), spin xx at (2, 1.9) and in a
 box of side 1000, ``sample`` at a cold bath whose beta overflows, at
 T_c = 1e-3 and with a frequency whose top level overflows (refused), the
 spin xx search of the box that cuts the optimum at (5, 4.9) at
-resolutions 12 and 20, and ``verify --level quick`` at three seeds;
+resolutions 12 and 20, the spin xy search at (12, 11.76) and the spin
+general search in a box of side 1 at (5, 4.9), both at a coarse
+resolution, an 8001-row spin xx sweep past the instability, and
+``verify --level quick`` at three seeds;
 together they take about a minute on two cores.  Standard library only.
 """
 
@@ -127,6 +130,13 @@ JOBS = [
     # the search from the grid's best crawls to its sweep cap
     "optimize --medium spin --model xx --th 5 --tc 4.9 --resolution 12",
     "optimize --medium spin --model xx --th 5 --tc 4.9 --resolution 20",
+    # cut-box optima whose objective once took numpy's hypot, one ulp off the
+    # `cycle` printed at their params; and a spin xx sweep past the
+    # instability, whose modes skip the hypot (|omega|)
+    "optimize --medium spin --model xy --th 12 --tc 11.76 --resolution 20",
+    "optimize --medium spin --model general --th 5 --tc 4.9 --resolution 12 --domain-max 1",
+    "sweep --medium spin --model xx --omega 4 --omega-prime 3 --th 2 --tc 1 "
+    "--sweep 0:4:0.0005 --out xx.csv",
     # oracle tables; 488576684 reaches the 200-level truncation cap
     "verify --level quick --seed 0",
     "verify --level quick --seed 7",
