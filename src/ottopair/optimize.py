@@ -10,10 +10,9 @@ by a golden-section search.  By the paper's bound, the coupled optimum is
 that point at zero coupling, twice the uncoupled work, over any box that
 holds it; the product grid (`_grid_best`) is then evaluated as the check
 that no point beats it.  Any other box is searched without derivatives,
-`_grid_refine`: a pattern search of coordinate moves, one objective call
-per move, with step halving, from the best point of the grid and from
-the anchor scaled into the box; a search that reaches its sweep cap is
-discarded, and refused if every one does.  The grid is
+`_grid_refine`: a pattern search from the best point of the grid that
+polls the full 3^d stencil of moves in one objective call per sweep, with
+step halving; a search that reaches its sweep cap is refused.  The grid is
 evaluated one slice of its last axis at a time, so that neither
 half-cycle of a mode is computed over more points than its own frequency
 and couplings span; the general model's work is symmetric in its two
@@ -26,6 +25,7 @@ chunking, and attaches the closed-form concurrence of the XX Gibbs state
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -53,9 +53,7 @@ __all__ = [
     "sample_engine_points",
 ]
 
-_REFINE_STEPS = 48  # step shrinks by 0.5 each sweep; 2^-48 of the grid cell
-# two search ends within this much (relative) are the same maximum to rounding
-_SAME_END = 1e-12
+_REFINE_STEPS = 48  # halvings of the search step, each after a sweep without improvement
 _DRAW_CHUNK = 1 << 16  # sampler draws evaluated at a time
 # omega of the corner-limit point in units of T_h * sqrt(r): the work there
 # falls short of the supremum by omega^2 / (12 T_h^2 r) of it, 1e-16 / 12
@@ -167,66 +165,49 @@ def _grid_best(work, box, resolution: int, symmetric: bool = False):
     return axes, grid_best, best_idx
 
 
-def _pattern_search(work, box, x, step):
-    """Hooke & Jeeves' exploratory move (J. ACM 8, 212, 1961) from the
-    point `x` with first steps `step`: +step then -step on each axis in
-    turn, clamped to the box, one `work` call per move, each accepted at
-    once if it improves.  A sweep with no improvement halves the step.
-    Returns (x*, W*, halvings, sweeps); it stops after `_REFINE_STEPS`
-    halvings or at its cap of 200 sweeps per halving."""
-    best = float(work(*x))
-    done = sweeps = 0
-    while done < _REFINE_STEPS and sweeps < 200 * _REFINE_STEPS:
-        sweeps += 1
-        improved = False
-        for i, (lo, hi) in enumerate(box):
-            for sign in (1.0, -1.0):
-                cand = x.copy()
-                cand[i] = min(max(x[i] + sign * step[i], lo), hi)
-                val = float(work(*cand))
-                if val > best:
-                    best, x, improved = val, cand, True
-        if not improved:
-            step = [s * 0.5 for s in step]
-            done += 1
-    return x, best, done, sweeps
-
-
-def _grid_refine(work, box, resolution: int, symmetric: bool = False, start=None):
+def _grid_refine(work, box, resolution: int, symmetric: bool = False):
     """Maximize `work` over the closed `box`, one (lo, hi) range per axis;
     returns (x*, W*).
 
     `work` takes one broadcastable array per axis and returns -inf where a
-    point is invalid.  A `_pattern_search` whose first step is one grid
-    cell runs from the first maximum in C order of the
-    `resolution`-per-axis grid (`_grid_best`, which takes `symmetric`), so
-    the result is never worse than the grid's best, and from the point
-    `start` of the box if one is given; the higher end wins, the grid's
-    unless the other is higher by more than `_SAME_END` of it, as two ends
-    that close are the same maximum to rounding.  A search that reaches
-    its sweep cap is discarded, not returned as a maximum; if every search
-    does, NumericalError names the grid's.
+    point is invalid.  A pattern search with the full 3^d stencil (Kolda,
+    Lewis & Torczon, SIAM Rev. 45, 385, 2003) runs from the first maximum
+    in C order of the `resolution`-per-axis grid (`_grid_best`, which
+    takes `symmetric`), with a first step of one grid cell: each sweep
+    evaluates every x + s·step, s in {0, 1, -1}^d, clamped to the box, in
+    one `work` call, and moves to the first best of them in stencil order
+    if it beats x, or else halves the step.  The search stops after
+    `_REFINE_STEPS` halvings; one that reaches its cap of 200 sweeps per
+    halving first raises NumericalError, as its point is not a maximum.
+    W* is `work` at x* alone, so it has the bits of a scalar evaluation,
+    and is never below the grid's best.
     """
     axes, grid_best, best_idx = _grid_best(work, box, resolution, symmetric)
-    step = [float(axis[1] - axis[0]) for axis in axes]
-    seeds = [[float(axis[k]) for axis, k in zip(axes, best_idx)]]
-    if start is not None:
-        seeds.append([float(v) for v in start])
-    ends = [_pattern_search(work, box, x, step) for x in seeds]
-    converged = [end for end in ends if end[2] == _REFINE_STEPS]
-    if not converged:
-        x, best, done, sweeps = ends[0]
-        raise NumericalError(
-            f"pattern search hit its {sweeps}-sweep cap after {done} of {_REFINE_STEPS} "
-            f"step halvings, at {x} with work {best!r}"
-        )
-    x, best, _, _ = converged[0]
-    for end in converged[1:]:
-        if end[1] - best > _SAME_END * abs(best):
-            x, best, _, _ = end
+    x = np.array([axis[k] for axis, k in zip(axes, best_idx)])
+    step = np.array([axis[1] - axis[0] for axis in axes])
+    lo, hi = np.array(box, dtype=float).T
+    stencil = np.array(list(itertools.product((0.0, 1.0, -1.0), repeat=len(box))))
+    best = float(work(*x))
+    done = sweeps = 0
+    while done < _REFINE_STEPS:
+        if sweeps == 200 * _REFINE_STEPS:
+            raise NumericalError(
+                f"pattern search hit its {sweeps}-sweep cap after {done} of {_REFINE_STEPS} "
+                f"step halvings, at {x.tolist()} with work {best!r}"
+            )
+        sweeps += 1
+        cands = np.clip(x + stencil * step, lo, hi)
+        vals = work(*cands.T)
+        k = np.argmax(vals)
+        if vals[k] > best:
+            x, best = cands[k], float(vals[k])
+        else:
+            step *= 0.5
+            done += 1
+    best = float(work(*x))
     if not best >= grid_best:
         raise NumericalError(f"refinement lost ground: {best!r} < grid value {grid_best!r}")
-    return np.array(x), best
+    return x, best
 
 
 def oscillator_work_supremum(baths: BathPair) -> float:
@@ -332,10 +313,7 @@ def max_coupled_work(
     along its ray into the box, where the work near the origin is the
     supremum all along).  A box that holds the anchor returns it, and its
     grid (`_grid_best`) is evaluated as the numerical check of the bound;
-    any other box is searched (`_grid_refine`), also from the anchor
-    scaled toward the origin onto the box's upper faces where the box
-    holds that point, as the grid's best of a coarse grid can lie where
-    the search crawls to its cap.  A grid value or optimum
+    any other box is searched (`_grid_refine`).  A grid value or optimum
     above the ceiling by more than `_tolerance` raises NumericalError; one
     above it by less is rounding, and W_max is then the ceiling.  An
     anchor whose work misses the ceiling by more raises too, and so does a
@@ -362,15 +340,11 @@ def max_coupled_work(
         omega_prime = min(omega * r, box[1][1])  # rounding of hi / r
     anchor = np.array([omega, omega_prime] + [0.0] * n_couplings)
     held = all(lo <= v <= hi for v, (lo, hi) in zip(anchor, box))
-    if held:
-        x, best = anchor, _grid_best(work, box, resolution, symmetric)[1]
-    else:
-        # the anchor scaled toward the origin onto the upper faces keeps
-        # omega'/omega; min() absorbs the rounding of hi / v
-        scale = min([1.0] + [hi / v for v, (_, hi) in zip(anchor[:2], box[:2]) if v > hi])
-        start = [min(v * scale, hi) for v, (_, hi) in zip(anchor, box)]
-        held_scaled = all(lo <= v for v, (lo, _) in zip(start, box))
-        x, best = _grid_refine(work, box, resolution, symmetric, start if held_scaled else None)
+    x, best = (
+        (anchor, _grid_best(work, box, resolution, symmetric)[1])
+        if held
+        else _grid_refine(work, box, resolution, symmetric)
+    )
     if best > ceiling + tol:
         raise NumericalError(f"the work {best!r} found beats the work supremum {ceiling!r}")
     if held:

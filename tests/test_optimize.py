@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from dataclasses import fields
@@ -122,11 +123,12 @@ def _sequential_grid_refine(work, box, resolution):
 
     The grid seed is found by its own loop over slices of the first axis,
     an independent reference for `_grid_best`, which slices the last axis
-    (and, for a symmetric objective, half of it); then coordinate sweeps that try
-    +step and -step on each axis in turn, clamp the candidate to the box
-    and accept it at once if it improves (first improvement).  Returns
-    (x, W, sweeps, clamped), `clamped` holding "lo"/"hi" for every bound a
-    candidate was clamped to.
+    (and, for a symmetric objective, half of it); then sweeps that try
+    x + s·step for every s in {0, 1, -1}^d in turn, clamp the candidate
+    to the box, and move to the first best of them if it beats x, or else
+    halve the step.  Returns (x, W, sweeps, clamped), W being `work` at x
+    and `clamped` holding "lo"/"hi" for every bound a candidate was
+    clamped to.
     """
     axes = [np.linspace(lo, hi, resolution) for lo, hi in box]
     rest = np.ix_(*axes[1:])
@@ -136,30 +138,32 @@ def _sequential_grid_refine(work, box, resolution):
         k = np.argmax(vals)
         if vals.flat[k] > grid_best:
             grid_best, best_idx = vals.flat[k], (i, *np.unravel_index(k, vals.shape))
-    x = np.array([axis[k] for axis, k in zip(axes, best_idx)], dtype=float)
+    x = [float(axis[k]) for axis, k in zip(axes, best_idx)]
     best = float(work(*x))
-    step = np.array([axis[1] - axis[0] for axis in axes])
+    step = [float(axis[1] - axis[0]) for axis in axes]
     done = sweeps = 0
     clamped = set()
     while done < 48 and sweeps < 200 * 48:
         sweeps += 1
-        improved = False
-        for i, (lo, hi) in enumerate(box):
-            for sign in (1.0, -1.0):
-                cand = x.copy()
-                raw = x[i] + sign * step[i]
+        top, top_x = -math.inf, None
+        for signs in itertools.product((0.0, 1.0, -1.0), repeat=len(box)):
+            cand = []
+            for v, s, h, (lo, hi) in zip(x, signs, step, box):
+                raw = v + s * h
                 if raw < lo:
                     clamped.add("lo")
                 elif raw > hi:
                     clamped.add("hi")
-                cand[i] = min(max(raw, lo), hi)
-                val = float(work(*cand))
-                if val > best:
-                    best, x, improved = val, cand, True
-        if not improved:
-            step *= 0.5
+                cand.append(min(max(raw, lo), hi))
+            val = float(work(*cand))
+            if val > top:
+                top, top_x = val, cand
+        if top > best:
+            best, x = top, top_x
+        else:
+            step = [h * 0.5 for h in step]
             done += 1
-    return x, best, sweeps, clamped
+    return np.array(x), float(work(*x)), sweeps, clamped
 
 
 def _coupled_objective(kind, model):
@@ -186,8 +190,8 @@ def _coupled_objective(kind, model):
 )
 def test_grid_refine_follows_the_sequential_path(work, box, resolution, clamps, capped):
     # the search must take the reference's path bit for bit, at one call
-    # per grid slice, one for the seed point and one per move; a search
-    # that runs to the sweep cap is refused instead
+    # per grid slice, one for the seed point, one per sweep and one for the
+    # end point; a search that runs to the sweep cap is refused instead
     x_ref, w_ref, sweeps, clamped = _sequential_grid_refine(work, box, resolution)
     assert clamps <= clamped
     calls = []
@@ -204,7 +208,7 @@ def test_grid_refine_follows_the_sequential_path(work, box, resolution, clamps, 
     x, w = _grid_refine(counted, box, resolution)
     assert w == w_ref
     assert x.tolist() == x_ref.tolist()
-    assert len(calls) == resolution + 1 + 2 * len(box) * sweeps
+    assert len(calls) == resolution + 1 + sweeps + 1
 
 
 def _full_grid_best(work, box, resolution):
@@ -409,33 +413,83 @@ def test_max_coupled_work_takes_the_uncoupled_point(monkeypatch, kind):
 def _cut_box_search(monkeypatch, resolution):
     """`max_coupled_work` for spin xx at (5, 4.9), whose optimum near
     (11.9, 11.8) the box [0, 10] cuts, and the (W, halvings) of each
-    pattern search it ran: from the grid's best, then from the anchor
-    scaled onto the omega = 10 face."""
-    search, ends = optimize._pattern_search, []
+    search it ran.  Halvings are counted from the objective's calls: after
+    one per grid slice and one at the seed, each sweep's call over the
+    27-point stencil halves the step unless its best beats the point."""
+    values, ends = [], []
 
-    def recorded(*args):
-        end = search(*args)
-        ends.append(end[1:3])
-        return end
+    def recorded_work(*args):
+        values.append(coupled_total_work(*args))
+        return values[-1]
 
-    monkeypatch.setattr(optimize, "_pattern_search", recorded)
+    def recorded_search(*args):
+        values.clear()
+        x, w = _grid_refine(*args)
+        best, halvings = float(values[resolution]), 0
+        for vals in values[resolution + 1 : -1]:
+            assert vals.shape == (27,)
+            if vals.max() > best:
+                best = float(vals.max())
+            else:
+                halvings += 1
+        ends.append((w, halvings))
+        return x, w
+
+    monkeypatch.setattr(optimize, "coupled_total_work", recorded_work)
+    monkeypatch.setattr(optimize, "_grid_refine", recorded_search)
     return max_coupled_work(SPIN, "xx", BathPair(5.0, 4.9), SearchDomain(), resolution), ends
 
 
 def test_cut_box_search_on_a_coarse_grid_converges_from_the_scaled_anchor(monkeypatch):
-    # at resolution 12 the search from the grid's best crawls to its cap
+    # at resolution 12 the grid's best lies on the engine wedge, which a
+    # search of coordinate moves crawled along to its cap; the stencil's
+    # diagonal moves reach the optimum on the omega = 10 face
     (params, w), ends = _cut_box_search(monkeypatch, 12)
-    assert [halvings for _, halvings in ends] == [14, 48]
+    assert [halvings for _, halvings in ends] == [48]
     (fine_params, w_fine), _ = _cut_box_search(monkeypatch, 60)
     assert params[0] == fine_params[0] == 10.0
-    assert w == ends[1][0] >= w_fine * (1.0 - 1e-9)
+    assert w == ends[0][0] >= w_fine * (1.0 - 1e-9)
 
 
 def test_cut_box_search_keeps_the_grid_end_within_rounding(monkeypatch):
-    # at resolution 60 both searches converge to one maximum, to rounding
-    (_, w), ends = _cut_box_search(monkeypatch, 60)
-    assert [halvings for _, halvings in ends] == [48, 48]
-    assert w == ends[0][0] and abs(ends[1][0] - w) <= 1e-12 * w
+    # from the grid's best at resolution 60, one search converges to the
+    # maximum that the coarse grid's search finds, to rounding
+    (params, w), ends = _cut_box_search(monkeypatch, 60)
+    assert [halvings for _, halvings in ends] == [48]
+    assert params[0] == 10.0 and w == ends[0][0]
+    (_, w_coarse), _ = _cut_box_search(monkeypatch, 12)
+    assert abs(w_coarse - w) <= 1e-12 * w
+
+
+@pytest.mark.parametrize(
+    "model, t_h, t_c, resolution, side, w_coordinate",
+    [
+        ("general", 5.0, 4.9, 12, 10.0, 4.252323352721965e-4),
+        ("general", 12.0, 11.76, 20, 10.0, 3.596811518823623e-4),
+        ("xx", 5.0, 4.9, 12, 10.0, 4.252323352721965e-4),
+        ("general", 5.0, 4.9, 12, 1.0, 1.243787773633872e-05),
+    ],
+)
+def test_cut_box_search_converges_without_crawling(
+    monkeypatch, model, t_h, t_c, resolution, side, w_coordinate
+):
+    # from these coarse grids' best, a search of coordinate moves crawled
+    # along the omega ~ omega' ridge for 57 962 to 89 566 objective calls,
+    # one move per call, to the optimum `w_coordinate`; the stencil search
+    # converges in at most 2500 calls, one per sweep, and is no worse
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return coupled_total_work(*args)
+
+    monkeypatch.setattr(optimize, "coupled_total_work", counted)
+    baths = BathPair(t_h, t_c)
+    domain = SearchDomain((0.0, side), (0.0, side), (0.0, side))
+    _, w_max = max_coupled_work(SPIN, model, baths, domain, resolution)
+    assert len(calls) <= 2500
+    ceiling = 2.0 * max_uncoupled_work(SPIN, baths)[2]
+    assert w_coordinate - optimize._tolerance(baths, ceiling) <= w_max <= ceiling
 
 
 @pytest.mark.parametrize("model", ["xx", "general"])

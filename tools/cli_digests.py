@@ -30,10 +30,11 @@ the box that cuts the optimum at (5, 4.9), spin xx at (2, 1.9) and in a
 box of side 1000, ``sample`` at a cold bath whose beta overflows, at
 T_c = 1e-3 and with a frequency whose top level overflows (refused), the
 spin xx search of the box that cuts the optimum at (5, 4.9) at
-resolutions 12 and 20, the spin xy search at (12, 11.76) and the spin
-general search in a box of side 1 at (5, 4.9), both at a coarse
-resolution, an 8001-row spin xx sweep past the instability, and
-``verify --level quick`` at three seeds;
+resolutions 12 and 20, the spin general searches of that box at (5, 4.9)
+and (12, 11.76) at resolutions 12 and 20, the spin xy search at
+(12, 11.76) and the spin general search in a box of side 1 at (5, 4.9),
+both at a coarse resolution, an 8001-row spin xx sweep past the
+instability, and ``verify --level quick`` at three seeds;
 together they take about a minute on two cores.  Standard library only.
 """
 
@@ -126,10 +127,13 @@ JOBS = [
     "sample --th 2 --tc 5e-324 --n 100000 --seed 0 --out cold.csv",
     "sample --th 2 --tc 1e-3 --n 100000 --seed 0 --out cold.csv",
     "sample --th 1e306 --tc 1e305 --domain-max 1e308 --out huge.csv",
-    # the spin box that cuts the optimum at (5, 4.9) on coarse grids, where
-    # the search from the grid's best crawls to its sweep cap
+    # the spin box that cuts the optimum at (5, 4.9) and (12, 11.76) on
+    # coarse grids, whose best lies on the omega ~ omega' ridge that a
+    # search of coordinate moves crawled along
     "optimize --medium spin --model xx --th 5 --tc 4.9 --resolution 12",
     "optimize --medium spin --model xx --th 5 --tc 4.9 --resolution 20",
+    "optimize --medium spin --model general --th 5 --tc 4.9 --resolution 12",
+    "optimize --medium spin --model general --th 12 --tc 11.76 --resolution 20",
     # cut-box optima whose objective once took numpy's hypot, one ulp off the
     # `cycle` printed at their params; and a spin xx sweep past the
     # instability, whose modes skip the hypot (|omega|)
