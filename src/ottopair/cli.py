@@ -22,6 +22,12 @@ Every cycle comes from `evaluate_cycles` columns: ``sweep`` and ``figure``
 evaluate their rows in one batched pass, and the ``cycle`` document is a
 length-1 call's columns, absent values as null where a sweep row leaves
 its field empty.
+
+The CLI runs OpenBLAS on one thread unless ``OPENBLAS_NUM_THREADS`` is
+set: this module sets it before it imports numpy, and ``import ottopair``
+(which ``python -m ottopair.cli`` and the ``ottopair`` script run first)
+loads no numpy.  A program that imports numpy before ``ottopair.cli``
+keeps its own thread count.
 """
 
 from __future__ import annotations
@@ -36,7 +42,11 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
-import numpy as np
+# OpenBLAS reads this once, when numpy loads; the oracle's solves, at most
+# 81 wide, gain nothing from more threads, which only spin.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 
 from .cycle import REGIMES, CycleColumns, Regime, evaluate_cycle, evaluate_cycles
 from .errors import ConfigError, DomainError, NumericalError, OttoPairError

@@ -1,17 +1,19 @@
 """Compare the oracle residuals of two ottopair checkouts, check by check.
 
 Runs ``ottopair.oracle.run_verification`` (the suite behind the CLI
-``verify`` command) at one level over a list of seeds, once with
-PYTHONPATH set to ``<base>/src`` and once with ``<root>/src``, and prints
-one line per check: the number of runs, how many of them moved (the
-residual is not bit-identical), the largest |delta residual| and the
-largest residual on each side.  Checks are matched by name; a check that
-only one side runs is listed with its largest residual and marked
-``only base`` or ``only root``.  The residuals are compared at full float
-precision, not as the 4 digits the ``verify`` table prints; a check whose
-draw count differs between the two sides is flagged, and then the exit
-code is 1.  With ``--identical`` the exit code is also 1 if any residual
-moved on any seed, or a check runs on one side only.
+``verify`` command, imported after ``ottopair.cli`` as ``verify`` imports
+it, so with the same BLAS thread setting) at one level over a list of
+seeds, once with PYTHONPATH set to ``<base>/src`` and once with
+``<root>/src``, and prints one line per check: the number of runs, how
+many of them moved (the residual is not bit-identical), the largest
+|delta residual| and the largest residual on each side.  Checks are
+matched by name; a check that only one side runs is listed with its
+largest residual and marked ``only base`` or ``only root``.  The
+residuals are compared at full float precision, not as the 4 digits the
+``verify`` table prints; a check whose draw count differs between the two
+sides is flagged, and then the exit code is 1.  With ``--identical`` the
+exit code is also 1 if any residual moved on any seed, or a check runs on
+one side only.
 
     python tools/verify_residuals.py --base path/to/parent --level quick --seeds 0-19
     python tools/verify_residuals.py --base path/to/parent --level full --seeds 2024 --identical
@@ -30,6 +32,7 @@ from pathlib import Path
 
 _RUNNER = """
 import json, sys
+import ottopair.cli
 from ottopair.oracle import run_verification
 level = sys.argv[1]
 for seed in map(int, sys.argv[2:]):
