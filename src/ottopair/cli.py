@@ -639,21 +639,35 @@ def _unregistered(argv: list[str]) -> tuple[list[str], list[str]]:
     leave such a value behind as a positional (`figure --lam 3 fig3` takes
     3 for the dataset name).  A flag counts also as a prefix of such flags
     only (`--la`, `--l`); a prefix of a registered flag is left for
-    argparse, which expands or refuses it."""
+    argparse, which expands or refuses it.  A token that starts with one
+    `-` (other than `-h`) after a flag that takes a value is joined to it
+    as that value (`--lam=-1e-3`): argparse takes only plain negative
+    numbers such as -1 for values, and refuses -1e-3, -inf or -1:1:0.5."""
     if not argv or argv[0] not in _COMMANDS:
         return argv, []
     flags = [_flag(name) for name in _OPTIONS] + ["--config", "--help"]
     foreign = {_flag(name) for name in set(_OPTIONS) - _registered(argv[0])}
 
+    def matches(token: str) -> set[str]:
+        """The flags argparse could expand `token` to."""
+        if token in flags:
+            return {token}
+        return {f for f in flags if f.startswith(token)} if token.startswith("--") else set()
+
     def unregistered(token: str) -> bool:
-        matches = {f for f in flags if f.startswith(token)} if token.startswith("--") else set()
-        return token in foreign or bool(matches) and matches <= foreign
+        return bool(matches(token)) and matches(token) <= foreign
+
+    def value_of(flag: str, token: str) -> bool:
+        single = token.startswith("-") and not token.startswith("--") and token != "-h"
+        return single and len(matches(flag)) == 1 and matches(flag) != {"--help"}
 
     kept, dropped = argv[:1], []
     tokens = iter(argv[1:])
     for token in tokens:
         if unregistered(token):
             dropped += [token, *itertools.islice(tokens, 1)]
+        elif value_of(kept[-1], token):
+            kept[-1] += "=" + token
         else:
             kept.append(token)
     return kept, dropped

@@ -2,18 +2,18 @@
 
 Nothing here uses the normal-mode formulas as input to its own spectra:
 spin pairs are diagonalized exactly (the 4x4 matrix or its two 2x2
-blocks), oscillator pairs on a truncated two-mode Fock space, and thermal
-quantities come from explicit Boltzmann sums.  The Fock Hamiltonian is
-never diagonalized whole, but on the finest blocks its couplings
-conserve, built straight from its entry list: n1 + n2 (xx) or n1 - n2
-(xy), at most 17 wide at the default cutoff 16, for both the spectrum
-and the heat transport; for any other coupling, the parity of n1 + n2
-times the 1 <-> 2 exchange (widths 81/64/72/72).  The closed forms are
-read from the array kernels the CLI prints from:
-`medium.spin_mode_frequencies`, `medium.oscillator_mode_frequencies`,
-`cycle.heats_arrays` and `entanglement.xx_thermal_concurrence`, which
-Wootters' concurrence of the Gibbs state of the exact 4x4 eigensolve
-checks.
+blocks), oscillator pairs on a truncated two-mode Fock space, and
+thermal quantities come from explicit Boltzmann sums.  The Fock
+Hamiltonian is never diagonalized whole, but on the finest blocks its
+couplings conserve, scattered from its entry list by one cached map per
+coupling model and cutoff: n1 + n2 (xx) or n1 - n2 (xy), at most 17 wide
+at the default cutoff 16, for both the spectrum and the heat transport;
+for any other coupling, the parity of n1 + n2 times the 1 <-> 2 exchange
+(widths 81/64/72/72).  The closed forms are read from the array kernels
+the CLI prints from: `medium.spin_mode_frequencies`,
+`medium.oscillator_mode_frequencies`, `cycle.heats_arrays` and
+`entanglement.xx_thermal_concurrence`, which Wootters' concurrence of
+the Gibbs state of the exact 4x4 eigensolve checks.
 
 The check functions take parameter arrays and return one relative
 residual per entry.  `run_verification` bundles them into the randomized
@@ -32,6 +32,7 @@ t_h/t_c in [1.5, 4].
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -123,19 +124,27 @@ def truncated_oscillator_matrix(
     return h
 
 
-@functools.lru_cache(maxsize=8)
-def _exchange_blocks(n_max: int):
-    """Scatter maps of the four parity x exchange blocks of the truncated
-    Fock Hamiltonian, computed once per `n_max`.
+@functools.lru_cache(maxsize=16)
+def _blocks(model: str, n_max: int):
+    """Scatter maps of the blocks of the truncated Fock Hamiltonian that
+    the couplings of `model` conserve, computed once per (model, n_max).
 
-    Every coupling conserves the parity of n1 + n2, and the single bare
-    frequency makes H commute with the 1 <-> 2 exchange.  The blocks are
-    even-symmetric, even-antisymmetric, odd-symmetric and odd-antisymmetric,
-    in the basis (|n1 n2> +- |n2 n1>)/sqrt(2) with n1 < n2, plus |n n> in the
-    even-symmetric block; the two odd blocks have equal width.  Each block
-    is (width, target, source, coef): the flattened block accumulates
-    coef * entries[source] at `target`, with entries the diagonal followed
-    by the off-diagonal values of `_fock_entries`.  Read-only arrays.
+    xx conserves N = n1 + n2 and xy conserves d = n1 - n2, in the Fock
+    basis; the xy blocks with d < 0 mirror those with d > 0, so only d >= 0
+    is solved and each d > 0 level counts twice.  Any other coupling
+    conserves the parity of n1 + n2, and the single bare frequency makes H
+    commute with the 1 <-> 2 exchange: four blocks in the basis
+    (|n1 n2> +- |n2 n1>)/sqrt(2) with n1 < n2, plus |n n> in the
+    even-symmetric block.  Returns (bound, groups), read-only arrays.
+
+    A group is one stacked eigensolve, (shape, target, source, coef, keep,
+    mult): the flattened stack accumulates coef * entries[source] at
+    `target`, with entries the diagonal and the off-diagonal values of
+    `_fock_entries`, then a pad level for the blocks narrower than the
+    group's widest.  A vector's rank is its position among its block's
+    sorted vectors; `keep` picks the levels that are not pads, in (block,
+    rank) order, and `mult` is the multiplicity of each.  `bound` indexes
+    the off-diagonal values inside the blocks, which bound the pad level.
     """
     d = n_max + 1
     # the index pattern of the entries does not depend on the couplings
@@ -143,31 +152,78 @@ def _exchange_blocks(n_max: int):
     # every matrix entry, (i, i) and both triangles, and where its value sits
     i = np.concatenate([np.arange(d * d), rows, cols])
     j = np.concatenate([np.arange(d * d), cols, rows])
-    source = np.concatenate([np.arange(d * d), np.tile(np.arange(rows.size) + d * d, 2)])
-    key = np.minimum(n1, n2) * d + np.maximum(n1, n2)  # the basis vector of each state
-    paired = n1 != n2
-    sign = np.where(n1 > n2, -1.0, 1.0)
-    # a product of two basis coefficients is 1, sqrt(1/2) or 1/2 by how
-    # many of the two states are paired, taken exactly
-    scale = np.array([1.0, np.sqrt(0.5), 0.5])[paired[i].astype(int) + paired[j]]
-    blocks = []
-    for parity in (0, 1):
-        for antisymmetric in (False, True):
-            member = ((n1 + n2) % 2 == parity) & (paired | (not antisymmetric))
-            # the sorted keys present; bincount, since np.unique imports numpy.ma
-            keys = np.flatnonzero(np.bincount(key[member], minlength=d * d))
-            position = np.searchsorted(keys, key)
-            inside = member[i] & member[j]
-            coef = scale * (sign[i] * sign[j] if antisymmetric else 1.0)
-            arrays = (
-                position[i[inside]] * keys.size + position[j[inside]],
-                source[inside],
-                coef[inside],
-            )
-            for a in arrays:
-                a.setflags(write=False)
-            blocks.append((keys.size, *arrays))
-    return tuple(blocks)
+    source = np.concatenate([np.arange(d * d + rows.size), np.arange(rows.size) + d * d])
+    if model == "general":
+        code = np.minimum(n1, n2) * d + np.maximum(n1, n2)  # the basis vector of each state
+        label = np.zeros_like(code)  # one block per group
+        paired = n1 != n2
+        sign = np.where(n1 > n2, -1.0, 1.0)
+        # a product of two basis coefficients is 1, sqrt(1/2) or 1/2 by how
+        # many of the two states are paired, taken exactly
+        scale = np.array([1.0, np.sqrt(0.5), 0.5])[paired[i].astype(int) + paired[j]]
+        members = [
+            (((n1 + n2) % 2 == parity) & (paired | (not antisymmetric)),
+             scale * (sign[i] * sign[j] if antisymmetric else 1.0))
+            for parity in (0, 1) for antisymmetric in (False, True)
+        ]
+    else:
+        label = n1 + n2 if model == "xx" else n1 - n2
+        code = label * d * d + np.arange(d * d)  # the block, then the state
+        members = [(label >= 0, np.ones(i.size))]
+    bound = np.zeros(rows.size, bool)
+    groups = []
+    for member, coef in members:
+        # entries between blocks belong to a term that vanishes for this
+        # model, and the xy blocks with d < 0 are not solved
+        inside = member[i] & member[j] & (label[i] == label[j])
+        bound |= inside[d * d:d * d + rows.size]
+        # the sorted codes present, each once; not np.unique, which imports numpy.ma
+        present = np.sort(code[member])
+        present = present[np.diff(present, prepend=-1) > 0]
+        rank = np.searchsorted(present, code) - np.searchsorted(present, label * d * d)
+        width = np.bincount(present // (d * d), minlength=1)  # a block is empty at n_max 1
+        m = int(width.max())
+        block, slot = np.nonzero(np.arange(m) >= width[:, None])
+        groups.append((
+            (width.size, m, m),
+            np.concatenate([((label[i] * m + rank[i]) * m + rank[j])[inside],
+                            block * m * m + slot * (m + 1)]),
+            np.concatenate([source[inside], np.full(block.size, d * d + rows.size)]),
+            np.concatenate([coef[inside], np.ones(block.size)]),
+            np.flatnonzero(np.arange(m) < width[:, None]),
+            np.repeat(np.where((model == "xy") & (np.arange(width.size) > 0), 2, 1), width),
+        ))
+    bound = np.flatnonzero(bound)
+    for a in (bound, *(a for group in groups for a in group[1:])):
+        a.setflags(write=False)
+    return bound, tuple(groups)
+
+
+def _block_levels(omega, lambda_x, lambda_p, model: str, n_max: int):
+    """Levels of the truncated Fock Hamiltonian along a last axis, one
+    `eigvalsh` call per group of `_blocks(model, n_max)`, and the
+    multiplicity of each level.  Each xx or xy block is an omega-diagonal
+    plus lam times a matrix independent of omega, so the within-block
+    order never changes as omega is driven: (block, rank) is the exact
+    adiabatic label.  The pad level sits on the diagonal above every
+    level, so it sorts last in its block and `keep` drops it."""
+    _, _, diagonal, _, _, values = _fock_entries(omega, lambda_x, lambda_p, n_max)
+    bound, groups = _blocks(model, n_max)
+    # Gershgorin: no level exceeds diagonal.max() + sum |values|
+    top = 2.0 * (diagonal.max(axis=-1) + np.abs(values[..., bound]).sum(axis=-1)) + 1.0
+    entries = np.concatenate([diagonal, values, top[..., None]], axis=-1)
+    lead = entries.shape[:-1]
+    # each draw's entries land in its own slab of one bincount
+    draw = np.arange(math.prod(lead)).reshape(lead + (1,))
+    levels = []
+    for shape, target, source, coef, keep, _ in groups:
+        size = math.prod(shape)
+        stack = np.bincount((target + size * draw).ravel(), (coef * entries[..., source]).ravel(),
+                            draw.size * size).reshape(lead + shape)
+        # C order (np.take), so that each entry's levels are summed as one
+        # contiguous run
+        levels.append(np.take(np.linalg.eigvalsh(stack).reshape(lead + (-1,)), keep, axis=-1))
+    return np.concatenate(levels, axis=-1), np.concatenate([g[-1] for g in groups])
 
 
 def truncated_oscillator_spectrum(
@@ -177,79 +233,19 @@ def truncated_oscillator_spectrum(
     axis, solved on the finest blocks its couplings conserve.
 
     lambda_x == lambda_p (xx) conserves N = n1 + n2 and lambda_x == -lambda_p
-    (xy) conserves d = n1 - n2: their sectors come from `_fock_blocks`,
-    expanded by multiplicity.  Any other pair, or parameter arrays that do
-    not all conserve the same one, is solved on the four parity x exchange
-    blocks (`_exchange_blocks`), each block in its own stacked call.
+    (xy) conserves d = n1 - n2: their sectors are solved, expanded by
+    multiplicity.  Any other pair, or parameter arrays that do not all
+    conserve the same one, is solved on the four parity x exchange blocks.
     """
-    for model, conserved in (("xx", lambda_x == lambda_p), ("xy", lambda_x == -lambda_p)):
-        if np.all(conserved):
-            levels, mult = _fock_blocks(omega, lambda_x, model, n_max)
-            return np.sort(np.repeat(levels, mult, axis=-1), axis=-1)
-    _, _, diagonal, _, _, values = _fock_entries(omega, lambda_x, lambda_p, n_max)
-    entries = np.concatenate([diagonal, values], axis=-1)
-    lead = entries.shape[:-1]
-    # each draw's entries land in its own width x width slab of one bincount
-    draw = np.arange(int(np.prod(lead))).reshape(lead + (1,))
-    blocks = (
-        np.bincount((target + w * w * draw).ravel(), (coef * entries[..., source]).ravel(),
-                    draw.size * w * w).reshape(lead + (w, w))
-        for w, target, source, coef in _exchange_blocks(n_max)
-    )
-    return np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks], axis=-1), axis=-1)
-
-
-def _fock_blocks(omega, lam, model: str, n_max: int):
-    """Levels of the xx or xy truncated Fock Hamiltonian along a last axis,
-    solved block by conserved block, and the multiplicity of each level.
-
-    xx conserves N = n1 + n2 and xy conserves d = n1 - n2.  The xy blocks
-    with d < 0 mirror those with d > 0, so only d >= 0 is solved and each
-    d > 0 block counts twice.  Each block is an omega-diagonal plus lam
-    times a matrix independent of omega, so the within-block order never
-    changes as omega is driven: (block, rank) is the exact adiabatic label.
-    The blocks of all entries are solved in one `eigvalsh` call on a
-    zero-padded stack: the pad entries sit on the diagonal above every
-    level, so they sort last in their block and are dropped by count.
-    """
-    if model not in ("xx", "xy"):
-        raise UnknownModel(f"sector transport covers 'xx' and 'xy', got {model!r}")
-    n1, n2, diagonal, rows, cols, values = _fock_entries(
-        omega, *model_coupling(model, lam), n_max
-    )
-    label = n1 + n2 if model == "xx" else n1 - n2
-    # entries between blocks belong to the term that vanishes for this
-    # model, and the xy blocks with d < 0 are not solved
-    inside = (label[rows] == label[cols]) & (label[rows] >= 0)
-    rows, cols, values = rows[inside], cols[inside], values[..., inside]
-    # each state's rank in its block, which holds its states in index
-    # order: n1 from max(0, N - n_max) up for xx, n2 from 0 up for xy
-    rank = np.minimum(n1, n_max - n2) if model == "xx" else n2
-    states = np.flatnonzero(label >= 0)
-    width = np.bincount(label[states])
-    m = width.max()
-    pad = np.arange(m) >= width[:, None]
-    stack = np.zeros(diagonal.shape[:-1] + (width.size, m, m))
-    stack[..., label[states], rank[states], rank[states]] = diagonal[..., states]
-    block, slot = np.nonzero(pad)
-    # Gershgorin: no level exceeds diagonal.max() + sum |values|
-    top = 2.0 * (diagonal.max(axis=-1) + np.abs(values).sum(axis=-1)) + 1.0
-    stack[..., block, slot, slot] = top[..., None]
-    block, r, c = label[rows], rank[rows], rank[cols]
-    stack[..., block, r, c] = stack[..., block, c, r] = values
-    # C order, so that each entry's levels are summed as one contiguous run
-    levels = np.ascontiguousarray(np.linalg.eigvalsh(stack)[..., ~pad])
-    mult = np.where((model == "xy") & (np.arange(width.size) > 0), 2, 1)
-    return levels, np.repeat(mult, width)
+    model = ("xx" if np.all(lambda_x == lambda_p)
+             else "xy" if np.all(lambda_x == -lambda_p) else "general")
+    levels, mult = _block_levels(omega, lambda_x, lambda_p, model, n_max)
+    return np.sort(np.repeat(levels, mult, axis=-1), axis=-1)
 
 
 def _stack_size(model: str, n_max: int) -> int:
-    """Float64 entries of one draw's largest stacked eigensolve input at
-    cutoff `n_max`: all xx or xy sectors, or the widest exchange block."""
-    d = n_max + 1
-    if model == "general":
-        return max(width for width, *_ in _exchange_blocks(n_max)) ** 2
-    return (2 * d - 1 if model == "xx" else d) * d * d
+    """Float64 entries of one draw's largest stacked eigensolve input."""
+    return max(math.prod(shape) for shape, *_ in _blocks(model, n_max)[1])
 
 
 def _grouped(check, key, *columns, size=lambda n: 8 * (n + 1)):
@@ -459,9 +455,11 @@ def oscillator_cycle_heat_check(
     within-block rank); the general coupling only conserves parity, so it
     is not covered here (the spectrum and per-mode checks are).
     """
-    e_hot, mult = _fock_blocks(omega, lam, model, n_max)
-    e_cold, _ = _fock_blocks(omega_prime, lam, model, n_max)
+    if model not in ("xx", "xy"):
+        raise UnknownModel(f"sector transport covers 'xx' and 'xy', got {model!r}")
     coupling = model_coupling(model, lam)
+    e_hot, mult = _block_levels(omega, *coupling, model, n_max)
+    e_cold, _ = _block_levels(omega_prime, *coupling, model, n_max)
     hot = _medium.oscillator_mode_frequencies(omega, *coupling)
     cold = _medium.oscillator_mode_frequencies(omega_prime, *coupling)
     brute = _transport(e_hot, e_cold, beta_h, beta_c, mult)

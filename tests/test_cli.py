@@ -1121,8 +1121,10 @@ def test_unregistered_option_prints_the_subcommand_usage(capsys, argv):
         (["figure", "--jx", "0.5", "fig5"], "--jx 0.5"),
         (["figure", "--lev", "full", "fig5"], "--lev full"),
         (["figure", "--l", "3", "fig3"], "--l 3"),
+        (["figure", "--lam", "-1e-3", "fig3"], "--lam -1e-3"),
     ],
-    ids=["fig3", "fig5", "fig7a", "fig3-prefix", "fig5-first", "fig5-prefix", "fig3-prefixes"],
+    ids=["fig3", "fig5", "fig7a", "fig3-prefix", "fig5-first", "fig5-prefix", "fig3-prefixes",
+         "fig3-exponent"],
 )
 def test_unregistered_option_before_the_dataset_name_is_named(capsys, argv, named):
     # the flag's value is not taken for the dataset name
@@ -1132,6 +1134,50 @@ def test_unregistered_option_before_the_dataset_name_is_named(capsys, argv, name
     assert (exc.value.code, captured.out) == (EXIT_CONFIG, "")
     assert captured.err.startswith("usage: ottopair figure ")
     assert f"error: unrecognized arguments: {named}\n" in captured.err
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one `main` call, argparse refusals too."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+_POINTS = ["--omega", "4", "--omega-prime", "3", "--th", "2", "--tc", "1"]
+_OSC_CYCLE = ["cycle", "--medium", "osc", "--model", "xx", *_POINTS]
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value, expected",
+    [
+        (_OSC_CYCLE, "--lam", "-1e-3", EXIT_OK),
+        (_OSC_CYCLE, "--la", "-1e-3", EXIT_OK),
+        (["sweep", "--medium", "osc", "--model", "general", *_POINTS, "--lx", "0.5",
+          "--sweep", "0:1:0.5"], "--lp", "-2E-1", EXIT_OK),
+        (["cycle", "--medium", "spin", "--model", "general", *_POINTS, "--jx", "0.1"],
+         "--jy", "-1e308", EXIT_DOMAIN),
+        (_OSC_CYCLE, "--lam", "-inf", EXIT_DOMAIN),
+        (["sweep", "--medium", "osc", "--model", "xx", *_POINTS], "--sweep", "-1:1:0.5", EXIT_OK),
+    ],
+    ids=["exponent", "prefix", "capital-exponent", "huge", "infinite", "grid"],
+)
+def test_a_value_that_starts_with_a_dash_is_taken_as_in_the_equals_form(
+    capsys, argv, flag, value, expected
+):
+    # argparse alone takes only plain negative numbers such as -1 after a flag
+    spaced = _outcome(capsys, [*argv, flag, value])
+    assert spaced == _outcome(capsys, [*argv, f"{flag}={value}"])
+    assert spaced[0] == expected
+    assert "expected one argument" not in spaced[2]
+
+
+def test_a_flag_after_a_flag_is_not_taken_as_its_value(capsys):
+    code, out, err = _outcome(capsys, ["cycle", "--lam", "--omega", "3"])
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert "error: argument --lam: expected one argument" in err
 
 
 def test_ambiguous_option_prefix_is_left_to_argparse(capsys):

@@ -13,7 +13,7 @@ from ottopair.errors import DomainError, NumericalError, UnknownModel
 from ottopair.medium import BathPair, MediumKind
 from ottopair.oracle import (
     _MODELS,
-    _fock_blocks,
+    _block_levels,
     _grouped,
     _stack_size,
     exact_spin_spectrum,
@@ -301,7 +301,7 @@ def test_fock_blocks_are_the_conserved_blocks_of_the_dense_matrix(model, n_max):
         expected_levels.append(np.linalg.eigvalsh(h[np.ix_(states, states)]))
         # xy: the d < 0 blocks mirror the d > 0 ones
         expected_mult.append(np.full(states.size, 2.0 if model == "xy" and block > 0 else 1.0))
-    levels, mult = _fock_blocks(omega, lam, model, n_max)
+    levels, mult = _block_levels(omega, *medium.model_coupling(model, lam), model, n_max)
     assert np.array_equal(levels, np.concatenate(expected_levels))
     assert np.array_equal(mult, np.concatenate(expected_mult))
     # with multiplicities the blocks hold the whole dense spectrum
@@ -353,6 +353,32 @@ def test_every_spectrum_path_refuses_the_same_inputs(lambda_x, lambda_p, omega, 
     # the sector path (xx, xy) refuses what the four-block path refuses
     with pytest.raises(DomainError):
         truncated_oscillator_spectrum(omega, lambda_x, lambda_p, n_max)
+
+
+@pytest.mark.parametrize(
+    "omega, omega_prime, n_max",
+    [(2.0, 1.0, 16), (1.5, 1.0, 16), (4.0, 2.0, 16), (4.0, 1.5, 16), (4.0, 3.0, 0),
+     (4.0, 3.0, -3)],
+    ids=["omega-at-edge", "omega-below-edge", "omega-prime-at-edge", "omega-prime-below-edge",
+         "n_max-0", "n_max-negative"],
+)
+@pytest.mark.parametrize("model", ["xx", "xy"])
+def test_transport_refuses_what_the_spectrum_refuses(model, omega, omega_prime, n_max):
+    # lam = 2 puts the edge max(|lambda_x|, |lambda_p|) at 2 for both points
+    with pytest.raises(DomainError):
+        oscillator_cycle_heat_check(omega, omega_prime, 2.0, model, *BETAS, n_max)
+
+
+@pytest.mark.parametrize("n_max", [1, 9, 16, 24])
+@pytest.mark.parametrize(
+    "model, lambda_x, lambda_p", [("xx", 0.9, 0.9), ("xy", 0.9, -0.9), ("general", 0.9, 0.3)]
+)
+def test_stack_size_is_the_largest_eigensolve_input_of_one_draw(
+    monkeypatch, model, lambda_x, lambda_p, n_max
+):
+    # the chunk cap of `_grouped` divides _STACK_DOUBLES by this size
+    shapes = _eigensolve_widths(monkeypatch, 4.0, lambda_x, lambda_p, n_max)
+    assert _stack_size(model, n_max) == max(math.prod(shape) for shape in shapes)
 
 
 def test_stacked_oscillator_checks_equal_per_draw_computation_bit_for_bit(monkeypatch):

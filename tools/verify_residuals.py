@@ -4,9 +4,11 @@ Runs ``ottopair.oracle.run_verification`` (the suite behind the CLI
 ``verify`` command, imported after ``ottopair.cli`` as ``verify`` imports
 it, so with the same BLAS thread setting) at one level over a list of
 seeds, once with PYTHONPATH set to ``<base>/src`` and once with
-``<root>/src``, and prints one line per check: the number of runs, how
-many of them moved (the residual is not bit-identical), the largest
-|delta residual| and the largest residual on each side.  Checks are
+``<root>/src``, and prints the two resolved trees, then one line per
+check: the number of runs, how many of them moved (the residual is not
+bit-identical), the largest |delta residual| and the largest residual on
+each side.  ``--root`` defaults to the checkout that holds this script,
+so a run from a copy of it compares that copy.  Checks are
 matched by name; a check that only one side runs is listed with its
 largest residual and marked ``only base`` or ``only root``.  The
 residuals are compared at full float precision, not as the 4 digits the
@@ -80,8 +82,10 @@ def main() -> int:
         help="exit 1 unless every residual is bit-identical on every seed",
     )
     args = parser.parse_args()
-    base = run(args.base.resolve(), args.level, args.seeds)
-    root = run(args.root.resolve(), args.level, args.seeds)
+    base_tree, root_tree = args.base.resolve(), args.root.resolve()
+    base = run(base_tree, args.level, args.seeds)
+    root = run(root_tree, args.level, args.seeds)
+    print(f"base {base_tree}\nroot {root_tree}")
     print(f"level {args.level}, seeds {args.seeds[0]}..{args.seeds[-1]} ({len(args.seeds)} runs)")
     print(f"{'check':<28} {'runs':>5} {'moved':>6} {'max |delta|':>12} "
           f"{'max base':>10} {'max root':>10}  draws")
