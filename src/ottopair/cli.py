@@ -185,25 +185,14 @@ def _write_rows(cfg: RunConfig, header: list[str], columns: list[Column]) -> Non
         _write_text(cfg, ["[]\n"])
 
 
-def _check_finite(doc) -> None:
-    """NumericalError at any non-finite float in `doc`, which JSON
-    has no spelling for; numpy floats count, being float subclasses."""
-    stack = [(doc,)]
-    while stack:
-        for x in stack.pop():
-            if isinstance(x, float):
-                if not math.isfinite(x):
-                    raise NumericalError(f"non-finite number {x} in the output document")
-            elif isinstance(x, dict):
-                stack.append(x.values())
-            elif isinstance(x, (list, tuple)):
-                stack.append(x)
-
-
 def _write_doc(cfg: RunConfig, doc) -> None:
-    # checked before anything is opened, so a refused document writes nothing
-    _check_finite(doc)
-    _write_text(cfg, [json.dumps(doc, indent=2, allow_nan=False), "\n"])
+    # JSON has no spelling for nan or inf: `allow_nan=False` refuses them
+    # before anything is opened, so a refused document writes nothing
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"non-finite number in the output document: {exc}") from exc
+    _write_text(cfg, [text, "\n"])
 
 
 # ---------------------------------------------------------------------------

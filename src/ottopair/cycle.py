@@ -13,7 +13,7 @@ the system.  A mode (or the total system) is an
 from __future__ import annotations
 
 import enum
-import math
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -115,24 +115,21 @@ class CycleColumns:
 
 
 # ---------------------------------------------------------------------------
-# stable special functions
+# special functions
 
 
-_COTH_SERIES_CUTOFF = 1e-8
+def _out(x):
+    """A kernel's result: a float for a scalar or 0-d array, else the array."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def coth(x):
-    """Numerically stable coth, array-friendly.
-
-    Uses 1/tanh for ordinary arguments and the series 1/x + x/3 below
-    1e-8 where 1/tanh loses accuracy.
-    """
+    """coth as 1/tanh, array-friendly: +-inf at +-0, and exactly
+    1/x + x/3 in double precision wherever that series holds (|x| < 1e-8,
+    where tanh(x) rounds to x)."""
     x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore"):
-        out = np.where(np.abs(x) < _COTH_SERIES_CUTOFF, 1.0 / x + x / 3.0, 1.0 / np.tanh(x))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    with np.errstate(divide="ignore", over="ignore"):
+        return _out(1.0 / np.tanh(x))
 
 
 # ---------------------------------------------------------------------------
@@ -162,49 +159,26 @@ def heats_arrays(kind: MediumKind, omega_hot, omega_cold, beta_h, beta_c):
 def mode_heats(
     kind: MediumKind, omega_hot: float, omega_cold: float, baths: BathPair
 ) -> tuple[float, float, float]:
-    """Signed heats and work for a single decoupled mode.
-
-    Parameters
-    ----------
-    kind : MediumKind
-        Oscillator or spin statistics.
-    omega_hot, omega_cold : float
-        Mode frequency during the hot and cold isochores.
-    baths : BathPair
-        Hot/cold bath temperatures.
-
-    Returns
-    -------
-    (q_h, q_c, w)
-        Heat from the hot bath, heat from the cold bath (both signed into
-        the system) and the work done by the system, ``w = q_h + q_c``.
-    """
+    """Signed heats and work (q_h, q_c, w = q_h + q_c) of one decoupled
+    mode of `kind`'s statistics, at frequency omega_hot on the hot isochore
+    and omega_cold on the cold one: a 0-d call of `heats_arrays`."""
     if not (omega_hot > 0.0 and omega_cold > 0.0):
-        raise DomainError(
-            f"mode frequencies must be positive, got ({omega_hot}, {omega_cold})"
-        )
+        raise DomainError(f"mode frequencies must be positive, got ({omega_hot}, {omega_cold})")
     q_h, q_c, w = heats_arrays(kind, omega_hot, omega_cold, baths.beta_h, baths.beta_c)
     return float(q_h), float(q_c), float(w)
 
 
-def classify_regime(
-    q_h: float, q_c: float, w: float, eps: Optional[float] = None
-) -> tuple[Regime, bool]:
+def classify_regime(q_h: float, q_c: float, w: float,
+                    eps: Optional[float] = None) -> tuple[Regime, bool]:
     """Classify a (Q_h, Q_c, W) triple into engine / refrigerator / dissipator.
 
     Returns (regime, at_boundary).  Raises InconsistentEnergy if the
     triple violates W = Q_h + Q_c beyond the tolerance.  Points within eps
     of a regime boundary are classified as dissipator with
     ``at_boundary=True`` rather than silently landing in an operating
-    regime.  A length-1 call of `regime_codes`.
+    regime.  A length-1 call of `_classify`.
     """
-    if eps is None:
-        eps = float(_tolerances(q_h, q_c))
-    if not abs(w - q_h - q_c) <= eps:
-        raise InconsistentEnergy(
-            f"W - Q_h - Q_c = {w - q_h - q_c!r} exceeds tolerance {eps!r}"
-        )
-    codes, boundary = regime_codes([q_h], [q_c], [w], eps)
+    codes, boundary, _ = _classify(*np.array([[q_h], [q_c], [w]], float), np.ones(1, bool), eps)
     return REGIMES[codes[0]], bool(boundary[0])
 
 
@@ -235,12 +209,13 @@ def regime_codes(q_h, q_c, w, eps=None) -> tuple[np.ndarray, np.ndarray]:
     return codes, near & (codes == _DISSIPATOR)
 
 
-def _classify(q_h, q_c, w, valid):
+def _classify(q_h, q_c, w, valid, eps=None):
     """`classify_regime` plus the figure of merit, over arrays: (codes,
     at_boundary, eta = W/Q_h for engines or zeta = Q_c/|W| for
     refrigerators, else nan).  Applies the energy-balance check to the
-    valid entries."""
-    tol = _tolerances(q_h, q_c)
+    valid entries; when `eps` is None the tolerance is `_tolerances` per
+    element."""
+    tol = _tolerances(q_h, q_c) if eps is None else eps
     with np.errstate(invalid="ignore"):
         bad = valid & ~(np.abs(w - q_h - q_c) <= tol)
     if bad.any():
@@ -361,115 +336,100 @@ def evaluate_cycle(spec: CycleSpec) -> CycleColumns:
     return c
 
 
-def critical_coupling(
-    mode: str, omega: float, omega_prime: float, baths: BathPair
-) -> float:
+def critical_coupling(mode: str, omega, omega_prime, baths: BathPair):
     """XX-model coupling at which one mode hits the Carnot condition.
 
     For ``mode="engine"`` this is lambda_c = (omega' T_h - omega T_c) /
     (T_h - T_c), where the "-" branch mode satisfies beta_h w_B =
     beta_c w_B' and delivers zero work.  For ``mode="refrigerator"`` it is
-    lambda_c' = (omega T_c - omega' T_h)/(T_h - T_c), where the "+" branch
-    mode transfers zero heat.  The two are negatives of each other.
+    its negative, lambda_c' = (omega T_c - omega' T_h)/(T_h - T_c), where
+    the "+" branch mode transfers zero heat.  Broadcasts omega and
+    omega_prime; a float for scalars.
     """
     t_h, t_c = baths.t_h, baths.t_c
     if t_h == t_c:
         raise DegenerateBaths("critical coupling undefined for t_h == t_c")
-    if mode == "engine":
-        return (omega_prime * t_h - omega * t_c) / (t_h - t_c)
-    if mode == "refrigerator":
-        return (omega * t_c - omega_prime * t_h) / (t_h - t_c)
-    raise UnknownModel(f"mode must be 'engine' or 'refrigerator', got {mode!r}")
+    if mode not in ("engine", "refrigerator"):
+        raise UnknownModel(f"mode must be 'engine' or 'refrigerator', got {mode!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam_c = (np.multiply(omega_prime, t_h) - np.multiply(omega, t_c)) / (t_h - t_c)
+    return _out(lam_c if mode == "engine" else -lam_c)
 
 
 # ---------------------------------------------------------------------------
-# small-coupling predictions (second order in the coupling)
+# small-coupling predictions (second order in the coupling); array kernels
+# that broadcast omega, omega' and lambda, and return a float for scalars
 
 
-def _csch(x: float) -> float:
-    return 1.0 / math.sinh(x)
+_TAG = re.compile(r"(xx|xy)-(engine|fridge)-(os|sp)")
 
 
-def _sech(x: float) -> float:
-    return 1.0 / math.cosh(x)
+def _device(device, omega, omega_prime):
+    """(uncoupled value, prefactor p of the lambda^2 ratio): (1 - omega'/omega,
+    (omega - omega')/omega^2) for the engine, (omega'/(omega - omega'),
+    -1/(omega - omega')) for the refrigerator."""
+    if device == "engine":
+        return 1.0 - omega_prime / omega, (omega - omega_prime) / omega**2
+    return omega_prime / (omega - omega_prime), -1.0 / (omega - omega_prime)
 
 
-def perturbative_prediction(
-    model: str,
-    omega: float,
-    omega_prime: float,
-    baths: BathPair,
-    lam: float,
-) -> float:
+def _ratio(coupling, medium, omega, omega_prime, t_h, t_c):
+    """The lambda^2 ratio r of a coupling and medium: +-(omega + omega')/
+    (2 omega omega') for xy, + for oscillators; for xx (T_h f'(y) - T_c f'(x))
+    / (2 T_h T_c (f(x) - f(y))) with x = omega/2T_h, y = omega'/2T_c and f
+    the function of the mode heats' bracket, coth (oscillators) or tanh."""
+    if coupling == "xy":
+        ratio = (omega + omega_prime) / (2.0 * omega * omega_prime)
+        return ratio if medium == "os" else -ratio
+    x, y = 0.5 * omega / t_h, 0.5 * omega_prime / t_c
+    if medium == "os":
+        f, df = coth, lambda z: -((1.0 / np.sinh(z)) ** 2)
+    else:
+        f, df = np.tanh, lambda z: (1.0 / np.cosh(z)) ** 2
+    return (t_h * df(y) - t_c * df(x)) / (2.0 * t_h * t_c * (f(x) - f(y)))
+
+
+def perturbative_prediction(model: str, omega, omega_prime, baths: BathPair, lam):
     """Second-order small-coupling approximation of eta or zeta.
 
-    ``model`` is one of ``xx-engine-os``, ``xx-engine-sp``,
-    ``xx-fridge-os``, ``xx-fridge-sp``, ``xy-engine-os``, ``xy-engine-sp``,
-    ``xy-fridge-os``, ``xy-fridge-sp``.  Returns the uncoupled value plus
-    the lambda^2 correction; used as a cross-check of `evaluate_cycle`,
-    valid where the target device operates at zero coupling.
+    ``model`` is ``<coupling>-<device>-<medium>``: coupling ``xx`` or
+    ``xy``, device ``engine`` or ``fridge``, medium ``os`` or ``sp``.
+    Returns the device's uncoupled value plus p r lambda^2: one ratio r
+    per coupling and medium (`_ratio`), times the device's prefactor p
+    (`_device`), whose sign is opposite for the refrigerator, so the
+    coupling that raises eta lowers zeta.  Valid where the device
+    operates at zero coupling; a cross-check of `evaluate_cycles`.
     """
+    match = _TAG.fullmatch(model)
+    if match is None:
+        raise UnknownModel(f"unknown prediction tag: {model!r}")
+    coupling, device, medium = match.groups()
+    omega, omega_prime, lam = (np.asarray(v, dtype=float) for v in (omega, omega_prime, lam))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        value, prefactor = _device(device, omega, omega_prime)
+        ratio = _ratio(coupling, medium, omega, omega_prime, baths.t_h, baths.t_c)
+        return _out(value + prefactor * ratio * lam**2)
+
+
+def _xx_gap(device, omega, omega_prime, baths, lam):
+    """The device's xx gap p (r_os - r_sp) lambda^2, sign flipped for the
+    refrigerator, where r_os - r_sp is one csch sum:
+    (T_c csch(omega/T_h) + T_h csch(omega'/T_c)) / (T_h T_c)."""
+    omega, omega_prime, lam = (np.asarray(v, dtype=float) for v in (omega, omega_prime, lam))
     t_h, t_c = baths.t_h, baths.t_c
-    x = 0.5 * omega / t_h
-    y = 0.5 * omega_prime / t_c
-    lam2 = lam * lam
-
-    if model.startswith("xx-engine"):
-        gamma = (omega - omega_prime) / (t_h * t_c * omega**2)
-        eta0 = 1.0 - omega_prime / omega
-        if model == "xx-engine-os":
-            num = t_c * _csch(x) ** 2 - t_h * _csch(y) ** 2
-            den = 2.0 * (coth(x) - coth(y))
-            return eta0 + gamma * num / den * lam2
-        if model == "xx-engine-sp":
-            num = t_h * _sech(y) ** 2 - t_c * _sech(x) ** 2
-            den = 2.0 * (math.tanh(x) - math.tanh(y))
-            return eta0 + gamma * num / den * lam2
-    elif model.startswith("xx-fridge"):
-        gamma_p = t_h * t_c * (omega - omega_prime)
-        zeta0 = omega_prime / (omega - omega_prime)
-        if model == "xx-fridge-os":
-            num = t_h * _csch(y) ** 2 - t_c * _csch(x) ** 2
-            den = 2.0 * gamma_p * (coth(x) - coth(y))
-            return zeta0 + num / den * lam2
-        if model == "xx-fridge-sp":
-            num = t_c * _sech(x) ** 2 - t_h * _sech(y) ** 2
-            den = 2.0 * gamma_p * (math.tanh(x) - math.tanh(y))
-            return zeta0 + num / den * lam2
-    elif model.startswith("xy-engine"):
-        eta0 = 1.0 - omega_prime / omega
-        corr = (omega**2 - omega_prime**2) * lam2 / (2.0 * omega**3 * omega_prime)
-        if model == "xy-engine-os":
-            return eta0 + corr
-        if model == "xy-engine-sp":
-            return eta0 - corr
-    elif model.startswith("xy-fridge"):
-        zeta0 = omega_prime / (omega - omega_prime)
-        corr = (omega + omega_prime) * lam2 / (
-            2.0 * omega * omega_prime * (omega - omega_prime)
-        )
-        if model == "xy-fridge-os":
-            return zeta0 - corr
-        if model == "xy-fridge-sp":
-            return zeta0 + corr
-    raise UnknownModel(f"unknown prediction tag: {model!r}")
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        gap = (t_c / np.sinh(omega / t_h) + t_h / np.sinh(omega_prime / t_c)) / (t_h * t_c)
+        prefactor = _device(device, omega, omega_prime)[1]
+        return _out((prefactor if device == "engine" else -prefactor) * gap * lam**2)
 
 
-def xx_efficiency_difference(
-    omega: float, omega_prime: float, baths: BathPair, lam: float
-) -> float:
+def xx_efficiency_difference(omega, omega_prime, baths: BathPair, lam):
     """Predicted eta_os - eta_sp for small XX coupling; positive whenever
     omega > omega' in the engine regime."""
-    t_h, t_c = baths.t_h, baths.t_c
-    gamma = (omega - omega_prime) / (t_h * t_c * omega**2)
-    return gamma * (t_c * _csch(omega / t_h) + t_h * _csch(omega_prime / t_c)) * lam * lam
+    return _xx_gap("engine", omega, omega_prime, baths, lam)
 
 
-def xx_cop_difference(
-    omega: float, omega_prime: float, baths: BathPair, lam: float
-) -> float:
+def xx_cop_difference(omega, omega_prime, baths: BathPair, lam):
     """Predicted zeta_sp - zeta_os for small XX coupling; positive whenever
     omega > omega' in the refrigerator regime."""
-    t_h, t_c = baths.t_h, baths.t_c
-    gamma_p = t_h * t_c * (omega - omega_prime)
-    return (t_c * _csch(omega / t_h) + t_h * _csch(omega_prime / t_c)) * lam * lam / gamma_p
+    return _xx_gap("fridge", omega, omega_prime, baths, lam)

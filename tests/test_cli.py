@@ -669,6 +669,36 @@ def test_non_finite_json_value_exits_3(tmp_path, capsys, monkeypatch):
     assert not target.exists()
 
 
+_CYCLE_ARGV = ("cycle", "--medium", "spin", "--model", "xx", "--omega", "4", "--omega-prime", "3",
+               "--lam", "1", "--th", "2", "--tc", "1")
+
+
+@pytest.mark.parametrize("bad", [float("inf"), -float("inf")], ids=["inf", "-inf"])
+@pytest.mark.parametrize("command", ["cycle", "optimize"])
+def test_infinite_json_value_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch, command, bad):
+    # an infinity deep in the document is refused by the JSON encoder itself,
+    # before stdout or the --out file is touched
+    if command == "cycle":
+        cycle_doc = cli._cycle_doc
+
+        def patched(c):
+            doc = cycle_doc(c)
+            doc["modes"]["B"]["q_h"] = bad
+            return doc
+
+        monkeypatch.setattr(cli, "_cycle_doc", patched)
+        argv = _CYCLE_ARGV
+    else:
+        monkeypatch.setattr(cli, "max_coupled_work", lambda *_: ((4.0, 3.0, 0.5), bad))
+        argv = (*_DOMAIN_COMMANDS["optimize"], "--resolution", "4")
+    target = tmp_path / "doc.json"
+    for extra in ([], ["--out", str(target)]):
+        code, out, err = run_cli(capsys, *argv, *extra)
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert "non-finite" in err and "Infinity" not in err
+    assert not target.exists()
+
+
 def _reference_rows(header, columns):
     """The rows of `columns` as dicts, None where absent: what the per-cell
     writer took."""

@@ -1,4 +1,5 @@
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -405,11 +406,121 @@ def test_coth_stability():
     assert coth(1e-10) == pytest.approx(1e10, rel=1e-6)
     assert coth(50.0) == pytest.approx(1.0, rel=1e-15)
     assert coth(800.0) == 1.0  # no overflow
-    # both branches agree with 1/x + x/3 near the crossover
+    # 1/tanh agrees with the series 1/x + x/3 on both sides of 1e-8
     for x in (0.9999e-8, 1.0001e-8):
         assert coth(x) == pytest.approx(1.0 / x + x / 3.0, rel=1e-12)
     arr = coth(np.array([1e-12, 1.0, 100.0]))
     assert arr.shape == (3,)
+
+
+def test_coth_is_its_series_bit_for_bit_below_1e_8():
+    # log-uniform |x| down to the smallest subnormal, both signs, and +-0
+    rng = np.random.default_rng(29)
+    n = 1_000_000
+    x = np.exp(rng.uniform(math.log(5e-324), math.log(1e-8), n)) * rng.choice([-1.0, 1.0], n)
+    x = np.concatenate([x, [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310]])
+    assert (np.abs(x) < 1e-8).all() and (np.abs(x) < 2.2250738585072014e-308).sum() > 40_000
+    with np.errstate(divide="ignore", over="ignore"):
+        series = 1.0 / x + x / 3.0
+    assert coth(x).tobytes() == series.tobytes()
+    assert coth(-0.0) == -math.inf and coth(0.0) == math.inf
+
+
+PREDICTION_TAGS = [
+    f"{c}-{d}-{m}" for c in ("xx", "xy") for d in ("engine", "fridge") for m in ("os", "sp")
+]
+
+
+def _prediction_draws(n, seed):
+    rng = np.random.default_rng(seed)
+    omega = np.exp(rng.uniform(math.log(0.1), math.log(10.0), n))
+    omega_prime = omega * rng.uniform(0.05, 0.95, n)
+    return omega, omega_prime, omega_prime * rng.uniform(0.0, 0.1, n)
+
+
+@pytest.mark.parametrize("baths", [BATHS, BathPair(0.7, 0.45), BathPair(9.0, 0.2)], ids=str)
+def test_prediction_kernels_equal_their_scalar_calls(baths):
+    omega, omega_prime, lam = _prediction_draws(500, 30)
+
+    def same(array, scalar_call, *args):
+        scalar = np.array([scalar_call(*map(float, a)) for a in zip(*args)])
+        assert array.tobytes() == scalar.tobytes()
+
+    for tag in PREDICTION_TAGS:
+        def one(o, op, lm, tag=tag):
+            return perturbative_prediction(tag, o, op, baths, lm)
+
+        same(perturbative_prediction(tag, omega, omega_prime, baths, lam), one,
+             omega, omega_prime, lam)
+        # broadcasting: a (3, 1) column of frequencies against a row of couplings
+        grid = perturbative_prediction(tag, omega[:3, None], omega_prime[:3, None], baths, lam)
+        for i in range(3):
+            same(grid[i], one, np.full(500, omega[i]), np.full(500, omega_prime[i]), lam)
+    for gap in (xx_efficiency_difference, xx_cop_difference):
+        same(gap(omega, omega_prime, baths, lam), lambda o, op, lm: gap(o, op, baths, lm),
+             omega, omega_prime, lam)
+    for mode in ("engine", "refrigerator"):
+        same(critical_coupling(mode, omega, omega_prime, baths),
+             lambda o, op: critical_coupling(mode, o, op, baths), omega, omega_prime)
+    assert isinstance(perturbative_prediction("xx-engine-os", 4.0, 3.0, baths, 0.1), float)
+    assert isinstance(critical_coupling("engine", 4.0, 3.0, baths), float)
+
+
+def test_xy_predictions_are_symmetric_about_the_uncoupled_value():
+    # the oscillators' and the spins' xy ratios are exact negatives, so
+    # wherever the two predictions and the uncoupled value share a binade
+    # (where rounding is symmetric) they lie at exactly equal distances
+    omega, omega_prime, lam = _prediction_draws(20_000, 31)
+    for device in ("engine", "fridge"):
+        u = perturbative_prediction(f"xy-{device}-os", omega, omega_prime, BATHS, 0.0)
+        assert u.tobytes() == perturbative_prediction(
+            f"xy-{device}-sp", omega, omega_prime, BATHS, 0.0).tobytes()
+        up = perturbative_prediction(f"xy-{device}-os", omega, omega_prime, BATHS, lam)
+        down = perturbative_prediction(f"xy-{device}-sp", omega, omega_prime, BATHS, lam)
+        same = (np.frexp(u)[1] == np.frexp(up)[1]) & (np.frexp(u)[1] == np.frexp(down)[1])
+        assert same.mean() > 0.9
+        assert np.array_equal((up - u)[same], (u - down)[same])
+        # the coupling raises the oscillators' eta and lowers their zeta
+        assert ((up - u) * (1.0 if device == "engine" else -1.0) >= 0.0).all()
+
+
+def test_refrigerator_critical_coupling_is_the_engine_ones_negative():
+    rng = np.random.default_rng(32)
+    omega, omega_prime = rng.uniform(0.1, 10.0, (2, 10_000))
+    for baths in (BATHS, BathPair(1.7, 0.6), BathPair(5.0, 4.9)):
+        t_h, t_c = baths.t_h, baths.t_c
+        engine = critical_coupling("engine", omega, omega_prime, baths)
+        fridge = critical_coupling("refrigerator", omega, omega_prime, baths)
+        assert fridge.tobytes() == (-engine).tobytes()
+        # and the refrigerator's own formula, bit for bit
+        pairs = zip(omega.tolist(), omega_prime.tolist())
+        own = [(o * t_c - op * t_h) / (t_h - t_c) for o, op in pairs]
+        assert fridge.tolist() == own
+
+
+def test_predictions_warn_nothing_where_sinh_overflows():
+    # omega/T_h = 1500: sinh and cosh of it (and of its half) overflow, and
+    # csch, sech go to 0; numpy's warnings are RuntimeWarning errors here
+    baths = BathPair(2.0, 1.0)
+    omega, omega_prime, lam = 3000.0, 2.0, 0.01
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = {tag: perturbative_prediction(tag, omega, omega_prime, baths, lam)
+                  for tag in PREDICTION_TAGS}
+        gaps = (xx_efficiency_difference(omega, omega_prime, baths, lam),
+                xx_cop_difference(omega, omega_prime, baths, lam))
+        critical_coupling("engine", [1e308, 4.0], [-1e308, 3.0], baths)
+    assert all(map(math.isfinite, [*values.values(), *gaps]))
+    # the limits csch(omega/T_h) = 0 and csch^2(omega/2T_h) = 0
+    y = 0.5 * omega_prime / baths.t_c
+    eta0 = 1.0 - omega_prime / omega
+    assert values["xx-engine-os"] == pytest.approx(
+        eta0 - (omega - omega_prime) / omega**2 * lam**2
+        * baths.t_h / math.sinh(y) ** 2 / (2.0 * baths.t_h * baths.t_c * (1.0 - _coth(y))),
+        rel=1e-14)
+    csch = 1.0 / math.sinh(omega_prime / baths.t_c)
+    assert gaps[0] == pytest.approx((omega - omega_prime) / omega**2 * lam**2 * csch / baths.t_c,
+                                    rel=1e-14)
 
 
 def _scalar_modes(kind, omega, c1, c2):

@@ -34,7 +34,9 @@ resolutions 12 and 20, the spin general searches of that box at (5, 4.9)
 and (12, 11.76) at resolutions 12 and 20, the spin xy search at
 (12, 11.76) and the spin general search in a box of side 1 at (5, 4.9),
 both at a coarse resolution, an 8001-row spin xx sweep past the
-instability, and ``verify --level quick`` at three seeds;
+instability, ``verify --level quick`` at three seeds, the spin xx optimum
+at a work scale of 1e-10 (``bound_saturated`` is an absolute test) and
+an oscillator sweep at T ~ 1e9, whose coth arguments are below 1e-8;
 together they take about a minute on two cores.  Standard library only.
 """
 
@@ -145,6 +147,13 @@ JOBS = [
     "verify --level quick --seed 0",
     "verify --level quick --seed 7",
     "verify --level quick --seed 488576684",
+    # an optimum at a work scale of 1e-10, where the absolute 1e-9 test of
+    # bound_saturated reads true at any margin; and an oscillator sweep at
+    # T ~ 1e9, whose coth arguments (about 2e-9) lie where coth is its
+    # series 1/x + x/3
+    "optimize --medium spin --model xx --th 2e-9 --tc 1e-9 --domain-max 2e-10",
+    "sweep --medium osc --model xx --omega 4 --omega-prime 3 --th 1e9 --tc 5e8 "
+    "--sweep 0:2.9:0.001",
 ]
 
 _ELAPSED = re.compile(rb"^elapsed: .*$", re.MULTILINE)
