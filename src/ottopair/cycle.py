@@ -212,9 +212,9 @@ def regime_codes(q_h, q_c, w, eps=None) -> tuple[np.ndarray, np.ndarray]:
 def _classify(q_h, q_c, w, valid, eps=None):
     """`classify_regime` plus the figure of merit, over arrays: (codes,
     at_boundary, eta = W/Q_h for engines or zeta = Q_c/|W| for
-    refrigerators, else nan).  Applies the energy-balance check to the
-    valid entries; when `eps` is None the tolerance is `_tolerances` per
-    element."""
+    refrigerators, divided only there, else nan).  Applies the
+    energy-balance check to the valid entries; when `eps` is None the
+    tolerance is `_tolerances` per element."""
     tol = _tolerances(q_h, q_c) if eps is None else eps
     with np.errstate(invalid="ignore"):
         bad = valid & ~(np.abs(w - q_h - q_c) <= tol)
@@ -223,10 +223,9 @@ def _classify(q_h, q_c, w, valid, eps=None):
             f"W - Q_h - Q_c exceeds the regime tolerance for {int(bad.sum())} entries"
         )
     codes, boundary = regime_codes(q_h, q_c, w, tol)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fom = np.where(
-            codes == _ENGINE, w / q_h, np.where(codes == _FRIDGE, q_c / np.abs(w), np.nan)
-        )
+    fom = np.full(codes.shape, np.nan)
+    np.divide(w, q_h, out=fom, where=codes == _ENGINE)
+    np.divide(q_c, np.abs(w), out=fom, where=codes == _FRIDGE)
     return codes, boundary, fom
 
 
@@ -277,13 +276,12 @@ def evaluate_cycles(
     codes, boundary, fom = _classify(q_h, q_c, w, valid)
     g_codes, g_boundary, g_fom = _classify(q_h_t, q_c_t, w_t, valid)
 
-    # convex weight of mode A: heat fraction for two engines, work
-    # fraction for two refrigerators; min/max as Python's, nan included
-    with np.errstate(divide="ignore", invalid="ignore"):
-        weight = np.where(codes[0] == _ENGINE, q_h[0] / q_h_t, np.abs(w[0]) / np.abs(w_t))
-    lower = np.where(fom[1] < fom[0], fom[1], fom[0])
-    upper = np.where(fom[1] > fom[0], fom[1], fom[0])
+    # convex weight of mode A, divided only where the modes share a regime:
+    # heat fraction for two engines, work fraction for two refrigerators
     shared = (codes[0] == codes[1]) & (codes[0] != _DISSIPATOR)
+    weight = np.full(valid.shape, np.nan)
+    np.divide(q_h[0], q_h_t, out=weight, where=shared & (codes[0] == _ENGINE))
+    np.divide(np.abs(w[0]), np.abs(w_t), out=weight, where=shared & (codes[0] == _FRIDGE))
 
     return CycleColumns(
         valid=valid,
@@ -301,8 +299,8 @@ def evaluate_cycles(
         global_regime=g_codes,
         global_at_boundary=g_boundary,
         global_figure=g_fom,
-        weight=np.where(shared, weight, np.nan),
-        bounds=np.where(shared, np.stack([lower, upper]), np.nan),
+        weight=weight,
+        bounds=np.where(shared, [np.minimum(*fom), np.maximum(*fom)], np.nan),
     )
 
 
@@ -375,18 +373,21 @@ def _device(device, omega, omega_prime):
 
 def _ratio(coupling, medium, omega, omega_prime, t_h, t_c):
     """The lambda^2 ratio r of a coupling and medium: +-(omega + omega')/
-    (2 omega omega') for xy, + for oscillators; for xx (T_h f'(y) - T_c f'(x))
-    / (2 T_h T_c (f(x) - f(y))) with x = omega/2T_h, y = omega'/2T_c and f
-    the function of the mode heats' bracket, coth (oscillators) or tanh."""
+    (2 omega omega') for xy, + for oscillators; for xx (T_h g(x)/g(y) -
+    T_c g(y)/g(x)) / (2 T_h T_c sinh(x - y)) with x = omega/2T_h,
+    y = omega'/2T_c and g = sinh (oscillators) or cosh: no difference of
+    two rounded coth or tanh values.  With g(z) = e^z h(z)/2, h(z) =
+    1 -+ e^-2z, and both sides divided by e^|x - y|, no exponential has a
+    positive argument, so none overflows."""
     if coupling == "xy":
         ratio = (omega + omega_prime) / (2.0 * omega * omega_prime)
         return ratio if medium == "os" else -ratio
     x, y = 0.5 * omega / t_h, 0.5 * omega_prime / t_c
-    if medium == "os":
-        f, df = coth, lambda z: -((1.0 / np.sinh(z)) ** 2)
-    else:
-        f, df = np.tanh, lambda z: (1.0 / np.cosh(z)) ** 2
-    return (t_h * df(y) - t_c * df(x)) / (2.0 * t_h * t_c * (f(x) - f(y)))
+    h = (lambda z: -np.expm1(-2.0 * z)) if medium == "os" else (lambda z: 1.0 + np.exp(-2.0 * z))
+    a = h(x) / h(y)
+    lo, hi = 2.0 * np.minimum(x - y, 0.0), -2.0 * np.maximum(x - y, 0.0)
+    numerator = t_h * a * np.exp(lo) - t_c * np.exp(hi) / a
+    return numerator / (t_h * t_c * (np.expm1(lo) - np.expm1(hi)))
 
 
 def perturbative_prediction(model: str, omega, omega_prime, baths: BathPair, lam):

@@ -135,7 +135,7 @@ def _blocks(model: str, n_max: int):
     conserves the parity of n1 + n2, and the single bare frequency makes H
     commute with the 1 <-> 2 exchange: four blocks in the basis
     (|n1 n2> +- |n2 n1>)/sqrt(2) with n1 < n2, plus |n n> in the
-    even-symmetric block.  Returns (bound, groups), read-only arrays.
+    even-symmetric block.  Returns the groups, of read-only arrays.
 
     A group is one stacked eigensolve, (shape, target, source, coef, keep,
     mult): the flattened stack accumulates coef * entries[source] at
@@ -143,8 +143,7 @@ def _blocks(model: str, n_max: int):
     `_fock_entries`, then a pad level for the blocks narrower than the
     group's widest.  A vector's rank is its position among its block's
     sorted vectors; `keep` picks the levels that are not pads, in (block,
-    rank) order, and `mult` is the multiplicity of each.  `bound` indexes
-    the off-diagonal values inside the blocks, which bound the pad level.
+    rank) order, and `mult` is the multiplicity of each.
     """
     d = n_max + 1
     # the index pattern of the entries does not depend on the couplings
@@ -170,13 +169,11 @@ def _blocks(model: str, n_max: int):
         label = n1 + n2 if model == "xx" else n1 - n2
         code = label * d * d + np.arange(d * d)  # the block, then the state
         members = [(label >= 0, np.ones(i.size))]
-    bound = np.zeros(rows.size, bool)
     groups = []
     for member, coef in members:
         # entries between blocks belong to a term that vanishes for this
         # model, and the xy blocks with d < 0 are not solved
         inside = member[i] & member[j] & (label[i] == label[j])
-        bound |= inside[d * d:d * d + rows.size]
         # the sorted codes present, each once; not np.unique, which imports numpy.ma
         present = np.sort(code[member])
         present = present[np.diff(present, prepend=-1) > 0]
@@ -193,10 +190,9 @@ def _blocks(model: str, n_max: int):
             np.flatnonzero(np.arange(m) < width[:, None]),
             np.repeat(np.where((model == "xy") & (np.arange(width.size) > 0), 2, 1), width),
         ))
-    bound = np.flatnonzero(bound)
-    for a in (bound, *(a for group in groups for a in group[1:])):
+    for a in [a for group in groups for a in group[1:]]:
         a.setflags(write=False)
-    return bound, tuple(groups)
+    return tuple(groups)
 
 
 def _block_levels(omega, lambda_x, lambda_p, model: str, n_max: int):
@@ -206,11 +202,13 @@ def _block_levels(omega, lambda_x, lambda_p, model: str, n_max: int):
     plus lam times a matrix independent of omega, so the within-block
     order never changes as omega is driven: (block, rank) is the exact
     adiabatic label.  The pad level sits on the diagonal above every
-    level, so it sorts last in its block and `keep` drops it."""
+    level, so it sorts last in its block and `keep` drops it; the pads
+    have zero off-diagonals, at which LAPACK splits the matrix, so the
+    kept levels are those of each block solved alone."""
     _, _, diagonal, _, _, values = _fock_entries(omega, lambda_x, lambda_p, n_max)
-    bound, groups = _blocks(model, n_max)
-    # Gershgorin: no level exceeds diagonal.max() + sum |values|
-    top = 2.0 * (diagonal.max(axis=-1) + np.abs(values[..., bound]).sum(axis=-1)) + 1.0
+    groups = _blocks(model, n_max)
+    # Gershgorin over the whole matrix: no level exceeds diagonal.max() + sum |values|
+    top = 2.0 * (diagonal.max(axis=-1) + np.abs(values).sum(axis=-1)) + 1.0
     entries = np.concatenate([diagonal, values, top[..., None]], axis=-1)
     lead = entries.shape[:-1]
     # each draw's entries land in its own slab of one bincount
@@ -245,7 +243,7 @@ def truncated_oscillator_spectrum(
 
 def _stack_size(model: str, n_max: int) -> int:
     """Float64 entries of one draw's largest stacked eigensolve input."""
-    return max(math.prod(shape) for shape, *_ in _blocks(model, n_max)[1])
+    return max(math.prod(shape) for shape, *_ in _blocks(model, n_max))
 
 
 def _grouped(check, key, *columns, size=lambda n: 8 * (n + 1)):
@@ -583,8 +581,9 @@ def run_verification(level: str = "quick", seed: int = 0) -> VerificationReport:
         beta_e = rng.uniform(0.05, 2.0)
         return omega, omega_prime, j_x, j_y, baths.beta_h, baths.beta_c, beta_z, beta_e
 
-    columns = map(np.array, zip(*(spin_draw(i) for i in range(draws))))
-    omega, omega_prime, j_x, j_y, beta_h, beta_c, beta_z, beta_e = columns
+    # one draw at a time into one table, in the generator's order
+    table = np.fromiter(map(spin_draw, range(draws)), np.dtype((float, 8)), draws)
+    omega, omega_prime, j_x, j_y, beta_h, beta_c, beta_z, beta_e = table.T
     spectrum, partition = spin_spectrum_check(omega, j_x, j_y, beta_z)
     add("spin spectrum", SPIN_RESIDUAL, spectrum)
     add("spin partition", SPIN_RESIDUAL, partition)
@@ -622,12 +621,8 @@ def run_verification(level: str = "quick", seed: int = 0) -> VerificationReport:
         w_cold = w_hot * rng.uniform(0.3, 1.4)
         return omega, lx, lp, x, w, beta_e, w_hot, w_cold, baths.beta_h, baths.beta_c
 
-    # filled draw by draw: a list of every draw's floats at once raised the
-    # peak RSS of `verify --level full` by about 0.8 MB
-    columns = np.empty((10, draws))
-    for i in range(draws):
-        columns[:, i] = osc_draw(i)
-    omega, lx, lp, x, w, beta_e, w_hot, w_cold, beta_h, beta_c = columns
+    table = np.fromiter(map(osc_draw, range(draws)), np.dtype((float, 10)), draws)
+    omega, lx, lp, x, w, beta_e, w_hot, w_cold, beta_h, beta_c = table.T
     # one spectrum per draw feeds both the low-lying spectrum check and the
     # partition sum (depth 16 keeps the Boltzmann tail below 1e-13 for
     # beta * w_min >= 2.5); the draws are grouped by the blocks they solve
@@ -644,14 +639,14 @@ def run_verification(level: str = "quick", seed: int = 0) -> VerificationReport:
 
     # end-to-end composite heats via block-resolved transport (xx/xy in
     # turn; the general coupling conserves nothing finer than parity)
-    def cycle_draw():
+    def cycle_draw(_):
         omega = rng.uniform(2.0, 6.0)
         omega_prime = omega * rng.uniform(0.55, 0.95)
         lam = rng.uniform(-0.4, 0.4) * omega_prime
         return omega, omega_prime, lam, rng.uniform(2.5, 4.0), rng.uniform(1.5, 2.0)
 
-    columns = map(np.array, zip(*(cycle_draw() for _ in range(2 * per_model))))
-    omega, omega_prime, lam, x_c, t_ratio = columns
+    table = np.fromiter(map(cycle_draw, range(2 * per_model)), np.dtype((float, 5)), 2 * per_model)
+    omega, omega_prime, lam, x_c, t_ratio = table.T
     lp = np.where(np.arange(lam.size) % 2, -lam, lam)
     t_c = np.minimum(*_medium.oscillator_mode_frequencies(omega_prime, lam, lp)) / x_c
     beta_h, beta_c = 1.0 / (t_c * t_ratio), 1.0 / t_c

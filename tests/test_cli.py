@@ -699,6 +699,22 @@ def test_infinite_json_value_exits_3_and_writes_nothing(tmp_path, capsys, monkey
     assert not target.exists()
 
 
+def test_cycle_with_a_subnormal_mode_writes_nothing_to_stderr():
+    # mode B's hot frequency is subnormal, so the efficiency w / q_h that its
+    # dissipator regime discards would overflow; a child process, so that
+    # numpy's warning would reach its stderr as it would a user's
+    src = str(Path(ottopair.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = ["cycle", "--medium", "spin", "--model", "xx", "--omega", "1e-300",
+            "--omega-prime", "1.3", "--lam", "0.99999999999999e-300", "--th", "2", "--tc", "1"]
+    proc = subprocess.run([sys.executable, "-m", "ottopair.cli", *argv], capture_output=True,
+                          env=env, timeout=60, check=False)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+    doc = json.loads(proc.stdout)
+    assert doc["modes"]["B"]["omega_hot"] == 9.94685527e-315
+    assert [doc["modes"][m]["regime"] for m in "AB"] == ["dissipator", "dissipator"]
+
+
 def _reference_rows(header, columns):
     """The rows of `columns` as dicts, None where absent: what the per-cell
     writer took."""

@@ -1,5 +1,6 @@
 import math
 import warnings
+from decimal import Decimal, localcontext
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from ottopair.cycle import (
     REGIMES,
     Regime,
+    _ratio,
     classify_regime,
     coth,
     critical_coupling,
@@ -496,6 +498,42 @@ def test_refrigerator_critical_coupling_is_the_engine_ones_negative():
         pairs = zip(omega.tolist(), omega_prime.tolist())
         own = [(o * t_c - op * t_h) / (t_h - t_c) for o, op in pairs]
         assert fridge.tolist() == own
+
+
+def test_xx_ratio_is_its_formula_to_1e_12_where_coth_or_tanh_values_cancel():
+    # r = (T_h g(x)/g(y) - T_c g(y)/g(x)) / (2 T_h T_c sinh(x - y)), g = sinh
+    # (oscillators) or cosh, at 50 digits from the rounded x and y, as r is
+    # as ill-conditioned in them as sinh(x - y); every other draw lies within
+    # 1e-3 of x = y, where coth x - coth y and tanh x - tanh y cancel, and x
+    # runs up to 60, where tanh and coth round to 1
+    rng = np.random.default_rng(30)
+    n = 1000
+    t_c = rng.uniform(0.2, 3.0, n)
+    t_h = t_c * rng.uniform(1.05, 5.0, n)
+    x = np.exp(rng.uniform(math.log(1e-3), math.log(60.0), n))
+    y = np.where(np.arange(n) % 2, np.exp(rng.uniform(math.log(1e-3), math.log(60.0), n)),
+                 x * (1.0 + rng.uniform(-1e-3, 1e-3, n)))
+    omega, omega_prime = 2.0 * t_h * x, 2.0 * t_c * y
+    x, y = 0.5 * omega / t_h, 0.5 * omega_prime / t_c  # as `_ratio` rounds them
+
+    def sinh(z):
+        return (z.exp() - (-z).exp()) / 2
+
+    def cosh(z):
+        return (z.exp() + (-z).exp()) / 2
+
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for medium, g in (("os", sinh), ("sp", cosh)):
+            got = _ratio("xx", medium, omega, omega_prime, t_h, t_c)
+            for r, *params in zip(got.tolist(), x, y, t_h, t_c):
+                xd, yd, th, tc = map(Decimal, params)
+                u = g(xd) / g(yd)
+                numerator = th * u - tc / u
+                want = numerator / (2 * th * tc * sinh(xd - yd))
+                # not where r's own numerator cancels
+                if abs(numerator) > Decimal(1e-6) * (th * u + tc / u):
+                    assert abs(Decimal(r) - want) <= Decimal(1e-12) * abs(want), (medium, params)
 
 
 def test_predictions_warn_nothing_where_sinh_overflows():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import warnings
 from dataclasses import fields
 from decimal import Decimal, localcontext
 from functools import partial
@@ -20,7 +21,14 @@ from ottopair.cycle import (
 )
 from ottopair.entanglement import xx_thermal_concurrence
 from ottopair.errors import EmptyDomain, NumericalError, UnknownModel
-from ottopair.medium import BathPair, MediumKind, model_coupling, standard_cycle
+from ottopair.medium import (
+    BathPair,
+    MediumKind,
+    model_coupling,
+    oscillator_mode_frequencies,
+    spin_mode_frequencies,
+    standard_cycle,
+)
 from ottopair.optimize import (
     SampleColumns,
     SearchDomain,
@@ -292,6 +300,88 @@ def test_coupled_total_work_is_symmetric_in_the_two_couplings(kind):
     valid = np.isfinite(w)
     assert 0.1 * n < valid.sum() < 0.9 * n and (w[~valid] == -np.inf).all()
     assert np.isfinite(w[near]).any() and (w[near] == -np.inf).any()
+
+
+_FMAX = np.finfo(float).max
+# bath pairs from both ends of the float range: at (2e-323, 5e-324) both
+# betas overflow to inf, and at T_h = 1e308 an oscillator's heat total does
+_EXTREME_BATHS = [
+    BathPair(2.0, 1.0), BathPair(1.0000001, 1.0), BathPair(1e-300, 5e-301),
+    BathPair(1e300, 1e-300), BathPair(1e308, 1.0), BathPair(2e-323, 5e-324),
+]
+
+
+def _magnitudes(rng, n):
+    """n magnitudes, about a fifth each: 0, subnormals, log-uniform over
+    [1e-307, 1e-3] and over [1e-3, 1e3], and from 1e-305 times the largest
+    float up to it (a tenth of these 0)."""
+    return np.choose(rng.integers(0, 5, n), [
+        np.zeros(n),
+        rng.integers(1, 1 << 52, n) * 5e-324,
+        10.0 ** rng.uniform(-307.0, -3.0, n),
+        10.0 ** rng.uniform(-3.0, 3.0, n),
+        _FMAX * 10.0 ** -rng.uniform(0.0, 305.0, n) * (rng.random(n) < 0.9),
+    ])
+
+
+def _couplings(rng, edge, n):
+    """n signed couplings: half at `edge` or one or two ulps inside it,
+    half `_magnitudes`."""
+    inside = edge * (1.0 - rng.integers(0, 3, n) * 2.0**-52)
+    return np.where(rng.random(n) < 0.5, inside, _magnitudes(rng, n)) * rng.choice([-1.0, 1.0], n)
+
+
+def _extreme_cycles(n=20_000):
+    """(kind, baths, omega, omega', cx, cy) of n seeded extreme draws for
+    each medium, coupling model and bath pair of `_EXTREME_BATHS`, the
+    couplings at the stability edge of the smaller frequency."""
+    rng = np.random.default_rng(2024)
+    models = ("xx", "xy", "general")
+    for baths, kind, model in itertools.product(_EXTREME_BATHS, MediumKind, models):
+        omega, omega_prime = _magnitudes(rng, n), _magnitudes(rng, n)
+        edge = np.minimum(omega, omega_prime)
+        values = [_couplings(rng, edge, n) for _ in range(2 if model == "general" else 1)]
+        yield kind, baths, omega, omega_prime, *model_coupling(model, *values)
+
+
+def test_array_kernels_warn_nothing_on_extreme_draws():
+    # no numpy warning reaches stderr: every floating-point error that a
+    # kernel meets is one it means to meet, and silences
+    rng = np.random.default_rng(7)
+    n = 20_000
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind, baths, omega, omega_prime, cx, cy in _extreme_cycles():
+            evaluate_cycles(kind, omega, omega_prime, (cx, cy), (cx, cy), baths)
+            coupled_total_work(kind, omega, omega_prime, cx, cy, baths)
+        beta = np.append(_magnitudes(rng, n - 1), np.inf)
+        for kind in MediumKind:
+            heats_arrays(kind, _magnitudes(rng, n), _magnitudes(rng, n), beta, beta[::-1])
+        omega = _magnitudes(rng, n)
+        oscillator_mode_frequencies(omega, _couplings(rng, omega, n), _couplings(rng, omega, n))
+        spin_mode_frequencies(omega, _couplings(rng, omega, n), _couplings(rng, omega, n))
+        xx_thermal_concurrence(omega, _couplings(rng, omega, n), beta)
+
+
+def test_coupled_total_work_is_minus_inf_exactly_where_evaluate_cycles_refuses():
+    # the objective's one validity rule, a finite work, is `evaluate_cycles`'
+    # `valid`, and its work is `w_total` bit for bit: an optimum's `w_max`
+    # is the work `cycle` prints at its params
+    valid = draws = 0
+    for kind, baths, omega, omega_prime, cx, cy in _extreme_cycles():
+        c = evaluate_cycles(kind, omega, omega_prime, (cx, cy), (cx, cy), baths)
+        w = coupled_total_work(kind, omega, omega_prime, cx, cy, baths)
+        valid, draws = valid + c.valid.sum(), draws + w.size
+        assert w[c.valid].tobytes() == c.w_total[c.valid].tobytes()
+        # but `evaluate_cycles` also refuses a cycle whose work is finite
+        # while a heat total overflows, which only a bath near the largest
+        # float reaches
+        heat_overflow = ~(np.isfinite(c.q_h_total) & np.isfinite(c.q_c_total))
+        finite = ~c.valid & np.isfinite(w)
+        assert (heat_overflow[finite]).all() and (w[finite] == c.w_total[finite]).all()
+        assert (w[~c.valid & ~finite] == -np.inf).all()
+        assert baths.t_h == 1e308 or not finite.any()
+    assert 0.1 * draws < valid < 0.9 * draws
 
 
 def _planted(points):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -306,6 +307,48 @@ def test_fock_blocks_are_the_conserved_blocks_of_the_dense_matrix(model, n_max):
     assert np.array_equal(mult, np.concatenate(expected_mult))
     # with multiplicities the blocks hold the whole dense spectrum
     assert np.allclose(np.sort(np.repeat(levels, mult.astype(int))), np.linalg.eigvalsh(h))
+
+
+@pytest.mark.parametrize("model", ["xx", "xy"])
+def test_block_levels_are_each_block_solved_alone_at_the_verify_cutoffs(model):
+    # `verify` solves blocks at cutoff 16 (spectra) and 18 to 31 (cycle
+    # heats); a stack of two draws, each with its own pad level, gives the
+    # levels of each block of each draw solved alone, bit for bit
+    rng = np.random.default_rng(31)
+    for n_max in (16, *range(18, 32)):
+        omega = rng.uniform(2.0, 6.0, 2)
+        lam = rng.uniform(-0.4, 0.4, 2) * omega
+        levels, _ = _block_levels(omega, *medium.model_coupling(model, lam), model, n_max)
+        n1, n2 = np.divmod(np.arange((n_max + 1) ** 2), n_max + 1)
+        label = n1 + n2 if model == "xx" else n1 - n2
+        for k in range(2):
+            h = truncated_oscillator_matrix(omega[k], *medium.model_coupling(model, lam[k]), n_max)
+            alone = [np.linalg.eigvalsh(h[np.ix_(label == block, label == block)])
+                     for block in range(label.max() + 1)]
+            assert np.array_equal(levels[k], np.concatenate(alone))
+
+
+def test_general_block_levels_are_the_parity_exchange_blocks_of_the_dense_matrix():
+    # the blocks of parity n1 + n2 = 0, 1 in the basis (|a b> +- |b a>)/sqrt(2),
+    # a < b, plus |a a> in the even symmetric one, solved alone from the
+    # dense matrix; a stack of two draws at `verify`'s spectrum cutoff
+    n_max, d = 16, 17
+    omega, lambda_x, lambda_p = np.array([3.7, 5.1]), np.array([0.9, -1.8]), np.array([-0.3, 0.7])
+    levels, mult = _block_levels(omega, lambda_x, lambda_p, "general", n_max)
+    assert (mult == 1).all()
+    for k in range(2):
+        h = truncated_oscillator_matrix(omega[k], lambda_x[k], lambda_p[k], n_max)
+        alone = []
+        for parity, sign in itertools.product((0, 1), (1.0, -1.0)):
+            pairs = [(a, b) for a in range(d) for b in range(a if sign > 0 else a + 1, d)
+                     if (a + b) % 2 == parity]
+            u = np.zeros((d * d, len(pairs)))
+            for col, (a, b) in enumerate(pairs):
+                root = 1.0 if a == b else 0.5**0.5
+                u[[a * d + b, b * d + a], col] = (root, sign * root)
+            alone.append(np.linalg.eigvalsh(u.T @ h @ u))
+        expected = np.concatenate(alone)
+        assert np.abs(levels[k] - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 def _eigensolve_widths(monkeypatch, omega, lambda_x, lambda_p, n_max):

@@ -36,8 +36,10 @@ and (12, 11.76) at resolutions 12 and 20, the spin xy search at
 both at a coarse resolution, an 8001-row spin xx sweep past the
 instability, ``verify --level quick`` at three seeds, the spin xx optimum
 at a work scale of 1e-10 (``bound_saturated`` is an absolute test) and
-an oscillator sweep at T ~ 1e9, whose coth arguments are below 1e-8;
-together they take about a minute on two cores.  Standard library only.
+an oscillator sweep at T ~ 1e9, whose coth arguments are below 1e-8,
+and a spin xx cycle at omega = 1e-300, where an efficiency that no row
+keeps once overflowed to a warning on stderr; together they take about
+a minute on two cores.  Standard library only.
 """
 
 from __future__ import annotations
@@ -154,6 +156,10 @@ JOBS = [
     "optimize --medium spin --model xx --th 2e-9 --tc 1e-9 --domain-max 2e-10",
     "sweep --medium osc --model xx --omega 4 --omega-prime 3 --th 1e9 --tc 5e8 "
     "--sweep 0:2.9:0.001",
+    # a spin xx cycle whose mode B hot frequency is subnormal, where the
+    # efficiency w / q_h that its dissipator discards overflows
+    "cycle --medium spin --model xx --omega 1e-300 --omega-prime 1.3 "
+    "--lam 0.99999999999999e-300 --th 2 --tc 1",
 ]
 
 _ELAPSED = re.compile(rb"^elapsed: .*$", re.MULTILINE)
