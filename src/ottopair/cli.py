@@ -481,8 +481,10 @@ def cmd_optimize(cfg: RunConfig) -> int:
     kind = _medium_kind(cfg)
     baths = _baths(cfg)
     domain = _domain(cfg)
-    # the coupled grid evaluates resolution^2 (xx, xy) or at most
-    # resolution^3 (general) points per slice, at most MAX_SWEEP_ROWS
+    # a box that cuts the anchor is searched from the coupled grid, which
+    # evaluates resolution^2 (xx, xy) or at most resolution^3 (general)
+    # points per slice, at most MAX_SWEEP_ROWS; one that holds it is
+    # checked on the (2 resolution - 1)^2 square of mode frequencies
     slice_axes = 3 if cfg.model == "general" else 2
     resolution = _bounded(cfg, "resolution", 2, round(MAX_SWEEP_ROWS ** (1 / slice_axes)))
     # the uncoupled optimum is over all frequencies, so its point may lie

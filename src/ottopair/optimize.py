@@ -8,12 +8,15 @@ where it meets the supremum to rounding.  A spin's point is the best of
 the curve on which the sum of its two stationarity equations holds, found
 by a golden-section search.  By the paper's bound, the coupled optimum is
 that point at zero coupling, twice the uncoupled work, over any box that
-holds it; the product grid (`_grid_best`) is then evaluated as the check
-that no point beats it.  Any other box is searched without derivatives,
-`_grid_refine`: a pattern search from the best point of the grid that
-polls the full 3^d stencil of moves in one objective call per sweep, with
-step halving; a search that reaches its sweep cap is refused.  The grid is
-evaluated one slice of its last axis at a time, so that neither
+holds it.  The pair's work is one single-system work per normal mode, so
+the check that no point beats it is made in mode space: the grid
+(`_grid_best`) of `single_system_work` over the square of mode
+frequencies that the box can reach holds no value above the uncoupled
+optimum.  Any other box is searched without derivatives, `_grid_refine`:
+a pattern search from the best point of the coupled grid that polls the
+full 3^d stencil of moves in one objective call per sweep, with step
+halving; a search that reaches its sweep cap is refused.  The coupled
+grid is evaluated one slice of its last axis at a time, so that neither
 half-cycle of a mode is computed over more points than its own frequency
 and couplings span; the general model's work is symmetric in its two
 couplings, so its grid is evaluated once per unordered coupling pair.
@@ -112,8 +115,9 @@ def single_system_work(kind: MediumKind, omega, omega_prime, baths: BathPair):
 
 
 def coupled_total_work(kind: MediumKind, omega, omega_prime, cx, cy, baths: BathPair):
-    """Total work of a coupled pair, -inf where it is not finite, as where a
-    mode is invalid (nan) or an oscillator mode underflows to 0 (0 * inf).
+    """Total work of a coupled pair, -inf where the work or a total heat is
+    not finite, as where a mode is invalid (nan) or an oscillator mode
+    underflows to 0 (0 * inf): `evaluate_cycles`' `valid`.
 
     `cx`, `cy` are (j_x, j_y) for spins and (lambda_x, lambda_p) for
     oscillators; `medium.model_coupling` maps a named model onto them.
@@ -121,14 +125,15 @@ def coupled_total_work(kind: MediumKind, omega, omega_prime, cx, cy, baths: Bath
     freqs = spin_mode_frequencies if kind is MediumKind.SPIN else oscillator_mode_frequencies
     wa_h, wb_h = freqs(omega, cx, cy)
     wa_c, wb_c = freqs(omega_prime, cx, cy)
+    qa = heats_arrays(kind, wa_h, wa_c, baths.beta_h, baths.beta_c)
+    qb = heats_arrays(kind, wb_h, wb_c, baths.beta_h, baths.beta_c)
     with np.errstate(invalid="ignore", over="ignore"):
-        w = np.asarray(
-            heats_arrays(kind, wa_h, wa_c, baths.beta_h, baths.beta_c)[2]
-            + heats_arrays(kind, wb_h, wb_c, baths.beta_h, baths.beta_c)[2],
-            dtype=float,
-        )
+        w = np.asarray(qa[2] + qb[2], dtype=float)
+        # a sum of two floats is finite only where both are, so the totals
+        # cover every heat of both modes
+        valid = np.isfinite(w) & np.isfinite(qa[0] + qb[0]) & np.isfinite(qa[1] + qb[1])
     # in place: np.where's new array took 1.2 MB more peak RSS on the 4-D spin grid
-    np.copyto(w, -np.inf, where=~np.isfinite(w))
+    np.copyto(w, -np.inf, where=~valid)
     return w
 
 
@@ -136,17 +141,19 @@ def _grid_best(work, box, resolution: int, symmetric: bool = False):
     """The first maximum in C order of `work` over the `resolution`-per-axis
     grid of the closed `box`; returns (axes, W, index of the point).
 
-    The grid is evaluated one slice of the last axis at a time, one `work`
-    call per slice.  Each half-cycle of a coupled objective depends on one
-    frequency and the couplings, so over (omega, couplings) and
-    (omega', couplings) a slice costs `resolution`^(d - 2) points per side,
-    and only their sum covers the whole slice.  Slices arrive in
-    last-index order, so an equal value replaces the best only at an index
-    earlier in C order.  `symmetric` declares `work` exactly symmetric in
-    its last two axes, whose ranges must then be equal: slice l is
-    evaluated only up to index l on the penultimate axis, which holds the
-    first maximum, since a maximum at (..., k, l), k > l, has its mirror
-    (..., l, k) earlier in C order.
+    It serves both grids of `max_coupled_work`: the 2-D square of mode
+    frequencies that checks an anchored optimum, and the coupled grid from
+    which a cut box is searched.  The grid is evaluated one slice of the
+    last axis at a time, one `work` call per slice.  Each half-cycle of a
+    coupled objective depends on one frequency and the couplings, so over
+    (omega, couplings) and (omega', couplings) a slice costs
+    `resolution`^(d - 2) points per side, and only their sum covers the
+    whole slice.  Slices arrive in last-index order, so an equal value
+    replaces the best only at an index earlier in C order.  `symmetric`
+    declares `work` exactly symmetric in its last two axes, whose ranges
+    must then be equal: slice l is evaluated only up to index l on the
+    penultimate axis, which holds the first maximum, since a maximum at
+    (..., k, l), k > l, has its mirror (..., l, k) earlier in C order.
     """
     if resolution < 2:
         raise EmptyDomain(f"resolution must be >= 2, got {resolution}")
@@ -297,6 +304,25 @@ def max_uncoupled_work(kind: MediumKind, baths: BathPair) -> tuple[float, float,
     return omega, omega * r, w
 
 
+def _mode_square(domain: SearchDomain) -> tuple[tuple[float, float], ...]:
+    """[0, omega_hi + c_hi] x [0, omega'_hi + c_hi], each side clamped at
+    the largest float: the square that holds every (hot, cold) pair of
+    mode frequencies of a box, c_hi being its coupling range's top.
+
+    The couplings are not negative, so every mode frequency at omega lies
+    in [0, omega + c_hi]:
+      - spin xx: omega +- c;
+      - spin xy: hypot(omega, c) <= omega + c;
+      - spin general: s +- l+, s = hypot(omega, l-), l+- = (cx +- cy)/2,
+        where s + l+ <= omega + |l-| + l+ = omega + max(cx, cy);
+      - oscillator xx and general: sqrt((omega + lp)(omega + lx)) <=
+        omega + max(lx, lp) and sqrt((omega - lp)(omega - lx)) <= omega;
+      - oscillator xy: sqrt(omega^2 - c^2) <= omega.
+    """
+    top, c_hi = float(np.finfo(float).max), domain.coupling[1]
+    return tuple((0.0, min(hi + c_hi, top)) for hi in (domain.omega[1], domain.omega_prime[1]))
+
+
 def max_coupled_work(
     kind: MediumKind,
     model: str,
@@ -309,19 +335,33 @@ def max_coupled_work(
 
     xx and xy search one coupling axis, general two (cx, cy).  Returns
     ((omega*, omega'*, coupling*...), W_max); raises UnknownModel for any
-    other model.  By the paper's bound the ceiling is twice the work of
+    other model.  By the paper's bound the ceiling is twice the work W* of
     `max_uncoupled_work` (or of `uncoupled`, its result), met exactly at
     its point at zero coupling, the anchor (an oscillator's first moves
     along its ray into the box, where the work near the origin is the
-    supremum all along).  A box that holds the anchor returns it, and its
-    grid (`_grid_best`) is evaluated as the numerical check of the bound;
-    any other box is searched (`_grid_refine`).  A grid value or optimum
-    above the ceiling by more than `_tolerance` raises NumericalError; one
-    above it by less is rounding, and W_max is then the ceiling.  An
-    anchor whose work misses the ceiling by more raises too, and so does a
-    searched optimum that is not positive in a box from the origin while
-    T_h > T_c, where the box is so much smaller than the anchor that the
-    work in it underflows.
+    supremum all along).  A box that holds the anchor returns it; any
+    other box is searched (`_grid_refine`), and an optimum above the
+    ceiling by more than `_tolerance` raises NumericalError.  One above it
+    by less is rounding, and W_max is then the ceiling.  An anchor whose
+    work misses the ceiling by more raises too, and so does a searched
+    optimum that is not positive in a box from the origin while T_h > T_c,
+    where the box is so much smaller than the anchor that the work in it
+    underflows.
+
+    The anchor is checked in mode space.  The pair's work is W(a, a') +
+    W(b, b'), one single-system work per normal mode, so no point of the
+    box beats 2W* unless a pair of mode frequencies it reaches has
+    W > W*.  The grid (`_grid_best`) of `single_system_work`, -inf where
+    not finite, over `_mode_square`, which holds every such pair, must
+    hold no value above W* by more than `_tolerance(baths, W*)`, half the
+    pair's; one that does raises NumericalError, and a square with no
+    valid point raises EmptyDomain, as does a grid with resolution < 2.
+    The square has 2*resolution - 1 points per axis: a side spans at most
+    twice the longer of the two ranges it sums, which the coupled grid
+    cuts into resolution - 1 cells, so over a box from the origin (every
+    box of the CLI) the square's cell is no coarser than the coupled
+    grid's coarser cell of the two, and over the default box it is the
+    coupled grid's cell.
     """
     n_couplings = 2 if model == "general" else 1
 
@@ -329,10 +369,11 @@ def max_coupled_work(
         cx, cy = model_coupling(model, *coupling)
         return coupled_total_work(kind, omega, omega_prime, cx, cy, baths)
 
+    def mode_work(a, a_prime):
+        w = single_system_work(kind, a, a_prime, baths)
+        return np.where(np.isfinite(w), w, -np.inf)
+
     box = (domain.omega, domain.omega_prime) + (domain.coupling,) * n_couplings
-    # the general model's mode frequencies are symmetric in (cx, cy) bit for
-    # bit, so its grid is evaluated once per unordered coupling pair
-    symmetric = model == "general"
     omega, omega_prime, w_single = uncoupled or max_uncoupled_work(kind, baths)
     ceiling = 2.0 * w_single
     tol = _tolerance(baths, ceiling)
@@ -342,24 +383,30 @@ def max_coupled_work(
         omega_prime = min(omega * r, box[1][1])  # rounding of hi / r
     anchor = np.array([omega, omega_prime] + [0.0] * n_couplings)
     held = all(lo <= v <= hi for v, (lo, hi) in zip(anchor, box))
-    x, best = (
-        (anchor, _grid_best(work, box, resolution, symmetric)[1])
-        if held
-        else _grid_refine(work, box, resolution, symmetric)
-    )
-    if best > ceiling + tol:
-        raise NumericalError(f"the work {best!r} found beats the work supremum {ceiling!r}")
     if held:
-        best = float(work(*anchor))
+        single = _grid_best(mode_work, _mode_square(domain), 2 * resolution - 1)[1]
+        if single > w_single + _tolerance(baths, w_single):
+            raise NumericalError(
+                f"the single-system work {single!r} found in mode space beats the work supremum "
+                f"{w_single!r}"
+            )
+        x, best = anchor, float(work(*anchor))
         if not (math.isfinite(best) and abs(best - ceiling) <= tol):
             raise NumericalError(
                 f"the anchor {anchor.tolist()} gives work {best!r}, not the supremum {ceiling!r}"
             )
-    elif all(lo == 0.0 for lo, _ in box) and baths.beta_h < baths.beta_c and not best > 0.0:
-        raise NumericalError(
-            f"the optimum found has work {best!r}, yet the box holds positive work: it underflows "
-            f"in a box this small; a --domain-max of at least {omega!r} holds the optimum"
-        )
+    else:
+        # the general model's mode frequencies are symmetric in (cx, cy) bit
+        # for bit, so its grid is evaluated once per unordered coupling pair
+        x, best = _grid_refine(work, box, resolution, model == "general")
+        if best > ceiling + tol:
+            raise NumericalError(f"the work {best!r} found beats the work supremum {ceiling!r}")
+        if all(lo == 0.0 for lo, _ in box) and baths.beta_h < baths.beta_c and not best > 0.0:
+            raise NumericalError(
+                f"the optimum found has work {best!r}, yet the box holds positive work: it "
+                f"underflows in a box this small; a --domain-max of at least {omega!r} holds "
+                f"the optimum"
+            )
     return tuple(float(v) for v in x), min(best, ceiling)
 
 

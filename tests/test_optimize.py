@@ -275,11 +275,16 @@ def test_general_model_grid_is_evaluated_once_per_unordered_coupling_pair(monkey
         sizes.append(np.broadcast(*args[:4]).size)
         return coupled_total_work(kind, *args)
 
+    # a box that cuts the anchor is searched from the coupled grid, whose
+    # first 8 calls are its slices
     monkeypatch.setattr(optimize, "coupled_total_work", counted)
-    max_coupled_work(kind, "general", BATHS, SearchDomain(), resolution=8)
+    box = SearchDomain(coupling=(1.0, 2.0))
+    max_coupled_work(kind, "general", BATHS, box, resolution=8)
     assert sum(sizes[:8]) == 8**3 * 9 // 2
     sizes.clear()
-    max_coupled_work(kind, "xy", BATHS, SearchDomain(), resolution=8)
+    # one coupling axis: every grid point (xy's search of this oscillator box
+    # hits its sweep cap, so xx stands for the one-coupling models)
+    max_coupled_work(kind, "xx", BATHS, box, resolution=8)
     assert sum(sizes[:8]) == 8**3
 
 
@@ -373,14 +378,9 @@ def test_coupled_total_work_is_minus_inf_exactly_where_evaluate_cycles_refuses()
         w = coupled_total_work(kind, omega, omega_prime, cx, cy, baths)
         valid, draws = valid + c.valid.sum(), draws + w.size
         assert w[c.valid].tobytes() == c.w_total[c.valid].tobytes()
-        # but `evaluate_cycles` also refuses a cycle whose work is finite
-        # while a heat total overflows, which only a bath near the largest
-        # float reaches
-        heat_overflow = ~(np.isfinite(c.q_h_total) & np.isfinite(c.q_c_total))
-        finite = ~c.valid & np.isfinite(w)
-        assert (heat_overflow[finite]).all() and (w[finite] == c.w_total[finite]).all()
-        assert (w[~c.valid & ~finite] == -np.inf).all()
-        assert baths.t_h == 1e308 or not finite.any()
+        # also where the work is finite but a heat total overflows, which a
+        # bath near the largest float reaches
+        assert (w[~c.valid] == -np.inf).all()
     assert 0.1 * draws < valid < 0.9 * draws
 
 
@@ -584,8 +584,8 @@ def test_cut_box_search_converges_without_crawling(
 
 @pytest.mark.parametrize("model", ["xx", "general"])
 def test_spin_optimum_at_the_benchmark_baths_runs_no_search(monkeypatch, model):
-    # over the benchmark's bath range the box holds the optimum: one work
-    # call per grid slice and one for the anchor, and no pattern search
+    # over the benchmark's bath range the box holds the optimum: one pair
+    # work call, at the anchor, and no pattern search
     def no_search(*_):
         raise AssertionError("the pattern search ran")
 
@@ -602,7 +602,7 @@ def test_spin_optimum_at_the_benchmark_baths_runs_no_search(monkeypatch, model):
             baths = BathPair(t_h, t_c)
             calls.clear()
             params, w_max = max_coupled_work(SPIN, model, baths, SearchDomain(), resolution=12)
-            assert len(calls) == 12 + 1
+            assert len(calls) == 1
             omega, omega_prime, w_single = max_uncoupled_work(SPIN, baths)
             assert params == (omega, omega_prime) + (0.0,) * (len(params) - 2)
             assert w_max == 2.0 * w_single
@@ -634,8 +634,8 @@ def test_max_coupled_work_oscillator_bound_holds():
 def test_oscillator_optimum_is_the_corner_limit(monkeypatch, model, t_h, t_c):
     # from the origin, both optima are the point on the ray
     # omega'/omega = sqrt(T_c/T_h) at zero coupling, where the pair's work
-    # is exactly twice the single system's; one call per grid slice and one
-    # for the limit point, so no refinement sweep runs
+    # is exactly twice the single system's; one pair work call, at the
+    # limit point, so no refinement sweep runs
     baths = BathPair(t_h, t_c)
     sup = oscillator_work_supremum(baths)
     calls = []
@@ -646,7 +646,7 @@ def test_oscillator_optimum_is_the_corner_limit(monkeypatch, model, t_h, t_c):
 
     monkeypatch.setattr(optimize, "coupled_total_work", counted)
     params, w_max = max_coupled_work(OSC, model, baths, SearchDomain(), resolution=7)
-    assert len(calls) == 7 + 1
+    assert len(calls) == 1
     omega, omega_prime, w_single = max_uncoupled_work(OSC, baths)
     assert params == (omega, omega_prime) + (0.0,) * (len(params) - 2)
     assert omega_prime == pytest.approx(omega * math.sqrt(t_c / t_h), rel=1e-15)
@@ -687,13 +687,27 @@ def test_oscillator_limit_point_stays_in_a_small_box():
 
 
 def test_grid_value_above_the_supremum_raises(monkeypatch):
-    # the grid is the numerical check of the paper's bound: an objective
-    # that beats twice the uncoupled optimum is refused
+    # the mode-space grid is the numerical check of the paper's bound: a
+    # single-system work above the uncoupled optimum, at a mode-frequency
+    # pair of the square [0, 20]^2 away from the anchor, is refused
+    true_single = optimize.single_system_work
+    for kind in (SPIN, OSC):
+        uncoupled = max_uncoupled_work(kind, BATHS)
+        w_star, tol = uncoupled[2], optimize._tolerance(BATHS, uncoupled[2])
+
+        def planted(kind, a, a_prime, baths, above):
+            w = true_single(kind, a, a_prime, baths)
+            return np.where((a == 15.0) & (a_prime == 5.0), w_star + above, w)
+
+        monkeypatch.setattr(optimize, "single_system_work", partial(planted, above=1.5 * tol))
+        with pytest.raises(NumericalError, match="beats the work supremum"):
+            max_coupled_work(kind, "xx", BATHS, SearchDomain(), 5, uncoupled)
+        # above it by half the single-system tolerance is rounding
+        monkeypatch.setattr(optimize, "single_system_work", partial(planted, above=0.5 * tol))
+        assert max_coupled_work(kind, "xx", BATHS, SearchDomain(), 5, uncoupled)[1] == 2.0 * w_star
+    monkeypatch.setattr(optimize, "single_system_work", true_single)
     true_pair = optimize.coupled_total_work
     for kind in (SPIN, OSC):
-        monkeypatch.setattr(optimize, "coupled_total_work", lambda *a: true_pair(*a) + 1.0)
-        with pytest.raises(NumericalError, match="beats the work supremum"):
-            max_coupled_work(kind, "xx", BATHS, SearchDomain(), resolution=5)
         # an objective above the ceiling by less than the tolerance, 1e-9
         # of it here, is accepted as the ceiling it rounds
         ceiling = 2.0 * max_uncoupled_work(kind, BATHS)[2]
@@ -702,6 +716,106 @@ def test_grid_value_above_the_supremum_raises(monkeypatch):
                             lambda *a: np.minimum(true_pair(*a), ceiling) + over)
         w_max = max_coupled_work(kind, "xx", BATHS, SearchDomain(), resolution=5)[1]
         assert w_max == ceiling
+
+
+_SQUARE_BOXES = [
+    SearchDomain(),
+    SearchDomain((2.0, 3.0), (0.5, 7.0), (0.0, 40.0)),
+    SearchDomain((1e-3, 1e3), (0.0, 1e-2), (0.25, 0.5)),
+    SearchDomain((5.0, 5.0), (1.0, 2.0), (3.0, 3.0)),
+]
+
+
+@pytest.mark.parametrize("kind", [SPIN, OSC], ids=["spin", "osc"])
+@pytest.mark.parametrize("model", ["xx", "xy", "general"])
+@pytest.mark.parametrize("domain", _SQUARE_BOXES, ids=["default", "wide-c", "thin", "point-c"])
+def test_reachable_mode_frequencies_lie_in_the_mode_square(kind, model, domain):
+    # seeded draws and every corner of the box: each valid mode frequency at
+    # omega (omega') lies in [0, omega_hi + c_hi] ([0, omega'_hi + c_hi])
+    square = optimize._mode_square(domain)
+    c_hi = domain.coupling[1]
+    assert square == ((0.0, domain.omega[1] + c_hi), (0.0, domain.omega_prime[1] + c_hi))
+    n = 100_000
+    rng = np.random.default_rng(0)
+    box = (domain.omega, domain.omega_prime) + (domain.coupling,) * (1 + (model == "general"))
+    corners = np.array(list(itertools.product(*box))).T
+    omega, omega_prime, *coupling = (
+        np.concatenate([rng.uniform(lo, hi, n), corner]) for (lo, hi), corner in zip(box, corners)
+    )
+    freqs = spin_mode_frequencies if kind is SPIN else oscillator_mode_frequencies
+    cx, cy = model_coupling(model, *coupling)
+    valid = 0
+    for x, (_, side) in zip((omega, omega_prime), square):
+        for f in freqs(x, cx, cy):
+            ok = ~np.isnan(f)
+            valid += ok.sum()
+            assert ((0.0 <= f[ok]) & (f[ok] <= side)).all()
+    assert valid > 0
+
+
+@pytest.mark.parametrize("kind", [SPIN, OSC], ids=["spin", "osc"])
+@pytest.mark.parametrize("model", ["xx", "xy", "general"])
+@pytest.mark.parametrize("resolution", [2, 7, 60])
+def test_anchored_box_evaluates_the_anchor_and_one_single_work_call_per_square_slice(
+    monkeypatch, kind, model, resolution
+):
+    # the check grid is the (2 resolution - 1)-point square [0, 20]^2 of the
+    # default box, evaluated one slice of mode frequencies omega' at a time;
+    # the pair's work is evaluated at the anchor alone
+    pair, single = [], []
+
+    def counted_pair(*args):
+        pair.append(np.broadcast(*args[1:5]).size)
+        return coupled_total_work(*args)
+
+    def counted_single(kind, a, a_prime, baths):
+        single.append((np.broadcast(a, a_prime).shape, np.array(a), float(a_prime)))
+        return single_system_work(kind, a, a_prime, baths)
+
+    uncoupled = max_uncoupled_work(kind, BATHS)
+    monkeypatch.setattr(optimize, "coupled_total_work", counted_pair)
+    monkeypatch.setattr(optimize, "single_system_work", counted_single)
+    params, w_max = max_coupled_work(kind, model, BATHS, SearchDomain(), resolution, uncoupled)
+    n = 2 * resolution - 1
+    side = np.linspace(0.0, 20.0, n)
+    assert pair == [1]
+    assert [shape for shape, _, _ in single] == [(n,)] * n
+    assert all(np.array_equal(a, side) for _, a, _ in single)
+    assert [a_prime for _, _, a_prime in single] == side.tolist()
+    assert params == uncoupled[:2] + (0.0,) * (len(params) - 2)
+    assert w_max == 2.0 * uncoupled[2]
+
+
+@pytest.mark.parametrize("kind", [SPIN, OSC], ids=["spin", "osc"])
+@pytest.mark.parametrize("model", ["xx", "xy", "general"])
+def test_mode_square_of_a_box_near_the_largest_float_does_not_overflow(kind, model):
+    # omega_hi + c_hi overflows; the square's side is the largest float, so
+    # its grid is finite and a spin optimum is the anchor, as before the
+    # check moved to mode space.  The oscillator's coupled grid had no valid
+    # point (its frequencies above 0 all square past the float range), so it
+    # raised EmptyDomain; the square has some, and the anchor is returned
+    side = 1.7e308
+    box = SearchDomain((0.0, side), (0.0, side), (0.0, side))
+    assert optimize._mode_square(box) == ((0.0, _FMAX),) * 2
+    params, w_max = max_coupled_work(kind, model, BATHS, box, resolution=12)
+    omega, omega_prime, w_single = max_uncoupled_work(kind, BATHS)
+    assert params == (omega, omega_prime) + (0.0,) * (len(params) - 2)
+    assert w_max == 2.0 * w_single
+    if kind is SPIN:
+        assert (omega, omega_prime, w_max) == (4.065479570001369, 2.860752893064928,
+                                               0.1486149415270283)
+
+
+@pytest.mark.parametrize("model", ["xx", "general"])
+def test_anchored_box_whose_square_has_no_valid_point_raises(model):
+    # at T_h = 1e308 every oscillator frequency of the square [0, 1]^2 has
+    # coth(beta_h a / 2) overflow, so no work is finite: the box holds the
+    # anchor, clamped to (0.5, 0.5e-154), but nothing checks it
+    box = SearchDomain((0.0, 0.5), (0.0, 0.5), (0.0, 0.5))
+    with pytest.raises(EmptyDomain, match=re.escape(
+        "no valid point on the 23-point grid over ((0.0, 1.0), (0.0, 1.0))"
+    )):
+        max_coupled_work(OSC, model, BathPair(1e308, 1.0), box, resolution=12)
 
 
 def test_limit_point_that_misses_the_supremum_raises(monkeypatch):

@@ -21,8 +21,8 @@ and general models (``--resolution 20``), the oscillator xx model at the
 default resolution 60 (the benchmark's oscillator optimizer job), the
 oscillator limit point in a 1e-9 box and at nearly equal bath
 temperatures, the spin optimum for the xx (a README example), xy and
-general models (the 4-D check grid) and for xx in a box of side 1 that
-cuts it, the oscillator general check grid at the default resolution,
+general models and for xx in a box of side 1 that cuts it, the
+oscillator general model at the default resolution,
 the spin general grid in a box of side 1, where the first grid maximum
 is an exact tie between the two couplings swapped, the spin optimum at
 T_h = 1e-10, far below the grid cell, the spin xx/xy/general searches in
@@ -37,9 +37,11 @@ both at a coarse resolution, an 8001-row spin xx sweep past the
 instability, ``verify --level quick`` at three seeds, the spin xx optimum
 at a work scale of 1e-10 (``bound_saturated`` is an absolute test) and
 an oscillator sweep at T ~ 1e9, whose coth arguments are below 1e-8,
-and a spin xx cycle at omega = 1e-300, where an efficiency that no row
-keeps once overflowed to a warning on stderr; together they take about
-a minute on two cores.  Standard library only.
+a spin xx cycle at omega = 1e-300, where an efficiency that no row
+keeps once overflowed to a warning on stderr, and the spin and
+oscillator general optima at ``--resolution 100``, the cap, whose box
+holds the anchor (the check grid in mode space); together they take
+about 20 seconds on two cores.  Standard library only.
 """
 
 from __future__ import annotations
@@ -97,7 +99,7 @@ JOBS = [
     "sweep --medium spin --model general --jx 1.1 --jy -0.4 --omega 4 --omega-prime 2.8 "
     "--th 2 --tc 1 --sweep 0:1.2:0.000012 --format json --out big.json",
     # the optimizer on every oscillator model, its limit point in a tiny box and
-    # at nearly equal bath temperatures, the 4-D spin general grid
+    # at nearly equal bath temperatures, the spin general model
     "optimize --medium osc --model xx --th 2 --tc 1 --resolution 20",
     "optimize --medium osc --model xy --th 2 --tc 1 --resolution 20",
     "optimize --medium osc --model general --th 2 --tc 1 --resolution 20",
@@ -110,8 +112,8 @@ JOBS = [
     # README example)
     "optimize --medium spin --model xy --th 2 --tc 1",
     "optimize --medium spin --model xx --th 2 --tc 1 --domain-max 1",
-    # the oscillator general check grid at the default resolution (60^4
-    # points); the spin general seed at the exact tie W(0, 1) = W(1, 0) of
+    # the oscillator general model at the default resolution; the spin
+    # general seed at the exact tie W(0, 1) = W(1, 0) of
     # the two couplings; and a spin optimum far inside the first grid cell
     "optimize --medium osc --model general --th 2 --tc 1",
     "optimize --medium spin --model general --th 2 --tc 1 --domain-max 1",
@@ -160,6 +162,10 @@ JOBS = [
     # efficiency w / q_h that its dissipator discards overflows
     "cycle --medium spin --model xx --omega 1e-300 --omega-prime 1.3 "
     "--lam 0.99999999999999e-300 --th 2 --tc 1",
+    # the general optimum of both media at the CLI's resolution cap, whose
+    # box holds the anchor: the check grid in mode space
+    "optimize --medium spin --model general --th 2 --tc 1 --resolution 100",
+    "optimize --medium osc --model general --th 2 --tc 1 --resolution 100",
 ]
 
 _ELAPSED = re.compile(rb"^elapsed: .*$", re.MULTILINE)
