@@ -14,7 +14,9 @@ flag the subcommand does not register prints that subcommand's usage.
 
 All output is deterministic for a fixed configuration and seed.  CSV is
 UTF-8, comma-separated with '\\n' line endings and a mandatory header
-row; numbers carry 17 significant digits; figures of merit outside their
+row; its numbers carry 17 significant digits, the bytes of ``'%.17g' %``,
+which the array kernel of `ottopair._g17` spells without a Python call
+per cell (JSON spells numbers by ``repr``); figures of merit outside their
 regime serialize as empty fields, never 0.  Exit codes: 0 ok, 2 config
 error (including output that cannot be written), 3 domain error, 4
 verification failure, 141 stdout closed early (e.g. by ``| head``).
@@ -99,11 +101,19 @@ MAX_SWEEP_ROWS = 1_000_000
 # the sampler keeps its accepted draws (about a tenth at the preset baths)
 # in memory, so their count is capped; it draws and evaluates in chunks
 MAX_DRAWS = 10_000_000
-# rows formatted and written at a time; a larger chunk raises peak RSS
-# (an 8192-row chunk of a 22-column JSON sweep costs ~16 MB) without
+# JSON rows formatted and written at a time; a larger chunk raises peak
+# RSS (an 8192-row chunk of a 22-column sweep costs ~16 MB) without
 # saving time
 _ROW_CHUNK = 1024
+# CSV cells laid out and written at a time, whatever the column count: a
+# 400 kB byte matrix of 25 bytes per cell, and float temporaries below
+# 128 kB; 2^15 cells ran about 40% slower, its temporaries being mapped
+# afresh each time
+_CSV_CELLS = 2**14
 _REGIME_NAMES = np.array([r.value for r in REGIMES], dtype=object)
+# a CSV regime cell's bytes by code, zero-padded, and an absent cell's (-1)
+_REGIME_BYTES = np.array([r.value.encode() for r in REGIMES] + [b""])
+_REGIME_BYTES = _REGIME_BYTES.view(np.uint8).reshape(len(_REGIME_BYTES), -1)
 
 
 def _write_text(cfg: RunConfig, chunks: Iterable[str]) -> None:
@@ -134,8 +144,9 @@ def _write_rows(cfg: RunConfig, header: list[str], columns: list[Column]) -> Non
     or as a JSON list of objects, absent cells empty or null.
 
     The present values are checked before anything is opened, so a
-    non-finite one writes nothing.  Rows are then formatted `_ROW_CHUNK`
-    at a time, each by the `%` template of its presence pattern."""
+    non-finite one writes nothing.  CSV rows are then laid out as bytes
+    by `_csv_chunks`; JSON rows are formatted `_ROW_CHUNK` at a time, each
+    by the `%` template of its presence pattern."""
     for values, present in columns:
         if values.dtype.kind == "f":
             bad = ~np.isfinite(values) if present is None else present & ~np.isfinite(values)
@@ -143,25 +154,29 @@ def _write_rows(cfg: RunConfig, header: list[str], columns: list[Column]) -> Non
                 raise NumericalError(
                     f"non-finite number {values[np.argmax(bad)]} in the output document"
                 )
+    if cfg.format != "json":
+        _write_text(cfg, itertools.chain([",".join(header) + "\n"], _csv_chunks(columns)))
+        return
     n = len(columns[0][0])
+    if not n:
+        _write_text(cfg, ["[]\n"])
+        return
     regime = [values.dtype.kind != "f" for values, _ in columns]
     # a row's presence pattern: one bit per distinct mask
     masks = list({id(m): m for _, m in columns if m is not None}.values())
     bits = {id(m): 1 << i for i, m in enumerate(masks)}
 
     def template(key: int) -> str:
+        # the bytes of JSONEncoder(indent=2), which spells floats by repr;
         # an absent cell takes its value with `%.0s`, which prints nothing
-        cells = [(r, m is None or bool(key & bits[id(m)])) for r, (_, m) in zip(regime, columns)]
-        if cfg.format == "json":
-            # the bytes of JSONEncoder(indent=2), which spells floats by repr
-            items = (
-                f"{json.dumps(k)}: " + (('"%s"' if r else "%r") if p else "null%.0s")
-                for k, (r, p) in zip(header, cells)
-            )
-            return "{\n    " + ",\n    ".join(items) + "\n  }"
-        return ",".join(("%s" if r else "%.17g") if p else "%.0s" for r, p in cells) + "\n"
+        items = (
+            f"{json.dumps(k)}: "
+            + (('"%s"' if r else "%r") if m is None or key & bits[id(m)] else "null%.0s")
+            for k, r, (_, m) in zip(header, regime, columns)
+        )
+        return "{\n    " + ",\n    ".join(items) + "\n  }"
 
-    def chunks(sep: str):
+    def chunks():
         for start in range(0, n, _ROW_CHUNK):
             rows = slice(start, start + _ROW_CHUNK)
             key = np.zeros(min(_ROW_CHUNK, n - start), dtype=np.int64)
@@ -174,15 +189,44 @@ def _write_rows(cfg: RunConfig, header: list[str], columns: list[Column]) -> Non
                 for (v, _), r in zip(columns, regime)
             )
             if start:
-                yield sep
-            yield sep.join(map(operator.mod, templates.tolist(), zip(*cells)))
+                yield ",\n  "
+            yield ",\n  ".join(map(operator.mod, templates.tolist(), zip(*cells)))
 
-    if cfg.format != "json":
-        _write_text(cfg, itertools.chain([",".join(header) + "\n"], chunks("")))
-    elif n:
-        _write_text(cfg, itertools.chain(["[\n  "], chunks(",\n  "), ["\n]\n"]))
-    else:
-        _write_text(cfg, ["[]\n"])
+    _write_text(cfg, itertools.chain(["[\n  "], chunks(), ["\n]\n"]))
+
+
+def _csv_chunks(columns: list[Column]) -> Iterable[str]:
+    """The CSV rows of `columns`, `_CSV_CELLS` cells or one row at a time.
+
+    A chunk is a (rows, columns, 25) byte matrix of zeros: each cell
+    holds its bytes from its first slot and its separator in its last, a
+    regime cell takes its name from a byte table, an absent cell stays
+    empty, and `_g17.write_cells` spells the present float cells as
+    ``'%.17g' %`` does.  The chunk's text is its nonzero bytes."""
+    from . import _g17  # loaded by the CSV writer alone, not on import
+
+    cell = _g17.WIDTH + 1  # a cell's bytes, then its separator
+    n, width = len(columns[0][0]), len(columns)
+    step = max(1, _CSV_CELLS // width)
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        m = min(step, n - start)
+        cells = np.zeros((m, width, cell), dtype=np.uint8)
+        cells[:, :, -1] = ord(",")
+        cells[:, -1, -1] = ord("\n")
+        x, at = [], []
+        for j, (values, present) in enumerate(columns):
+            v = values[rows]
+            if values.dtype.kind != "f":
+                codes = v if present is None else np.where(present[rows], v, -1)
+                cells[:, j, : _REGIME_BYTES.shape[1]] = _REGIME_BYTES[codes]
+                continue
+            keep = slice(None) if present is None else present[rows]
+            x.append(v[keep])
+            at.append((np.arange(m) * width + j)[keep])
+        _g17.write_cells(np.concatenate(x), cells.reshape(-1, cell), np.concatenate(at))
+        flat = cells.reshape(-1)
+        yield flat[flat != 0].tobytes().decode("ascii")
 
 
 def _write_doc(cfg: RunConfig, doc) -> None:

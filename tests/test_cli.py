@@ -741,9 +741,18 @@ def _reference_csv(header, rows):
 
 def _writer_columns(case, n, seed=5):
     """Seeded float and regime columns: some masked, with -0.0,
-    subnormals, 1e308 and non-finite values where absent."""
+    subnormals, 1e308 and non-finite values where absent; powers of ten
+    and their neighbours (1e-280 lies below 10^-280, yet log10 gives
+    exactly -280), exact 18-digit ties that `%` rounds half to even, and
+    values with 3-digit exponents."""
     rng = np.random.default_rng(seed)
-    specials = np.array([-0.0, 0.0, 5e-324, -2.2e-310, 1e308, -1e308, 0.1, 1.0])
+    tens = np.array([1e-280, 1e-5, 1e-4, 1e16, 1e17, 1e22, 1e23, 1e280])
+    specials = np.concatenate([
+        [-0.0, 0.0, 5e-324, -2.2e-310, 1e308, -1e308, 0.1, 1.0],
+        tens, np.nextafter(tens, 0), -np.nextafter(tens, np.inf),
+        [1.0 + 2.0**-17, -(1.0 + 3 * 2.0**-17), 0.5 + 2.0**-18],
+        [1.2345678901234567e-100, -9.87654321e150, 3e-300, 1.5e+279],
+    ])
 
     def floats(mask=None):
         x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
@@ -769,7 +778,9 @@ def _writer_columns(case, n, seed=5):
 
 @pytest.mark.parametrize("n", [0, 1, 57, 2 * cli._ROW_CHUNK + 3])
 @pytest.mark.parametrize("case", ["mixed", "all-empty", "unmasked"])
-def test_row_writer_equals_the_per_cell_writer(capsys, case, n):
+def test_row_writer_equals_the_per_cell_writer(capsys, monkeypatch, case, n):
+    # CSV chunks of 166 (mixed) or 333 rows: 2051 rows cross chunk edges
+    monkeypatch.setattr(cli, "_CSV_CELLS", 1000)
     header, columns = _writer_columns(case, n)
     rows = _reference_rows(header, columns)
     cli._write_rows(cli.RunConfig(command="sweep"), header, columns)

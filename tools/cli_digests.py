@@ -40,8 +40,11 @@ an oscillator sweep at T ~ 1e9, whose coth arguments are below 1e-8,
 a spin xx cycle at omega = 1e-300, where an efficiency that no row
 keeps once overflowed to a warning on stderr, and the spin and
 oscillator general optima at ``--resolution 100``, the cap, whose box
-holds the anchor (the check grid in mode space); together they take
-about 20 seconds on two cores.  Standard library only.
+holds the anchor (the check grid in mode space), and two spin xx CSV
+sweeps whose cells no other job prints: at nano scale (2-digit negative
+exponents) and at 1e300 (3-digit exponents and exact zeros, every cell
+past the CSV formatter's fast range); together they take about 20
+seconds on two cores.  Standard library only.
 """
 
 from __future__ import annotations
@@ -166,6 +169,13 @@ JOBS = [
     # box holds the anchor: the check grid in mode space
     "optimize --medium spin --model general --th 2 --tc 1 --resolution 100",
     "optimize --medium osc --model general --th 2 --tc 1 --resolution 100",
+    # CSV cells that no other job prints: heats in exponent form with
+    # 2-digit negative exponents at nano scale, and 3-digit exponents with
+    # exact zeros at 1e300, whose cells all take the formatter's fallback
+    "sweep --medium spin --model xx --omega 4e-9 --omega-prime 3e-9 --th 2e-9 --tc 1e-9 "
+    "--sweep 0:4e-9:2e-12",
+    "sweep --medium spin --model xx --omega 1e300 --omega-prime 1e300 --th 1e300 --tc 1 "
+    "--sweep 0:1e300:1e297",
 ]
 
 _ELAPSED = re.compile(rb"^elapsed: .*$", re.MULTILINE)
