@@ -29,7 +29,7 @@ from .medium import (
     BathPair,
     CycleSpec,
     MediumKind,
-    mode_pairs_for_cycle,
+    _checked_modes,
     oscillator_mode_frequencies,
     spin_mode_frequencies,
 )
@@ -318,7 +318,8 @@ def evaluate_cycle(spec: CycleSpec) -> CycleColumns:
     ------
     DomainError
         Where ``valid`` is False: the name of a non-finite input field,
-        else the decomposition's own error for an invalid mode, otherwise
+        else `medium._checked_modes`, the normal-mode wrappers' one rule,
+        on ``omega_hot[:, 0]``, then ``omega_cold[:, 0]``; otherwise
         "non-finite heats".
     """
     c = evaluate_cycles(**vars(spec))
@@ -327,7 +328,8 @@ def evaluate_cycle(spec: CycleSpec) -> CycleColumns:
             value = getattr(spec, name)
             if not np.isfinite(value).all():
                 raise DomainError(f"{name} must be finite, got {value}")
-        mode_pairs_for_cycle(spec)  # raises the decomposition's own DomainError
+        _checked_modes(spec.kind, spec.omega_hot, *spec.coupling_hot, *c.omega_hot[:, 0])
+        _checked_modes(spec.kind, spec.omega_cold, *spec.coupling_cold, *c.omega_cold[:, 0])
         heats = np.stack([c.q_h, c.q_c, c.w], axis=-1)[:, 0].tolist()
         total = [float(x[0]) for x in (c.q_h_total, c.q_c_total, c.w_total)]
         raise DomainError(f"non-finite heats: (Q_h, Q_c, W) = {heats} of modes A, B, {total} total")

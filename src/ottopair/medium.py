@@ -90,34 +90,39 @@ class CycleSpec:
 # decompositions
 
 
-def _positive(w_a, w_b) -> tuple[float, float]:
-    """(w_a, w_b) as floats; DomainError where one underflowed to zero."""
+def _checked_modes(kind: MediumKind, omega, cx, cy, w_a, w_b) -> tuple[float, float]:
+    """The one refusal rule: a kernel's (w_a, w_b) at (omega, cx, cy) as floats;
+    DomainError where a mode is nan, or not > 0 (it underflowed)."""
+    if np.isnan(w_a):
+        raise DomainError(
+            ("unstable mode: need omega > max(|lambda_x|, |lambda_p|), got "
+             f"omega={omega}, lambda_x={cx}, lambda_p={cy}")
+            if kind is MediumKind.OSCILLATOR else
+            ("non-positive spin mode: need omega > 0 and sqrt(omega^2 + lm^2) > |lp|, "
+             f"got omega={omega}, j_x={cx}, j_y={cy}")
+        )
     w_a, w_b = float(w_a), float(w_b)
     if not (w_a > 0.0 and w_b > 0.0):
         raise DomainError(f"mode frequencies must be positive, got ({w_a}, {w_b})")
     return w_a, w_b
 
 
+def _normal_modes(kind: MediumKind, omega, cx, cy) -> tuple[float, float]:
+    """`kind`'s array kernel at one point, refused by `_checked_modes`."""
+    freqs = oscillator_mode_frequencies if kind is MediumKind.OSCILLATOR else spin_mode_frequencies
+    return _checked_modes(kind, omega, cx, cy, *freqs(omega, cx, cy))
+
+
 def oscillator_normal_modes(omega: float, lambda_x: float, lambda_p: float) -> tuple[float, float]:
     """Decouple a coupled oscillator pair into its two normal modes.
 
     Returns the frequencies ``(w_a, w_b) = sqrt((omega +/- lambda_p)
-    (omega +/- lambda_x))``; a length-1 call of
-    `oscillator_mode_frequencies`.
-
-    Raises
-    ------
-    DomainError
-        If ``omega <= max(|lambda_x|, |lambda_p|)`` (an unstable or
-        imaginary mode) or a frequency underflows to zero.
+    (omega +/- lambda_x))`` as floats: a length-1 call of
+    `oscillator_mode_frequencies` under the refusal rule it shares with
+    `evaluate_cycle`, so DomainError if ``omega <= max(|lambda_x|,
+    |lambda_p|)`` (an unstable mode) or a frequency underflows to zero.
     """
-    w_a, w_b = oscillator_mode_frequencies(omega, lambda_x, lambda_p)
-    if np.isnan(w_a):
-        raise DomainError(
-            f"unstable mode: need omega > max(|lambda_x|, |lambda_p|), got "
-            f"omega={omega}, lambda_x={lambda_x}, lambda_p={lambda_p}"
-        )
-    return _positive(w_a, w_b)
+    return _normal_modes(MediumKind.OSCILLATOR, omega, lambda_x, lambda_p)
 
 
 def spin_normal_modes(omega: float, j_x: float, j_y: float) -> tuple[float, float]:
@@ -127,21 +132,12 @@ def spin_normal_modes(omega: float, j_x: float, j_y: float) -> tuple[float, floa
     frequencies are ``(w_a, w_b) = sqrt(omega^2 + lm^2) +/- lp``.  This
     reduces to ``omega +/- j`` for the XX model and to ``sqrt(omega^2 +
     j^2)`` for the XY model; the general form is certified against the
-    exact 4x4 spectrum by the oracle module.  A length-1 call of
-    `spin_mode_frequencies`.
-
-    Raises
-    ------
-    DomainError
-        If ``omega <= 0`` or the "-" branch frequency would be non-positive.
+    exact 4x4 spectrum by the oracle module.  Floats from a length-1 call
+    of `spin_mode_frequencies` under the refusal rule it shares with
+    `evaluate_cycle`, so DomainError if ``omega <= 0``, the "-" branch
+    would be non-positive or a frequency underflows to zero.
     """
-    w_a, w_b = spin_mode_frequencies(omega, j_x, j_y)
-    if np.isnan(w_a):
-        raise DomainError(
-            f"non-positive spin mode: need omega > 0 and sqrt(omega^2 + lm^2) > |lp|, "
-            f"got omega={omega}, j_x={j_x}, j_y={j_y}"
-        )
-    return _positive(w_a, w_b)
+    return _normal_modes(MediumKind.SPIN, omega, j_x, j_y)
 
 
 def mode_pairs_for_cycle(spec: CycleSpec) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -152,9 +148,8 @@ def mode_pairs_for_cycle(spec: CycleSpec) -> tuple[tuple[float, float], tuple[fl
     branch identity (A = "+", B = "-") across them, never re-sorting, so
     the per-mode cycles stay well defined where the curves cross.
     """
-    modes = oscillator_normal_modes if spec.kind is MediumKind.OSCILLATOR else spin_normal_modes
-    hot = modes(spec.omega_hot, *spec.coupling_hot)
-    cold = modes(spec.omega_cold, *spec.coupling_cold)
+    hot = _normal_modes(spec.kind, spec.omega_hot, *spec.coupling_hot)
+    cold = _normal_modes(spec.kind, spec.omega_cold, *spec.coupling_cold)
     return tuple(zip(hot, cold))
 
 
@@ -224,7 +219,7 @@ _hypot = np.frompyfunc(math.hypot, 2, 1)
 def spin_mode_frequencies(omega, j_x, j_y):
     """Spin decomposition over broadcast arrays; returns (w_a, w_b) with
     nan where ``omega <= 0`` or a mode frequency would be non-positive.
-    The only one: `evaluate_cycles`, the optimizer and the sampler call it."""
+    The only one: the rows, optimizer, sampler, oracle and wrappers call it."""
     omega = np.asarray(omega, dtype=float)
     with np.errstate(invalid="ignore", over="ignore"):
         l_plus = 0.5 * (np.asarray(j_x, dtype=float) + j_y)

@@ -80,6 +80,24 @@ def test_every_public_name_is_its_submodules_object():
             assert getattr(ottopair, name) is getattr(module, name), name
 
 
+def test_every_benchmark_traced_layer_function_exists():
+    # bench/run.py reports a traced function that is gone as null, so every
+    # `<module>.<function>.<stat>` of an ottopair module in the benchmark's
+    # per-layer list must stay callable
+    spec = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+    modules = {info.name for info in pkgutil.iter_modules(ottopair.__path__)}
+    traced = {
+        tuple(name.split(".")[:2]) for name in (m["name"] for m in spec["per_layer"])
+        if name.count(".") == 2 and name.split(".")[0] in modules
+    }
+    layers = {module for module, _ in traced}
+    assert layers >= {"cli", "cycle", "entanglement", "medium", "optimize", "oracle"}
+    for module, function in sorted(traced):
+        assert callable(getattr(importlib.import_module(f"ottopair.{module}"), function, None)), (
+            f"{module}.{function}"
+        )
+
+
 def test_version_and_unknown_attribute():
     assert ottopair.__version__ == "0.1.0"
     with pytest.raises(AttributeError, match="no_such_name"):

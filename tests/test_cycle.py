@@ -29,7 +29,15 @@ from ottopair.errors import (
     InconsistentEnergy,
     UnknownModel,
 )
-from ottopair.medium import BathPair, CycleSpec, MediumKind, model_coupling, standard_cycle
+from ottopair.medium import (
+    BathPair,
+    CycleSpec,
+    MediumKind,
+    model_coupling,
+    oscillator_normal_modes,
+    spin_normal_modes,
+    standard_cycle,
+)
 
 OSC = MediumKind.OSCILLATOR
 SPIN = MediumKind.SPIN
@@ -147,6 +155,23 @@ def test_evaluate_cycle_refuses_invalid_points():
                 evaluate_cycle(CycleSpec(kind, omega, 3.0, coupling, ok, BATHS))
             with pytest.raises(DomainError):
                 evaluate_cycle(CycleSpec(kind, 3.0, omega, ok, coupling, BATHS))
+
+    # an invalid mode is refused in the normal-mode wrapper's words at the
+    # first failing point, hot before cold: one rule for both paths
+    wrappers = {OSC: oscillator_normal_modes, SPIN: spin_normal_modes}
+    cases = [  # (kind, omega_hot, omega_cold, coupling, first failing omega)
+        (OSC, 1e-300, 3.0, (0.0, 0.0), 1e-300),  # modes that underflow to 0
+        (OSC, 3.0, 1e-300, (0.0, 0.0), 1e-300),
+        (OSC, 3.0, 2.0, (2.5, 2.5), 2.0), (OSC, 2.0, 3.0, (2.5, 2.5), 2.0),
+        (SPIN, 4.0, 3.0, (3.5, 3.5), 3.0), (SPIN, 3.0, 4.0, (3.5, 3.5), 3.0),
+        (OSC, 2.0, 1.0, (2.5, 2.5), 2.0), (SPIN, 3.0, 2.0, (3.5, 3.5), 3.0),  # both points
+    ]
+    for kind, omega_hot, omega_cold, coupling, failing in cases:
+        with pytest.raises(DomainError) as wrapper:
+            wrappers[kind](failing, *coupling)
+        with pytest.raises(DomainError) as refused:
+            evaluate_cycle(CycleSpec(kind, omega_hot, omega_cold, coupling, coupling, BATHS))
+        assert str(refused.value) == str(wrapper.value)
 
 
 @pytest.mark.parametrize("name", ["omega_hot", "omega_cold", "coupling_hot", "coupling_cold"])

@@ -13,7 +13,8 @@ its digest covers the exit code, stdout, stderr and the ``--out`` file if
 the job writes one.  The ``elapsed:`` line of ``verify`` is a wall time,
 so it is masked.  The jobs are the README examples, ``cycle`` on both
 media and all three models (osc xx in mixed regimes, so with null weight
-and bounds) plus five refused cycles, fig6/fig7a/fig7b, a spin
+and bounds) plus seven refused cycles (among them one refused at its hot
+point and one whose modes underflow to 0), fig6/fig7a/fig7b, a spin
 general-model JSON sweep, the JSON rows of ``sample``, fig5, fig3 and an
 oscillator sweep past its instability (null cells), a 100 001-row spin
 general sweep as CSV and as JSON, ``optimize`` for the oscillator xx, xy
@@ -69,8 +70,9 @@ JOBS = [
     "sample --th 2 --tc 1 --n 100000 --seed 0 --out samples.csv",
     "verify --level full",
     # `cycle` on the other media and models, and its refusals: an unstable
-    # oscillator, a non-positive spin mode, a zero frequency, a nan coupling
-    # and heats that overflow
+    # oscillator and a non-positive spin mode (both at the cold point), a zero
+    # frequency, a nan coupling, heats that overflow, an unstable oscillator
+    # at the hot point and modes that underflow to 0
     "cycle --medium osc --model xx --omega 4 --omega-prime 3 --lam 2.2 --th 2 --tc 1",
     "cycle --medium osc --model xy --omega 5 --omega-prime 2 --lam 1.5 --th 2 --tc 1",
     "cycle --medium osc --model general --lx 0.7 --lp -1.3 --omega 4 --omega-prime 2.5 "
@@ -83,6 +85,8 @@ JOBS = [
     "cycle --medium spin --model xx --omega 0 --omega-prime 3 --lam 1 --th 2 --tc 1",
     "cycle --medium osc --model xy --omega 4 --omega-prime 3 --lam nan --th 2 --tc 1",
     "cycle --medium osc --model xx --omega 4 --omega-prime 3 --lam 0 --th 1e308 --tc 1e-308",
+    "cycle --medium osc --model xx --omega 2 --omega-prime 3 --lam 2.5 --th 2 --tc 1",
+    "cycle --medium osc --model xx --omega 1e-300 --omega-prime 1e-300 --lam 0 --th 2 --tc 1",
     # the other figures and a general-model sweep
     "figure fig6",
     "figure fig7a",
