@@ -20,10 +20,15 @@ per cell (JSON spells numbers by ``repr``); figures of merit outside their
 regime serialize as empty fields, never 0.  Exit codes: 0 ok, 2 config
 error (including output that cannot be written), 3 domain error, 4
 verification failure, 141 stdout closed early (e.g. by ``| head``).
-Every cycle comes from `evaluate_cycles` columns: ``sweep`` and ``figure``
-evaluate their rows in one batched pass, and the ``cycle`` document is a
-length-1 call's columns, absent values as null where a sweep row leaves
-its field empty.
+Every cycle comes from `evaluate_cycles` columns, and the ``cycle``
+document is a length-1 call's columns, absent values as null where a
+sweep row leaves its field empty.  The row commands (``sweep``,
+``figure`` and ``sample``) hand `_write_rows` their rows in blocks of
+2^14 cells, evaluated in batches, and each block is written before the
+next is produced, so their memory does not grow with the row count.  A
+refused document writes nothing: grid rows are evaluated twice, first
+for the verdict, and sampled rows stream only from a box whose values
+are all finite by a bound (see `_draw_blocks`).
 
 The CLI runs OpenBLAS on one thread unless ``OPENBLAS_NUM_THREADS`` is
 set: this module sets it before it imports numpy, and ``import ottopair``
@@ -42,7 +47,7 @@ import operator
 import os
 import sys
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 # OpenBLAS reads this once, when numpy loads; the oracle's solves, at most
 # 81 wide, gain nothing from more threads, which only spin.
@@ -51,14 +56,14 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 
 from .cycle import REGIMES, CycleColumns, Regime, evaluate_cycle, evaluate_cycles
-from .errors import ConfigError, DomainError, NumericalError, OttoPairError
+from .errors import ConfigError, DomainError, InconsistentEnergy, NumericalError, OttoPairError
 from .medium import BathPair, MediumKind, model_coupling, standard_cycle
 from .optimize import (
     SearchDomain,
+    _engine_chunks,
     max_coupled_work,
     max_uncoupled_work,
     oscillator_work_supremum,
-    sample_engine_points,
 )
 from .oracle import run_verification
 
@@ -96,19 +101,16 @@ class RunConfig:
     resolution: int = 60
 
 
-# a batched grid is allocated at once, so its size is capped
+# the rows of a sweep or figure grid: its coupling grid is allocated at
+# once, 8 bytes a row, and its cycles are evaluated a block at a time
 MAX_SWEEP_ROWS = 1_000_000
-# the sampler keeps its accepted draws (about a tenth at the preset baths)
-# in memory, so their count is capped; it draws and evaluates in chunks
+# the draws of one sample: their accepted rows are written one draw chunk at
+# a time, or held where the box is too large for `_draw_blocks`' bound
 MAX_DRAWS = 10_000_000
-# JSON rows formatted and written at a time; a larger chunk raises peak
-# RSS (an 8192-row chunk of a 22-column sweep costs ~16 MB) without
-# saving time
-_ROW_CHUNK = 1024
-# CSV cells laid out and written at a time, whatever the column count: a
-# 400 kB byte matrix of 25 bytes per cell, and float temporaries below
-# 128 kB; 2^15 cells ran about 40% slower, its temporaries being mapped
-# afresh each time
+# cells per block of rows, evaluated, laid out and written at a time,
+# whatever the column count: as CSV a 400 kB byte matrix of 25 bytes per
+# cell, and float temporaries below 128 kB; 2^15 cells ran about 40%
+# slower, its temporaries being mapped afresh each time
 _CSV_CELLS = 2**14
 _REGIME_NAMES = np.array([r.value for r in REGIMES], dtype=object)
 # a CSV regime cell's bytes by code, zero-padded, and an absent cell's (-1)
@@ -137,30 +139,76 @@ def _write_text(cfg: RunConfig, chunks: Iterable[str]) -> None:
 # a column of rows: float values, or int8 codes into REGIMES, and the
 # mask of the rows that hold a value (None: every row)
 Column = tuple[np.ndarray, Optional[np.ndarray]]
+# one column per header name, over the same rows
+Block = list[Column]
 
 
-def _write_rows(cfg: RunConfig, header: list[str], columns: list[Column]) -> None:
-    """Write one row per index of `columns` (one per `header` name) as CSV
-    or as a JSON list of objects, absent cells empty or null.
+def _block_rows(width: int) -> int:
+    """The rows of a block of `width` columns: `_CSV_CELLS` cells, or one
+    row."""
+    return max(1, _CSV_CELLS // width)
 
-    The present values are checked before anything is opened, so a
-    non-finite one writes nothing.  CSV rows are then laid out as bytes
-    by `_csv_chunks`; JSON rows are formatted `_ROW_CHUNK` at a time, each
-    by the `%` template of its presence pattern."""
-    for values, present in columns:
-        if values.dtype.kind == "f":
-            bad = ~np.isfinite(values) if present is None else present & ~np.isfinite(values)
-            if bad.any():
-                raise NumericalError(
-                    f"non-finite number {values[np.argmax(bad)]} in the output document"
-                )
+
+def _refuse_non_finite(blocks: Iterable[Block]) -> None:
+    """Raise NumericalError if a present value of `blocks` is not finite,
+    naming the first one of the first such column in header order; only
+    that value is kept per column."""
+    first: dict[int, float] = {}
+    for block in blocks:
+        for j, (values, present) in enumerate(block):
+            if j not in first and values.dtype.kind == "f":
+                bad = ~np.isfinite(values) if present is None else present & ~np.isfinite(values)
+                if bad.any():
+                    first[j] = values[np.argmax(bad)]
+    if first:
+        raise NumericalError(f"non-finite number {first[min(first)]} in the output document")
+
+
+def _write_rows(cfg: RunConfig, header: list[str], blocks: Iterable[Block],
+                finite: bool = False) -> None:
+    """Write the rows of `blocks`, in order, as CSV or as a JSON list of
+    objects, absent cells empty or null.
+
+    A refused document writes nothing.  Unless `finite` (a bound of the
+    producer's shows every present value finite), `blocks` is iterated
+    twice, and the first pass finds a non-finite present value before
+    anything is opened; a producer such as `_Grid` evaluates its blocks
+    afresh on each pass.  Each block is laid out and written before the
+    next one is produced, `_block_rows` rows at a time, CSV by `_csv_text`
+    and JSON by `_json_text`; so memory is bounded by a block, not by the
+    row count."""
+    if not finite:
+        _refuse_non_finite(blocks)
+    step = _block_rows(len(header))
+
+    def pieces():
+        for block in blocks:
+            if finite:
+                _refuse_non_finite([block])  # a guard: the producer's bound keeps it silent
+            n = len(block[0][0])
+            for start in range(0, n, step):
+                rows = slice(start, start + step)
+                yield block if n <= step else [
+                    (v[rows], p if p is None else p[rows]) for v, p in block]
+
     if cfg.format != "json":
-        _write_text(cfg, itertools.chain([",".join(header) + "\n"], _csv_chunks(columns)))
+        _write_text(cfg, itertools.chain([",".join(header) + "\n"], map(_csv_text, pieces())))
         return
-    n = len(columns[0][0])
-    if not n:
-        _write_text(cfg, ["[]\n"])
-        return
+
+    def document():
+        empty = True
+        for piece in pieces():
+            yield "[\n  " if empty else ",\n  "
+            yield _json_text(header, piece)
+            empty = False
+        yield "[]\n" if empty else "\n]\n"
+
+    _write_text(cfg, document())
+
+
+def _json_text(header: list[str], columns: Block) -> str:
+    """The JSON objects of the rows of `columns`, joined by ",\\n  ", each
+    by the `%` template of its presence pattern."""
     regime = [values.dtype.kind != "f" for values, _ in columns]
     # a row's presence pattern: one bit per distinct mask
     masks = list({id(m): m for _, m in columns if m is not None}.values())
@@ -176,57 +224,63 @@ def _write_rows(cfg: RunConfig, header: list[str], columns: list[Column]) -> Non
         )
         return "{\n    " + ",\n    ".join(items) + "\n  }"
 
-    def chunks():
-        for start in range(0, n, _ROW_CHUNK):
-            rows = slice(start, start + _ROW_CHUNK)
-            key = np.zeros(min(_ROW_CHUNK, n - start), dtype=np.int64)
-            for m in masks:
-                key |= m[rows].astype(np.int64) * bits[id(m)]
-            keys, pattern = np.unique(key, return_inverse=True)
-            templates = np.array([template(k) for k in keys.tolist()], dtype=object)[pattern]
-            cells = (
-                (_REGIME_NAMES[v[rows]] if r else v[rows]).tolist()
-                for (v, _), r in zip(columns, regime)
-            )
-            if start:
-                yield ",\n  "
-            yield ",\n  ".join(map(operator.mod, templates.tolist(), zip(*cells)))
-
-    _write_text(cfg, itertools.chain(["[\n  "], chunks(), ["\n]\n"]))
+    key = np.zeros(len(columns[0][0]), dtype=np.int64)
+    for m in masks:
+        key |= m.astype(np.int64) * bits[id(m)]
+    keys, pattern = np.unique(key, return_inverse=True)
+    templates = np.array([template(k) for k in keys.tolist()], dtype=object)[pattern]
+    cells = ((_REGIME_NAMES[v] if r else v).tolist() for (v, _), r in zip(columns, regime))
+    return ",\n  ".join(map(operator.mod, templates.tolist(), zip(*cells)))
 
 
-def _csv_chunks(columns: list[Column]) -> Iterable[str]:
-    """The CSV rows of `columns`, `_CSV_CELLS` cells or one row at a time.
-
-    A chunk is a (rows, columns, 25) byte matrix of zeros: each cell
-    holds its bytes from its first slot and its separator in its last, a
-    regime cell takes its name from a byte table, an absent cell stays
-    empty, and `_g17.write_cells` spells the present float cells as
-    ``'%.17g' %`` does.  The chunk's text is its nonzero bytes."""
+def _csv_text(columns: Block) -> str:
+    """The CSV rows of `columns`, laid out as a (rows, columns, 25) byte
+    matrix of zeros: each cell holds its bytes from its first slot and its
+    separator in its last, a regime cell takes its name from a byte table,
+    an absent cell stays empty, and `_g17.write_cells` spells the present
+    float cells as ``'%.17g' %`` does.  The text is the nonzero bytes."""
     from . import _g17  # loaded by the CSV writer alone, not on import
 
     cell = _g17.WIDTH + 1  # a cell's bytes, then its separator
-    n, width = len(columns[0][0]), len(columns)
-    step = max(1, _CSV_CELLS // width)
-    for start in range(0, n, step):
-        rows = slice(start, start + step)
-        m = min(step, n - start)
-        cells = np.zeros((m, width, cell), dtype=np.uint8)
-        cells[:, :, -1] = ord(",")
-        cells[:, -1, -1] = ord("\n")
-        x, at = [], []
-        for j, (values, present) in enumerate(columns):
-            v = values[rows]
-            if values.dtype.kind != "f":
-                codes = v if present is None else np.where(present[rows], v, -1)
-                cells[:, j, : _REGIME_BYTES.shape[1]] = _REGIME_BYTES[codes]
-                continue
-            keep = slice(None) if present is None else present[rows]
-            x.append(v[keep])
-            at.append((np.arange(m) * width + j)[keep])
-        _g17.write_cells(np.concatenate(x), cells.reshape(-1, cell), np.concatenate(at))
-        flat = cells.reshape(-1)
-        yield flat[flat != 0].tobytes().decode("ascii")
+    m, width = len(columns[0][0]), len(columns)
+    cells = np.zeros((m, width, cell), dtype=np.uint8)
+    cells[:, :, -1] = ord(",")
+    cells[:, -1, -1] = ord("\n")
+    x, at = [], []
+    for j, (values, present) in enumerate(columns):
+        if values.dtype.kind != "f":
+            codes = values if present is None else np.where(present, values, -1)
+            cells[:, j, : _REGIME_BYTES.shape[1]] = _REGIME_BYTES[codes]
+            continue
+        keep = slice(None) if present is None else present
+        x.append(values[keep])
+        at.append((np.arange(m) * width + j)[keep])
+    _g17.write_cells(np.concatenate(x), cells.reshape(-1, cell), np.concatenate(at))
+    flat = cells.reshape(-1)
+    return flat[flat != 0].tobytes().decode("ascii")
+
+
+class _Grid:
+    """The blocks of an `n`-row grid of `width` columns: `block(rows)` for
+    each slice of `_block_rows(width)` rows, evaluated afresh on each
+    iteration, so `_write_rows`' two passes hold one block at a time.
+
+    The kernels are elementwise, so a block's cells are the whole grid's.
+    An InconsistentEnergy is raised again from the whole grid evaluated at
+    once, which words it with the grid's count of failing entries.  (A
+    plain class: a dataclass would cost the import about 1 ms.)"""
+
+    def __init__(self, n: int, width: int, block: Callable[[slice], Block]):
+        self.n, self.width, self.block = n, width, block
+
+    def __iter__(self) -> Iterator[Block]:
+        step = _block_rows(self.width)
+        try:
+            for start in range(0, self.n, step):
+                yield self.block(slice(start, start + step))
+        except InconsistentEnergy:
+            self.block(slice(0, self.n))  # raises the whole grid's refusal
+            raise
 
 
 def _write_doc(cfg: RunConfig, doc) -> None:
@@ -426,17 +480,23 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if cfg.sweep is None:
         raise ConfigError("missing required option --sweep LO:HI:STEP")
     grid = _parse_sweep(cfg.sweep)
-    values = (grid,)
     if cfg.model == "general":
         cx, cy = _coupling_value(cfg, kind)  # direction scaled by the sweep value
         if not (math.isfinite(cx) and math.isfinite(cy)):
             raise DomainError(f"coupling direction must be finite, got ({cx}, {cy})")
-        with np.errstate(over="ignore"):  # an overflowing coupling is an unstable row
-            values = (cx * grid, cy * grid)
-    coupling = model_coupling(cfg.model, *values)
     omega, omega_prime = _bare_frequencies(cfg)
-    columns = evaluate_cycles(kind, omega, omega_prime, coupling, coupling, baths)
-    _write_rows(cfg, _SWEEP_HEADER, _sweep_columns(grid, columns))
+
+    def block(rows: slice) -> Block:
+        lam = grid[rows]
+        values = (lam,)
+        if cfg.model == "general":
+            with np.errstate(over="ignore"):  # an overflowing coupling is an unstable row
+                values = (cx * lam, cy * lam)
+        coupling = model_coupling(cfg.model, *values)
+        c = evaluate_cycles(kind, omega, omega_prime, coupling, coupling, baths)
+        return _sweep_columns(lam, c)
+
+    _write_rows(cfg, _SWEEP_HEADER, _Grid(grid.size, len(_SWEEP_HEADER), block))
     return EXIT_OK
 
 
@@ -450,28 +510,25 @@ _FIGURE_DEFAULTS = {
 }
 
 
-def figure_rows(name: str, cfg: RunConfig) -> tuple[list[str], list[Column]]:
-    """Header and columns of one named figure dataset (a `_FIGURE_DEFAULTS`
-    key), in the form `_write_rows` takes; shared by the CLI and the tests."""
+def figure_rows(name: str, cfg: RunConfig) -> tuple[list[str], Iterable[Block], bool]:
+    """Header, blocks of rows and `finite` flag of one named figure
+    dataset (a `_FIGURE_DEFAULTS` key), the arguments `_write_rows` takes
+    after the config; shared by the CLI and the tests."""
     # the preset fills every option left unset
     preset = _FIGURE_DEFAULTS[name]
     cfg = replace(cfg, **{k: v for k, v in preset.items() if getattr(cfg, k) is None})
     baths = _baths(cfg)
 
     if name == "fig5":
-        domain = _domain(cfg)
-        seed, n = _bounded(cfg, "seed", 0), _bounded(cfg, "n", 1, MAX_DRAWS)
-        s = sample_engine_points(seed, n, domain, baths)
         header = ["W", "C_h", "C_c", "omega", "omega_prime", "lambda_J"]
-        columns = (s.w_total, s.c_h, s.c_c, s.omega, s.omega_prime, s.lam)
-        return header, [(values, None) for values in columns]
+        return (header, *_draw_blocks(cfg, baths, (3, 4, 5, 0, 1, 2)))
 
     grid = _parse_sweep(cfg.sweep)
     omega, omega_prime = _bare_frequencies(cfg)
 
     want = Regime.ENGINE if name in ("fig3", "fig7a") else Regime.REFRIGERATOR
     if name in ("fig3", "fig6"):
-        coupling = model_coupling("xx", grid)
+        model = "xx"
         header = (
             ["lambda_J", "eta_A", "eta_B", "eta_os", "eta_sp", "eta_carnot"]
             if want is Regime.ENGINE
@@ -479,7 +536,7 @@ def figure_rows(name: str, cfg: RunConfig) -> tuple[list[str], list[Column]]:
         )
         constant = baths.carnot_efficiency if want is Regime.ENGINE else baths.carnot_cop
     else:  # fig7a / fig7b
-        coupling = model_coupling("xy", grid)
+        model = "xy"
         header = (
             ["lambda_J", "eta_os", "eta_sp", "eta_uncoupled"]
             if want is Regime.ENGINE
@@ -494,26 +551,31 @@ def figure_rows(name: str, cfg: RunConfig) -> tuple[list[str], list[Column]]:
             raise DomainError(
                 f"{name} has no finite uncoupled value at omega={omega}, omega_prime={omega_prime}"
             )
-
-    osc, spn = (
-        evaluate_cycles(kind, omega, omega_prime, coupling, coupling, baths)
-        for kind in (MediumKind.OSCILLATOR, MediumKind.SPIN)
-    )
     # figure-of-merit columns are empty outside the figure's regime
     code = REGIMES.index(want)
-    columns = [(grid, None)]
-    if name in ("fig3", "fig6"):
-        # per-mode columns of the spin pair, or of the oscillator pair
-        # where the spin pair is unstable
-        ref = spn.valid
-        for m in (0, 1):
-            fom = np.where(ref, spn.figure_of_merit[m], osc.figure_of_merit[m])
-            regime = np.where(ref, spn.regime[m], osc.regime[m])
-            columns.append((fom, (ref | osc.valid) & (regime == code)))
-    for c in (osc, spn):
-        columns.append((c.global_figure, c.valid & (c.global_regime == code)))
-    columns.append((np.full(grid.size, constant), None))
-    return header, columns
+
+    def block(rows: slice) -> Block:
+        lam = grid[rows]
+        coupling = model_coupling(model, lam)
+        osc, spn = (
+            evaluate_cycles(kind, omega, omega_prime, coupling, coupling, baths)
+            for kind in (MediumKind.OSCILLATOR, MediumKind.SPIN)
+        )
+        columns = [(lam, None)]
+        if name in ("fig3", "fig6"):
+            # per-mode columns of the spin pair, or of the oscillator pair
+            # where the spin pair is unstable
+            ref = spn.valid
+            for m in (0, 1):
+                fom = np.where(ref, spn.figure_of_merit[m], osc.figure_of_merit[m])
+                regime = np.where(ref, spn.regime[m], osc.regime[m])
+                columns.append((fom, (ref | osc.valid) & (regime == code)))
+        for c in (osc, spn):
+            columns.append((c.global_figure, c.valid & (c.global_regime == code)))
+        columns.append((np.full(lam.size, constant), None))
+        return columns
+
+    return header, _Grid(grid.size, len(header), block), False
 
 
 def cmd_figure(cfg: RunConfig) -> int:
@@ -567,17 +629,34 @@ def cmd_optimize(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_sample(cfg: RunConfig) -> int:
-    baths = _baths(cfg)
+def _draw_blocks(cfg: RunConfig, baths: BathPair, order) -> tuple[Iterable[Block], bool]:
+    """The sampler's accepted draws as blocks of rows, one per draw chunk,
+    the `SampleColumns` fields at `order` their columns; and the `finite`
+    flag of `_write_rows`.
+
+    In a box of side D with 8 D finite, no kept draw is refused: its
+    frequencies and coupling are at most D, so its top level 3 omega is
+    finite, every value it prints is at most 8 D in magnitude, and a
+    concurrence lies in [0, 1].  Its blocks are written as they are
+    drawn.  The draw loop is too costly to run twice, so in a larger box
+    the blocks are held, all of them, and checked before anything is
+    opened."""
     domain = _domain(cfg)
     seed, n = _bounded(cfg, "seed", 0), _bounded(cfg, "n", 1, MAX_DRAWS)
-    s = sample_engine_points(seed, n, domain, baths)
+    blocks = (
+        [(chunk[k], None) for k in order] for chunk in _engine_chunks(seed, n, domain, baths)
+    )
+    if math.isfinite(8.0 * domain.omega[1]):
+        return blocks, True
+    return list(blocks), False
+
+
+def cmd_sample(cfg: RunConfig) -> int:
     header = [
         "omega", "omega_prime", "lambda_J", "W_total", "C_h", "C_c",
         "regime_A", "regime_B",
     ]
-    columns = (s.omega, s.omega_prime, s.lam, s.w_total, s.c_h, s.c_c, s.regime_a, s.regime_b)
-    _write_rows(cfg, header, [(values, None) for values in columns])
+    _write_rows(cfg, header, *_draw_blocks(cfg, _baths(cfg), range(len(header))))
     return EXIT_OK
 
 

@@ -219,7 +219,8 @@ _hypot = np.frompyfunc(math.hypot, 2, 1)
 def spin_mode_frequencies(omega, j_x, j_y):
     """Spin decomposition over broadcast arrays; returns (w_a, w_b) with
     nan where ``omega <= 0`` or a mode frequency would be non-positive.
-    The only one: the rows, optimizer, sampler, oracle and wrappers call it."""
+    It is the one spin decomposition: the row commands, the optimizer,
+    the sampler, the oracle and the scalar wrappers all call it."""
     omega = np.asarray(omega, dtype=float)
     with np.errstate(invalid="ignore", over="ignore"):
         l_plus = 0.5 * (np.asarray(j_x, dtype=float) + j_y)

@@ -57,7 +57,7 @@ __all__ = [
 ]
 
 _REFINE_STEPS = 48  # halvings of the search step, each after a sweep without improvement
-_DRAW_CHUNK = 1 << 16  # sampler draws evaluated at a time
+_DRAW_CHUNK = 1 << 14  # sampler draws evaluated at a time
 # omega of the corner-limit point in units of T_h * sqrt(r): the work there
 # falls short of the supremum by omega^2 / (12 T_h^2 r) of it, 1e-16 / 12
 _LIMIT_SCALE = 1e-8
@@ -437,6 +437,21 @@ def _engine_columns(draws: np.ndarray, baths: BathPair) -> tuple[np.ndarray, ...
     return omega, omega_prime, lam, w[keep], c_h, c_c, regime_a, regime_b
 
 
+def _engine_chunks(seed: int, n: int, domain: SearchDomain, baths: BathPair):
+    """The `_engine_columns` of `n` draws from the domain, one tuple per
+    `_DRAW_CHUNK` draws in draw order, taken from one seeded generator:
+    ``rng.uniform(size=(k, 3))`` is row-major, so any chunk size gives the
+    numbers of one draw of all `n`.  At 2^14 draws a chunk's float
+    temporaries are 128 kB each, and the CLI writes a chunk's rows before
+    it draws the next."""
+    rng = np.random.default_rng(seed)
+    lows = np.array([domain.omega[0], domain.omega_prime[0], domain.coupling[0]])
+    highs = np.array([domain.omega[1], domain.omega_prime[1], domain.coupling[1]])
+    for start in range(0, n, _DRAW_CHUNK):
+        draws = rng.uniform(lows, highs, size=(min(_DRAW_CHUNK, n - start), 3))
+        yield _engine_columns(draws, baths)
+
+
 def sample_engine_points(
     seed: int,
     n: int,
@@ -451,19 +466,13 @@ def sample_engine_points(
     and attaches the concurrences of the two thermal states, in closed
     form (`entanglement.xx_thermal_concurrence`).  A kept draw whose top
     level 3 omega (or 3 omega') overflows raises DomainError.  The draws
-    are taken and evaluated in chunks of `_DRAW_CHUNK` from the one
-    generator, which gives the same numbers as one draw of all `n`, and
-    the accepted rows of the chunks are joined in draw order; so memory
-    grows with the accepted count, not with `n`.  The accepted count is
-    typically below `n`.
+    are taken and evaluated `_DRAW_CHUNK` (2^14) at a time by
+    `_engine_chunks`, which gives the same numbers as one draw of all `n`,
+    and the accepted rows of the chunks are joined in draw order; so
+    memory grows with the accepted count, not with `n`.  The accepted
+    count is typically below `n`.  The CLI writes the chunks as they come
+    instead of joining them.
     """
     if n < 1:
         raise EmptyDomain(f"need n >= 1 draws, got {n}")
-    rng = np.random.default_rng(seed)
-    lows = np.array([domain.omega[0], domain.omega_prime[0], domain.coupling[0]])
-    highs = np.array([domain.omega[1], domain.omega_prime[1], domain.coupling[1]])
-    chunks = [
-        _engine_columns(rng.uniform(lows, highs, size=(min(_DRAW_CHUNK, n - start), 3)), baths)
-        for start in range(0, n, _DRAW_CHUNK)
-    ]
-    return SampleColumns(*map(np.concatenate, zip(*chunks)))
+    return SampleColumns(*map(np.concatenate, zip(*_engine_chunks(seed, n, domain, baths))))

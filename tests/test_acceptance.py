@@ -77,13 +77,16 @@ def test_criterion_2_sandwich_bounds():
 
 
 def _figure_by_lambda(name):
-    header, columns = figure_rows(name, RunConfig(command="figure"))
-    cells = [
-        values.tolist() if present is None
-        else [x if p else None for x, p in zip(values.tolist(), present)]
-        for values, present in columns
-    ]
-    return header, {round(row[0], 10): row[1:] for row in zip(*cells)}
+    header, blocks, _ = figure_rows(name, RunConfig(command="figure"))
+    rows = {}
+    for columns in blocks:
+        cells = [
+            values.tolist() if present is None
+            else [x if p else None for x, p in zip(values.tolist(), present)]
+            for values, present in columns
+        ]
+        rows.update({round(row[0], 10): row[1:] for row in zip(*cells)})
+    return header, rows
 
 
 def test_criterion_3_fig3_reproduction():

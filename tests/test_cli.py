@@ -644,7 +644,7 @@ def test_count_above_maximum_exits_2(capsys, monkeypatch, args, flag):
     def unreachable(*_, **__):
         raise AssertionError("the search or sampler ran")
 
-    for name in ("sample_engine_points", "max_uncoupled_work", "max_coupled_work"):
+    for name in ("_engine_chunks", "max_uncoupled_work", "max_coupled_work"):
         monkeypatch.setattr(cli, name, unreachable)
     code, out, err = run_cli(capsys, *args)
     assert (code, out) == (EXIT_CONFIG, "")
@@ -776,17 +776,30 @@ def _writer_columns(case, n, seed=5):
     ]
 
 
-@pytest.mark.parametrize("n", [0, 1, 57, 2 * cli._ROW_CHUNK + 3])
+def _cut(columns, starts):
+    """`columns` as blocks of rows from each of `starts` (clipped to the
+    row count) to the next; each column's mask is sliced on its own."""
+    n = len(columns[0][0])
+    edges = [min(start, n) for start in starts] + [n]
+    return [
+        [(values[a:b], None if present is None else present[a:b]) for values, present in columns]
+        for a, b in zip(edges, edges[1:])
+    ]
+
+
+@pytest.mark.parametrize("n", [0, 1, 57, 2051])
 @pytest.mark.parametrize("case", ["mixed", "all-empty", "unmasked"])
 def test_row_writer_equals_the_per_cell_writer(capsys, monkeypatch, case, n):
-    # CSV chunks of 166 (mixed) or 333 rows: 2051 rows cross chunk edges
+    # pieces of 166 (mixed) or 333 rows: 2051 rows cross piece edges, and
+    # the blocks' own edges, an empty block among them, fall elsewhere
     monkeypatch.setattr(cli, "_CSV_CELLS", 1000)
     header, columns = _writer_columns(case, n)
     rows = _reference_rows(header, columns)
-    cli._write_rows(cli.RunConfig(command="sweep"), header, columns)
-    assert capsys.readouterr().out == _reference_csv(header, rows)
-    cli._write_rows(cli.RunConfig(command="sweep", format="json"), header, columns)
-    assert capsys.readouterr().out == json.JSONEncoder(indent=2).encode(rows) + "\n"
+    for blocks in ([columns], _cut(columns, [0, 0, 1, 500, 1400])):
+        cli._write_rows(cli.RunConfig(command="sweep"), header, blocks)
+        assert capsys.readouterr().out == _reference_csv(header, rows)
+        cli._write_rows(cli.RunConfig(command="sweep", format="json"), header, blocks)
+        assert capsys.readouterr().out == json.JSONEncoder(indent=2).encode(rows) + "\n"
 
 
 def test_row_writer_leaves_absent_non_finite_values_empty(capsys):
@@ -794,9 +807,9 @@ def test_row_writer_leaves_absent_non_finite_values_empty(capsys):
         (np.array([np.nan, -0.0, -np.inf]), np.array([False, True, False])),
         (np.array([0, 1, 2], dtype=np.int8), np.array([True, False, True])),
     ]
-    cli._write_rows(cli.RunConfig(command="sweep"), ["w", "r"], columns)
+    cli._write_rows(cli.RunConfig(command="sweep"), ["w", "r"], [columns])
     assert capsys.readouterr().out == "w,r\n,engine\n-0,\n,dissipator\n"
-    cli._write_rows(cli.RunConfig(command="sweep", format="json"), ["w", "r"], columns)
+    cli._write_rows(cli.RunConfig(command="sweep", format="json"), ["w", "r"], [columns])
     assert json.loads(capsys.readouterr().out) == [
         {"w": None, "r": "engine"}, {"w": -0.0, "r": None}, {"w": None, "r": "dissipator"},
     ]
@@ -805,18 +818,173 @@ def test_row_writer_leaves_absent_non_finite_values_empty(capsys):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_row_value_exits_3(tmp_path, capsys, monkeypatch, fmt, bad):
-    # the last row is past a full chunk: nothing of the first is written
-    n = cli._ROW_CHUNK + 2
+    # the last row is in the last of three blocks: nothing of the first
+    # two is written
+    n = 1026
     values = np.ones(n)
     values[-1] = bad
     columns = [(np.arange(n, dtype=float), None), (values, np.ones(n, dtype=bool))]
-    monkeypatch.setattr(cli, "figure_rows", lambda name, cfg: (["a", "b"], columns))
+    blocks = _cut(columns, [0, 500, 1000])
+    monkeypatch.setattr(cli, "figure_rows", lambda name, cfg: (["a", "b"], blocks, False))
     target = tmp_path / "rows.out"
     for extra in ([], ["--out", str(target)]):
         code, out, err = run_cli(capsys, "figure", "fig3", "--format", fmt, *extra)
         assert (code, out) == (EXIT_DOMAIN, "")
         assert "non-finite" in err
     assert not target.exists()
+
+
+def test_refused_row_document_leaves_an_existing_out_file_alone(tmp_path, capsys, monkeypatch):
+    # the 2001 rows of the sweep span three 744-row blocks, and the refused
+    # value is in the last row; the refused sample draws past its top level
+    # in a box of side 1e308
+    evaluate = cli.evaluate_cycles
+
+    def planted(*args):
+        c = evaluate(*args)
+        c.w_total[args[3][0] > 1.9995] = np.nan
+        return c
+
+    monkeypatch.setattr(cli, "evaluate_cycles", planted)
+    target = tmp_path / "rows.out"
+    before = b"kept bytes\n" * 3
+    sweep = (*_SWEEP_ARGS, "--omega", "4", "--omega-prime", "3", "--sweep", "0:2:0.001")
+    sample = ("sample", "--th", "1e306", "--tc", "1e305", "--domain-max", "1e308")
+    for argv, message in [
+        ((*sweep, "--format", "csv"), "non-finite number nan"),
+        ((*sweep, "--format", "json"), "non-finite number nan"),
+        (sample, "top level 3*omega"),
+    ]:
+        target.write_bytes(before)
+        code, out, err = run_cli(capsys, *argv, "--out", str(target))
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert message in err
+        assert target.read_bytes() == before
+
+
+def _sweep_reference(argv, fmt):
+    """The output of a spin or oscillator xx `sweep` evaluated as one
+    whole-grid block, by the per-cell writer."""
+    opts = dict(zip(argv[1::2], argv[2::2]))
+    grid = cli._parse_sweep(opts["--sweep"])
+    kind = medium.MediumKind(opts["--medium"])
+    baths = medium.BathPair(float(opts["--th"]), float(opts["--tc"]))
+    c = cycle.evaluate_cycles(kind, float(opts["--omega"]), float(opts["--omega-prime"]),
+                              (grid, grid), (grid, grid), baths)
+    rows = _reference_rows(cli._SWEEP_HEADER, cli._sweep_columns(grid, c))
+    if fmt == "json":
+        return json.JSONEncoder(indent=2).encode(rows) + "\n"
+    return _reference_csv(cli._SWEEP_HEADER, rows)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_blocks_equal_the_whole_grid(capsys, monkeypatch, fmt):
+    # 7-row blocks over an oscillator sweep that crosses mode B's Carnot
+    # point at lambda = 2 and its instability at lambda = 3: its empty cells
+    # and regime changes straddle block edges
+    monkeypatch.setattr(cli, "_CSV_CELLS", 7 * len(cli._SWEEP_HEADER) + 3)
+    argv = ("sweep", "--medium", "osc", "--model", "xx", "--omega", "4", "--omega-prime", "3",
+            "--th", "2", "--tc", "1", "--sweep", "1.9:3.1:0.002")
+    code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+    assert code == EXIT_OK
+    assert out == _sweep_reference(argv, fmt)
+    assert all(r.value in out for r in cycle.REGIMES)
+    assert ",,,,,,,,,,,,,,,,,,,,,\n" in out if fmt == "csv" else '"regime": null' in out
+
+
+@pytest.mark.parametrize("name", ["fig3", "fig7b"])
+def test_grid_figure_blocks_equal_the_whole_grid(capsys, monkeypatch, name):
+    monkeypatch.setattr(cli, "_CSV_CELLS", 10**9)
+    header, blocks, finite = cli.figure_rows(name, cli.RunConfig(command="figure"))
+    (whole,) = list(blocks)
+    rows = _reference_rows(header, whole)
+    monkeypatch.setattr(cli, "_CSV_CELLS", 5 * len(header))
+    assert not finite and len(list(blocks)) > 20
+    for fmt, want in [("csv", _reference_csv(header, rows)),
+                      ("json", json.JSONEncoder(indent=2).encode(rows) + "\n")]:
+        assert run_cli(capsys, "figure", name, "--format", fmt)[:2] == (EXIT_OK, want)
+
+
+_SAMPLE_FIELDS = ("omega", "omega_prime", "lam", "w_total", "c_h", "c_c", "regime_a", "regime_b")
+
+
+@pytest.mark.parametrize("command", ["sample", "fig5"])
+def test_sampled_blocks_equal_the_joined_sample(capsys, monkeypatch, command):
+    # 79 draw chunks of 64, which keep 0 to 11 draws each: the writer gets
+    # empty blocks, and blocks longer than the 5 (sample) or 6 (fig5) rows
+    # of 40 cells, which it splits; against one joined `sample_engine_points`
+    s = optimize.sample_engine_points(3, 5000, optimize.SearchDomain(), medium.BathPair(2.0, 1.0))
+    monkeypatch.setattr(optimize, "_DRAW_CHUNK", 64)
+    monkeypatch.setattr(cli, "_CSV_CELLS", 40)
+    if command == "sample":
+        header = ["omega", "omega_prime", "lambda_J", "W_total", "C_h", "C_c",
+                  "regime_A", "regime_B"]
+        fields, argv = _SAMPLE_FIELDS, ("sample", "--th", "2", "--tc", "1")
+    else:
+        header = ["W", "C_h", "C_c", "omega", "omega_prime", "lambda_J"]
+        fields, argv = ("w_total", "c_h", "c_c", "omega", "omega_prime", "lam"), ("figure", "fig5")
+    rows = _reference_rows(header, [(getattr(s, f), None) for f in fields])
+    assert len(rows) > 100
+    argv += ("--n", "5000", "--seed", "3")
+    assert run_cli(capsys, *argv)[:2] == (EXIT_OK, _reference_csv(header, rows))
+    want = json.JSONEncoder(indent=2).encode(rows) + "\n"
+    assert run_cli(capsys, *argv, "--format", "json")[:2] == (EXIT_OK, want)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_refusal_names_the_first_column_not_the_first_block(tmp_path, capsys, fmt):
+    # column 2 is non-finite in block 3 only, column 1 in block 5 only:
+    # the first column in header order wins, as over the whole document
+    n = 70
+    a, b, c = np.arange(n, dtype=float), np.ones(n), np.ones(n)
+    c[25] = np.nan
+    b[45], b[48] = -np.inf, np.inf
+    blocks = _cut([(a, None), (b, None), (c, None)], range(0, n, 10))
+    target = tmp_path / "rows.out"
+    cfg = cli.RunConfig(command="sweep", format=fmt, out=str(target))
+    with pytest.raises(cli.NumericalError, match="^non-finite number -inf in"):
+        cli._write_rows(cfg, ["a", "b", "c"], blocks)
+    assert not target.exists()
+
+
+def test_inconsistent_energy_keeps_its_whole_grid_count(tmp_path, capsys, monkeypatch):
+    # a balance failure in blocks 2 and 4 of six: the refusal counts the
+    # failing entries of the whole grid, as one evaluate_cycles call would
+    evaluate = cli.evaluate_cycles
+
+    def unbalanced(*args):
+        failing = int(np.isin(np.rint(args[3][0] * 100), [80, 81, 230]).sum())
+        if failing:
+            raise cycle.InconsistentEnergy(f"{failing} entries")
+        return evaluate(*args)
+
+    monkeypatch.setattr(cli, "evaluate_cycles", unbalanced)
+    monkeypatch.setattr(cli, "_CSV_CELLS", 50 * len(cli._SWEEP_HEADER))
+    target = tmp_path / "rows.out"
+    code, out, err = run_cli(capsys, *_SWEEP_ARGS, "--omega", "4", "--omega-prime", "3",
+                             "--sweep", "0:2.99:0.01", "--out", str(target))
+    assert (code, out, err) == (EXIT_DOMAIN, "", "domain error: 3 entries\n")
+    assert not target.exists()
+
+
+def test_sample_streams_below_the_bound_and_holds_its_blocks_above(tmp_path, capsys):
+    # a box of side D streams while 8 D is finite; at D = 2.2e307 every
+    # kept draw is still printed as the joined sample has it
+    baths = medium.BathPair(1e306, 1e305)
+    for side, finite in [(2.2e307, True), (2.3e307, False), (5.9e307, False)]:
+        cfg = cli.RunConfig(command="sample", n=1000, seed=1, domain_max=side)
+        blocks, flag = cli._draw_blocks(cfg, baths, range(8))
+        assert flag is finite and isinstance(blocks, list) is not finite
+    domain = optimize.SearchDomain(*[(0.0, 2.2e307)] * 3)
+    s = optimize.sample_engine_points(1, 200000, domain, baths)
+    header = ["omega", "omega_prime", "lambda_J", "W_total", "C_h", "C_c", "regime_A", "regime_B"]
+    rows = _reference_rows(header, [(getattr(s, f), None) for f in _SAMPLE_FIELDS])
+    assert len(rows) > 1000
+    out = tmp_path / "edge.csv"
+    argv = ("sample", "--th", "1e306", "--tc", "1e305", "--domain-max", "2.2e307",
+            "--n", "200000", "--seed", "1", "--out", str(out))
+    assert run_cli(capsys, *argv) == (EXIT_OK, "", "")
+    assert out.read_text() == _reference_csv(header, rows)
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):

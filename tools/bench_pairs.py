@@ -13,11 +13,14 @@ temporary directory (``src/``, ``bench/`` and ``BENCHMARK.json``, without
 in each copy with PYTHONDONTWRITEBYTECODE=1, the parent first on even i;
 S is the ``run_seconds`` that BENCHMARK.json fixes.
 Only the metrics ``bench/run.py`` reports are read: its result line, and
-from its record the environment, each job's wall time and output sha256.
+from its record the environment, each job's wall time, peak RSS and
+output sha256.
 
 Per end-to-end metric of BENCHMARK.json the file holds both sides' runs,
 quartiles, the pairs the change wins, the median change and whether it
-stays within the metric's bound.  ``--claim M`` adds the verdict on M: the
+stays within the metric's bound; per job, both sides' median wall time
+and median peak RSS (``maxrss_mb``), so the file shows which job sets a
+workload's ``peak_rss_mb``.  ``--claim M`` adds the verdict on M: the
 change better on at least nine in ten pairs, and its median better than
 the parent's by more than the parent's interquartile range.  An existing
 ``--out`` file keeps its other workloads, and ``setup_s_all_pairs`` pools
@@ -102,11 +105,12 @@ def summarize(spec: dict, seeds: list[int], first: list[str], runs: dict) -> dic
                                 for side in ("parent", "change")))
         for m in spec["end_to_end"]
     }
-    walls, outputs = {}, {}
+    walls, rss, outputs = {}, {}, {}
     for side in ("parent", "change"):
         for seed, run in zip(seeds, runs[side]):
             for job in run["record"]["jobs"]:
                 walls.setdefault(job["job"], {}).setdefault(side, []).append(job["wall_s"])
+                rss.setdefault(job["job"], {}).setdefault(side, []).append(job["maxrss_mb"])
                 key = f"seed{seed}:{job['job']}"
                 outputs.setdefault(key, {}).setdefault(side, set()).add(job["sha256"])
     return {
@@ -115,6 +119,8 @@ def summarize(spec: dict, seeds: list[int], first: list[str], runs: dict) -> dic
         "metrics": metrics,
         "job_wall_s_median": {job: {side: statistics.median(v) for side, v in sides.items()}
                               for job, sides in sorted(walls.items())},
+        "job_peak_rss_mb_median": {job: {side: statistics.median(v) for side, v in sides.items()}
+                                   for job, sides in sorted(rss.items())},
         "job_outputs_equal": all(o["parent"] == o["change"] for o in outputs.values()),
         "job_sha256": {key: {side: sorted(v) for side, v in o.items()}
                        for key, o in sorted(outputs.items())},

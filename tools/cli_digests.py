@@ -44,8 +44,12 @@ oscillator general optima at ``--resolution 100``, the cap, whose box
 holds the anchor (the check grid in mode space), and two spin xx CSV
 sweeps whose cells no other job prints: at nano scale (2-digit negative
 exponents) and at 1e300 (3-digit exponents and exact zeros, every cell
-past the CSV formatter's fast range); together they take about 20
-seconds on two cores.  Standard library only.
+past the CSV formatter's fast range); and three jobs of many row blocks:
+``sample`` with 10^6 draws (62 draw chunks), fig3 as JSON over 30 001
+rows (11 blocks), and ``sample`` in a box of side 2.2e307, about the
+largest that the sampler's rows stream from (8 times the side is
+finite).  Together they take about 25 seconds on two cores.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -180,6 +184,11 @@ JOBS = [
     "--sweep 0:4e-9:2e-12",
     "sweep --medium spin --model xx --omega 1e300 --omega-prime 1e300 --th 1e300 --tc 1 "
     "--sweep 0:1e300:1e297",
+    # rows written one block at a time: many draw chunks, many grid blocks,
+    # and draws streamed at the edge of the box whose rows cannot be refused
+    "sample --th 2 --tc 1 --n 1000000 --seed 5 --out s.csv",
+    "figure fig3 --sweep 0:3:0.0001 --format json --out f3.json",
+    "sample --th 1e306 --tc 1e305 --domain-max 2.2e307 --n 200000 --seed 1 --out edge.csv",
 ]
 
 _ELAPSED = re.compile(rb"^elapsed: .*$", re.MULTILINE)
